@@ -344,34 +344,6 @@ void BM_SimilarityCompact(benchmark::State& state) {
 }
 BENCHMARK(BM_SimilarityCompact)->Arg(400)->Arg(2000);
 
-// Appending a few strangers to an already-compacted pool and merging
-// the staged rows, versus the full rebuild above. Both benches copy the
-// base matrix per iteration, so the delta isolates the compact path.
-void BM_SimilarityMergeCompact(benchmark::State& state) {
-  size_t n = static_cast<size_t>(state.range(0));
-  SimilarityMatrix base = MakeRandomGraph(n);
-  base.Compact();
-  Rng rng(99);
-  std::vector<std::pair<size_t, double>> staged_edges;
-  for (size_t k = 0; k < 3 * 8; ++k) {
-    staged_edges.emplace_back(
-        static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(n) - 1)),
-        rng.UniformDouble(0.1, 1.0));
-  }
-  for (auto _ : state) {
-    SimilarityMatrix m = base;
-    m.AppendRows(3);
-    for (size_t k = 0; k < staged_edges.size(); ++k) {
-      m.Set(n + k % 3, staged_edges[k].first, staged_edges[k].second);
-    }
-    m.MergeCompact();
-    benchmark::DoNotOptimize(m);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(n * (n + 1) / 2));
-}
-BENCHMARK(BM_SimilarityMergeCompact)->Arg(400)->Arg(2000);
-
 void BM_PoolBuild(benchmark::State& state) {
   sim::OwnerDataset ds = MakeDataset(static_cast<size_t>(state.range(0)));
   PoolBuilderConfig config;

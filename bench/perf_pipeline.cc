@@ -30,12 +30,23 @@
 // JSON records hardware_concurrency in every row so the numbers are
 // interpretable.
 //
+// The topk_build section times a pool's top-8 classifier graph built
+// two ways — tiled fill into the triangle, SparsifyTopK, Compact versus
+// the streamed build that never allocates the triangle — with the peak
+// heap bytes of each (this binary counts every allocation), and FATALs
+// unless both CSRs agree in every offset, index and weight bit.
+//
 // Usage: perf_pipeline [--max-n=8000] [--out=BENCH_pipeline.json]
 // Env:   SIGHT_BENCH_THREADS=2,4,8 overrides the threaded point counts.
 
+#include <malloc.h>
+
 #include <algorithm>
+#include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -43,10 +54,14 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <new>
 #include <numeric>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "graph/profile_codec.h"
@@ -57,6 +72,41 @@
 #include "similarity/ps_kernels.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
+
+// Heap accounting for the topk_build peak-bytes columns: this binary
+// replaces the global allocation functions with malloc-backed ones that
+// keep the live byte count and its high-water mark.
+namespace {
+std::atomic<int64_t> g_live_bytes{0};
+std::atomic<int64_t> g_peak_bytes{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  void* p = std::malloc(size == 0 ? 1 : size);
+  if (p == nullptr) throw std::bad_alloc();
+  const auto bytes = static_cast<int64_t>(malloc_usable_size(p));
+  const int64_t live = g_live_bytes.fetch_add(bytes) + bytes;
+  int64_t peak = g_peak_bytes.load();
+  while (live > peak && !g_peak_bytes.compare_exchange_weak(peak, live)) {
+  }
+  return p;
+}
+
+// GCC cannot see that operator new above allocated with malloc.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+void operator delete(void* p) noexcept {
+  if (p == nullptr) return;
+  g_live_bytes.fetch_sub(static_cast<int64_t>(malloc_usable_size(p)));
+  std::free(p);
+}
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
+
+void operator delete(void* p, std::size_t) noexcept { operator delete(p); }
 
 namespace sight {
 namespace {
@@ -168,6 +218,10 @@ HarmonicRow RunHarmonicStudy(size_t n, bool sparsify) {
   SimilarityMatrix m = MakeRandomGraph(n);
   if (sparsify) m.SparsifyTopK(kTopK);
   LabeledSet labeled = MakeLabels(n);
+  // The dense reference reads an uncompacted copy: a compacted matrix
+  // answers Get() by binary search, which would skew its timing.
+  std::optional<SimilarityMatrix> uncompacted;
+  if (n <= kMaxDenseReference) uncompacted = m;
 
   HarmonicConfig config;
   config.solver = HarmonicSolver::kGaussSeidel;
@@ -181,10 +235,10 @@ HarmonicRow RunHarmonicStudy(size_t n, bool sparsify) {
     csr_f = classifier.Predict(m, labeled).value();
   });
 
-  if (n <= kMaxDenseReference) {
+  if (uncompacted.has_value()) {
     std::vector<double> ref_f;
     row.reference_dense_ms = TimeMsBestOf(std::min(RepsFor(n), 2), [&] {
-      ref_f = ReferenceDensePredict(m, labeled, config);
+      ref_f = ReferenceDensePredict(*uncompacted, labeled, config);
     });
     row.speedup = *row.reference_dense_ms / row.csr_solve_ms;
     row.bitwise_equal = std::equal(csr_f.begin(), csr_f.end(), ref_f.begin());
@@ -523,6 +577,96 @@ BuildRow RunBuildStudy(size_t n, const std::vector<size_t>& thread_counts) {
   return row;
 }
 
+// Top-k graph build of one pool, two ways: the triangle path (tiled
+// fill, SparsifyTopK, Compact) and the streamed build that never holds
+// the triangle. Both must give the same CSR bit for bit.
+struct TopKBuildRow {
+  size_t n = 0;
+  size_t edges = 0;
+  double dense_ms = std::numeric_limits<double>::infinity();
+  double streamed_ms = std::numeric_limits<double>::infinity();
+  double speedup = 0.0;  // dense_ms / streamed_ms
+  int64_t dense_peak_bytes = 0;
+  int64_t streamed_peak_bytes = 0;
+  bool bitwise_equal = true;
+};
+
+// Best time of `build` over `reps` runs, and the most heap it ever held
+// above what was live when it started, its result included.
+template <typename Build>
+std::pair<double, int64_t> TimeAndPeakBytes(int reps, SimilarityMatrix* out,
+                                            const Build& build) {
+  double best = std::numeric_limits<double>::infinity();
+  int64_t peak = 0;
+  for (int r = 0; r < reps; ++r) {
+    *out = SimilarityMatrix(0);
+    const int64_t base = g_live_bytes.load();
+    g_peak_bytes.store(base);
+    best = std::min(best, TimeMsBestOf(1, [&] { *out = build(); }));
+    peak = std::max(peak, g_peak_bytes.load() - base);
+  }
+  return {best, peak};
+}
+
+bool CsrBitwiseEqual(const SimilarityMatrix& a, const SimilarityMatrix& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    std::span<const Neighbor> x = a.Neighbors(i);
+    std::span<const Neighbor> y = b.Neighbors(i);
+    if (x.size() != y.size()) return false;
+    for (size_t t = 0; t < x.size(); ++t) {
+      if (x[t].index != y[t].index ||
+          std::bit_cast<uint64_t>(x[t].weight) !=
+              std::bit_cast<uint64_t>(y[t].weight)) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+TopKBuildRow RunTopKBuildStudy(size_t n) {
+  TopKBuildRow row;
+  row.n = n;
+  sim::OwnerDataset ds = MakeDataset(n);
+  auto ps = ProfileSimilarity::Create(ds.profiles.schema()).value();
+  EncodedProfileTable enc =
+      EncodedProfileTable::Build(ds.profiles, ds.strangers);
+  ValueFrequencyTable freqs = ValueFrequencyTable::Build(enc);
+
+  SimilarityMatrix dense(0);
+  SimilarityMatrix streamed(0);
+  std::tie(row.dense_ms, row.dense_peak_bytes) =
+      TimeAndPeakBytes(RepsFor(n), &dense, [&] {
+        SimilarityMatrix m(enc.num_rows());
+        ps_kernels::FillPairwise(enc, ps, freqs, nullptr, &m);
+        m.SparsifyTopK(kTopK);
+        m.Compact();
+        return m;
+      });
+  std::tie(row.streamed_ms, row.streamed_peak_bytes) =
+      TimeAndPeakBytes(RepsFor(n), &streamed, [&] {
+        return ps_kernels::SelectPairwiseTopK(enc, ps, freqs, kTopK, nullptr);
+      });
+  row.edges = streamed.NumEdges();
+  row.speedup = row.dense_ms / row.streamed_ms;
+  row.bitwise_equal = CsrBitwiseEqual(dense, streamed);
+  if (!row.bitwise_equal) {
+    std::fprintf(stderr,
+                 "FATAL: streamed top-k build diverges from fill + "
+                 "SparsifyTopK + Compact at n=%zu\n",
+                 n);
+    std::exit(1);
+  }
+  std::printf(
+      "topk      n=%-5zu edges=%-7zu dense=%9.2fms (%lld B)  "
+      "streamed=%9.2fms (%lld B)  speedup=%.2fx\n",
+      n, row.edges, row.dense_ms,
+      static_cast<long long>(row.dense_peak_bytes), row.streamed_ms,
+      static_cast<long long>(row.streamed_peak_bytes), row.speedup);
+  return row;
+}
+
 std::string JsonOpt(const std::optional<double>& v) {
   if (!v) return "null";
   char buf[64];
@@ -532,7 +676,8 @@ std::string JsonOpt(const std::optional<double>& v) {
 
 bool WriteJson(const std::string& path, const std::vector<HarmonicRow>& solve,
                const std::vector<RoundSolveRow>& round_solve,
-               const std::vector<BuildRow>& build) {
+               const std::vector<BuildRow>& build,
+               const std::vector<TopKBuildRow>& topk) {
   std::ofstream out(path);
   out << "{\n";
   out << "  \"bench\": \"perf_pipeline\",\n";
@@ -603,6 +748,22 @@ bool WriteJson(const std::string& path, const std::vector<HarmonicRow>& solve,
         << "}" << (i + 1 < build.size() ? "," : "") << "\n";
   }
   out << "  ],\n";
+  out << "  \"topk_build\": [\n";
+  for (size_t i = 0; i < topk.size(); ++i) {
+    const TopKBuildRow& r = topk[i];
+    out << "    {\"n\": " << r.n << ", \"k\": " << kTopK
+        << ", \"edges\": " << r.edges
+        << ", \"dense_ms\": " << JsonOpt(r.dense_ms)
+        << ", \"dense_peak_bytes\": " << r.dense_peak_bytes
+        << ", \"streamed_ms\": " << JsonOpt(r.streamed_ms)
+        << ", \"streamed_peak_bytes\": " << r.streamed_peak_bytes
+        << ", \"speedup\": " << JsonOpt(r.speedup)
+        << ", \"hardware_concurrency\": "
+        << std::thread::hardware_concurrency()
+        << ", \"bitwise_equal\": " << (r.bitwise_equal ? "true" : "false")
+        << "}" << (i + 1 < topk.size() ? "," : "") << "\n";
+  }
+  out << "  ],\n";
 
   std::optional<double> harmonic_2000;
   for (const HarmonicRow& r : solve) {
@@ -649,9 +810,21 @@ bool WriteJson(const std::string& path, const std::vector<HarmonicRow>& solve,
       << ",\n";
   out << "    \"matrix_build_tiled_speedup_n8000\": " << JsonOpt(tiled_8000)
       << ",\n";
+  std::optional<double> topk_speedup_8000;
+  std::optional<double> topk_peak_ratio_8000;
+  for (const TopKBuildRow& r : topk) {
+    if (r.n != 8000 || r.streamed_peak_bytes <= 0) continue;
+    topk_speedup_8000 = r.speedup;
+    topk_peak_ratio_8000 = static_cast<double>(r.dense_peak_bytes) /
+                           static_cast<double>(r.streamed_peak_bytes);
+  }
   out << "    \"ps_kernel_dispatch\": \"" << dispatch << "\",\n";
   out << "    \"matrix_build_speedup_2threads_n2000\": "
-      << JsonOpt(build_2000_t2) << "\n";
+      << JsonOpt(build_2000_t2) << ",\n";
+  out << "    \"topk_build_speedup_n8000\": " << JsonOpt(topk_speedup_8000)
+      << ",\n";
+  out << "    \"topk_build_peak_bytes_ratio_n8000\": "
+      << JsonOpt(topk_peak_ratio_8000) << "\n";
   out << "  }\n";
   out << "}\n";
   return out.good();
@@ -693,6 +866,7 @@ int main(int argc, char** argv) {
   std::vector<sight::HarmonicRow> solve;
   std::vector<sight::RoundSolveRow> round_solve;
   std::vector<sight::BuildRow> build;
+  std::vector<sight::TopKBuildRow> topk;
   for (size_t n : sight::kPoolSizes) {
     if (n > max_n) continue;
     solve.push_back(sight::RunHarmonicStudy(n, /*sparsify=*/false));
@@ -708,8 +882,9 @@ int main(int argc, char** argv) {
       }
     }
     build.push_back(sight::RunBuildStudy(n, thread_counts));
+    topk.push_back(sight::RunTopKBuildStudy(n));
   }
-  if (!sight::WriteJson(out_path, solve, round_solve, build)) {
+  if (!sight::WriteJson(out_path, solve, round_solve, build, topk)) {
     std::fprintf(stderr, "error: cannot write %s\n", out_path.c_str());
     return 1;
   }

@@ -6,6 +6,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "learning/top_k_selection.h"
 #include "similarity/ps_kernels.h"
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -90,13 +91,17 @@ Result<PoolLearner> PoolLearner::Create(
   if (classifier == nullptr || sampler == nullptr) {
     return Status::InvalidArgument("classifier and sampler are required");
   }
-  if (config.sparsify_top_k > 0) {
-    weights.SparsifyTopK(config.sparsify_top_k);
-  }
   // The learner graph is immutable from here on and the classifier solves
-  // on it every round: materialize the CSR neighbor view once so those
-  // solves iterate neighbor lists instead of dense rows.
-  weights.Compact();
+  // on it every round: a matrix still being built is sparsified and
+  // compacted once, so those solves iterate neighbor lists instead of
+  // dense rows. A compacted one (ActiveLearner's streamed top-k build)
+  // already is the graph.
+  if (!weights.compacted()) {
+    if (config.sparsify_top_k > 0) {
+      weights.SparsifyTopK(config.sparsify_top_k);
+    }
+    weights.Compact();
+  }
   PoolLearner learner(pool, std::move(weights),
                       std::move(display_similarity),
                       std::move(display_benefit), config, classifier,
@@ -408,11 +413,15 @@ Result<ActiveLearner> ActiveLearner::Create(
     size_t num_rows = 0;
     size_t num_attributes = 0;
   };
+  // With sparsify_top_k > 0 a pool never gets a triangle: its pairs
+  // stream into a TopKSelection that emits the compacted top-k graph.
+  const bool streamed = config.sparsify_top_k > 0;
   std::vector<std::optional<EncodedProfileTable>> encoded(num_pools);
   std::vector<std::vector<uint32_t>> gathered(num_pools);
   std::vector<PoolRows> rows_of(num_pools);
   std::vector<std::optional<ValueFrequencyTable>> freqs(num_pools);
   std::vector<SimilarityMatrix> weights;
+  std::vector<std::optional<TopKSelection>> selections(num_pools);
   std::vector<std::vector<double>> sims(num_pools);
   std::vector<std::vector<double>> bens(num_pools);
   weights.reserve(num_pools);
@@ -436,7 +445,13 @@ Result<ActiveLearner> ActiveLearner::Create(
                     encoded[p]->num_attributes()};
       freqs[p].emplace(ValueFrequencyTable::Build(*encoded[p]));
     }
-    weights.emplace_back(n);
+    weights.emplace_back(streamed ? 0 : n);
+    if (streamed) {
+      selections[p].emplace(
+          n, config.sparsify_top_k,
+          ps_kernels::StripeStarts(
+              n, ps_kernels::DefaultTileShape(rows_of[p].num_attributes)));
+    }
     total_pairs += n * (n - 1) / 2;
     sims[p].assign(n, 0.0);
     bens[p].assign(n, 0.0);
@@ -458,10 +473,19 @@ Result<ActiveLearner> ActiveLearner::Create(
   // into tiles and the flattened cross-pool tile list feeds a single
   // ParallelFor, so tiling composes with threading and small pools
   // load-balance alongside large ones. Distinct tiles cover disjoint
-  // pairs, so tiles write without synchronization.
+  // pairs, so tiles write without synchronization. A streamed pool's
+  // work items are its column stripes instead, each owning its share of
+  // the selection state.
   std::vector<std::pair<size_t, ps_kernels::PairTile>> tiles;
+  std::vector<std::pair<size_t, size_t>> stripes;
   for (size_t p = 0; p < num_pools; ++p) {
     if (carried[p].has_value()) continue;
+    if (streamed) {
+      for (size_t s = 0; s < selections[p]->num_stripes(); ++s) {
+        stripes.emplace_back(p, s);
+      }
+      continue;
+    }
     const ps_kernels::TileShape shape =
         ps_kernels::DefaultTileShape(rows_of[p].num_attributes);
     for (const ps_kernels::PairTile& tile :
@@ -471,17 +495,25 @@ Result<ActiveLearner> ActiveLearner::Create(
   }
   ParallelForOptions pf;
   pf.total_work = total_pairs;
-  ParallelFor(config.thread_pool, tiles.size(), [&](size_t t) {
-    const auto& [p, tile] = tiles[t];
-    ps_kernels::FillTile(rows_of[p].rows, rows_of[p].num_rows,
-                         rows_of[p].num_attributes, ps, *freqs[p], tile,
-                         &weights[p]);
+  ParallelFor(config.thread_pool, tiles.size() + stripes.size(),
+              [&](size_t t) {
+    if (t < tiles.size()) {
+      const auto& [p, tile] = tiles[t];
+      ps_kernels::FillTile(rows_of[p].rows, rows_of[p].num_rows,
+                           rows_of[p].num_attributes, ps, *freqs[p], tile,
+                           &weights[p]);
+      return;
+    }
+    const auto& [p, s] = stripes[t - tiles.size()];
+    ps_kernels::SelectStripe(rows_of[p].rows, rows_of[p].num_rows,
+                             rows_of[p].num_attributes, ps, *freqs[p], s,
+                             &*selections[p]);
   }, pf);
 
-  // Per-pool learner setup (sparsification, CSR compaction, label
-  // seeding) is independent across pools; statuses are surfaced in pool
-  // order afterwards. Carried learners only rebaseline their per-tick
-  // counters.
+  // Per-pool learner setup (top-k merge or sparsification, CSR
+  // compaction, label seeding) is independent across pools; statuses are
+  // surfaced in pool order afterwards. Carried learners only rebaseline
+  // their per-tick counters.
   std::vector<std::optional<Result<PoolLearner>>> created(num_pools);
   ParallelFor(config.thread_pool, num_pools, [&](size_t p) {
     if (carried[p].has_value()) {
@@ -489,6 +521,7 @@ Result<ActiveLearner> ActiveLearner::Create(
       created[p].emplace(std::move(*carried[p]));
       return;
     }
+    if (streamed) weights[p] = selections[p]->Finish();
     created[p].emplace(PoolLearner::Create(
         pools.pools[p], std::move(weights[p]), std::move(sims[p]),
         std::move(bens[p]), config, classifier, sampler, known_labels,

@@ -173,6 +173,10 @@ class PoolLearner {
   /// flow): stranger id -> numeric label value.
   using KnownLabels = std::unordered_map<UserId, double>;
 
+  /// `weights` still in its building state is top-k sparsified (per
+  /// config.sparsify_top_k) and compacted here; a compacted one — what
+  /// ActiveLearner's streamed top-k build hands over — is the classifier
+  /// graph as is.
   /// `display_similarity` / `display_benefit` are parallel to
   /// `pool.members` and are surfaced to the oracle with each query.
   /// Members found in `known_labels` start out owner-labeled, so the

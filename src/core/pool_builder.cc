@@ -8,8 +8,8 @@ namespace sight {
 
 void PoolPartitionCache::Clear() {
   valid_ = false;
-  graph_ = nullptr;
-  profiles_ = nullptr;
+  graph_version_ = {};
+  profiles_version_ = {};
   owner_ = kInvalidUser;
   strangers_.clear();
   ns_.clear();
@@ -91,10 +91,8 @@ Result<PoolSet> PoolBuilder::BuildForStrangersCached(
     std::vector<UserId> strangers, PoolPartitionCache* cache) const {
   SIGHT_CHECK(cache != nullptr);
   bool reuse =
-      cache->valid_ && cache->graph_ == &graph &&
-      cache->graph_epoch_ == graph.mutation_epoch() &&
-      cache->profiles_ == &profiles &&
-      cache->profile_epoch_ == profiles.mutation_epoch() &&
+      cache->valid_ && cache->graph_version_ == graph.version() &&
+      cache->profiles_version_ == profiles.version() &&
       cache->owner_ == owner && cache->alpha_ == config_.alpha &&
       cache->beta_ == config_.beta && cache->strategy_ == config_.strategy &&
       cache->attribute_weights_ == config_.attribute_weights &&
@@ -117,10 +115,8 @@ Result<PoolSet> PoolBuilder::BuildForStrangersCached(
     cache->Clear();
     cache->group_members_.assign(config_.alpha, {});
     cache->squeezers_.resize(config_.alpha);
-    cache->graph_ = &graph;
-    cache->graph_epoch_ = graph.mutation_epoch();
-    cache->profiles_ = &profiles;
-    cache->profile_epoch_ = profiles.mutation_epoch();
+    cache->graph_version_ = graph.version();
+    cache->profiles_version_ = profiles.version();
     cache->owner_ = owner;
     cache->alpha_ = config_.alpha;
     cache->beta_ = config_.beta;

@@ -74,9 +74,9 @@ struct PoolBuilderConfig {
 /// feeding only the newly discovered suffix yields bitwise the same
 /// partition as re-clustering the whole list — so an unchanged stranger
 /// set reuses the partition outright and a grown one pays only for its
-/// suffix. A fingerprint (graph/profile pointers + mutation epochs,
-/// owner, builder configuration) guards staleness; any mismatch falls
-/// back to a cold rebuild through the same per-element path.
+/// suffix. A fingerprint (graph/profile table versions, owner, builder
+/// configuration) guards staleness; any mismatch falls back to a cold
+/// rebuild through the same per-element path.
 ///
 /// One cache serves one owner under one builder configuration. Not
 /// thread-safe; the service keys it under the owner's state mutex.
@@ -107,10 +107,8 @@ class PoolPartitionCache {
 
   bool valid_ = false;
   // Fingerprint of the inputs the carried partition was derived from.
-  const SocialGraph* graph_ = nullptr;
-  uint64_t graph_epoch_ = 0;
-  const ProfileTable* profiles_ = nullptr;
-  uint64_t profile_epoch_ = 0;
+  TableVersion graph_version_;
+  TableVersion profiles_version_;
   UserId owner_ = kInvalidUser;
   size_t alpha_ = 0;
   double beta_ = 0.0;

@@ -9,9 +9,9 @@ void AssessCarry::Clear() {
   learners.Clear();
   partition.Clear();
   encode.Clear();
-  graph_ = nullptr;
-  profiles_ = nullptr;
-  visibility_ = nullptr;
+  graph_version_ = {};
+  profiles_version_ = {};
+  visibility_version_ = {};
 }
 
 void AssessCarry::InvalidateOnUpstreamChange(
@@ -22,18 +22,13 @@ void AssessCarry::InvalidateOnUpstreamChange(
   // their CanResume fingerprint only sees pool membership and labels, so
   // any upstream edit drops them here. The partition and encode caches
   // re-check their own fingerprints per build and need no help.
-  bool changed = graph_ != &graph || graph_epoch_ != graph.mutation_epoch() ||
-                 profiles_ != &profiles ||
-                 profile_epoch_ != profiles.mutation_epoch() ||
-                 visibility_ != &visibility ||
-                 visibility_epoch_ != visibility.mutation_epoch();
+  bool changed = graph_version_ != graph.version() ||
+                 profiles_version_ != profiles.version() ||
+                 visibility_version_ != visibility.version();
   if (changed) learners.Clear();
-  graph_ = &graph;
-  graph_epoch_ = graph.mutation_epoch();
-  profiles_ = &profiles;
-  profile_epoch_ = profiles.mutation_epoch();
-  visibility_ = &visibility;
-  visibility_epoch_ = visibility.mutation_epoch();
+  graph_version_ = graph.version();
+  profiles_version_ = profiles.version();
+  visibility_version_ = visibility.version();
 }
 
 RiskEngine::RiskEngine(RiskEngineConfig config)

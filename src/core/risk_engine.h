@@ -129,21 +129,18 @@ struct AssessCarry {
   /// Drops all carried state (fingerprints re-arm on the next tick).
   void Clear();
 
-  /// Drops the learner carry when any upstream table's identity or
-  /// mutation epoch changed since the last call; records the current
-  /// epochs either way. Called by the engine at the top of every
-  /// incremental assessment.
+  /// Drops the learner carry when any upstream table's version
+  /// (graph/table_version.h) changed since the last call; records the
+  /// current versions either way. Called by the engine at the top of
+  /// every incremental assessment.
   void InvalidateOnUpstreamChange(const SocialGraph& graph,
                                   const ProfileTable& profiles,
                                   const VisibilityTable& visibility);
 
  private:
-  const SocialGraph* graph_ = nullptr;
-  uint64_t graph_epoch_ = 0;
-  const ProfileTable* profiles_ = nullptr;
-  uint64_t profile_epoch_ = 0;
-  const VisibilityTable* visibility_ = nullptr;
-  uint64_t visibility_epoch_ = 0;
+  TableVersion graph_version_;
+  TableVersion profiles_version_;
+  TableVersion visibility_version_;
 };
 
 class RiskEngine {

@@ -13,6 +13,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "graph/table_version.h"
 #include "graph/types.h"
 #include "util/status.h"
 
@@ -91,11 +92,12 @@ class ProfileTable {
     return static_cast<UserId>(profiles_.size());
   }
 
-  /// Counter bumped by every successful mutation (Set / SetValue). Caches
+  /// Identity of the current contents (graph/table_version.h): the epoch
+  /// is bumped by every successful mutation (Set / SetValue). Caches
   /// derived from the table (encoded rows, carried partitions) record the
-  /// epoch they were built at and fall back to a cold rebuild when it no
-  /// longer matches.
-  uint64_t mutation_epoch() const { return mutation_epoch_; }
+  /// version they were built at and fall back to a cold rebuild when it
+  /// no longer matches.
+  TableVersion version() const { return {stamp_.id(), mutation_epoch_}; }
 
  private:
   ProfileSchema schema_;
@@ -103,6 +105,7 @@ class ProfileTable {
   std::vector<bool> present_;
   size_t count_ = 0;
   uint64_t mutation_epoch_ = 0;
+  VersionStamp stamp_;
   Profile missing_profile_;
 };
 

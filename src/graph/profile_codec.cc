@@ -78,8 +78,7 @@ void EncodedProfileTable::AppendRows(const ProfileTable& table,
 StrangerEncodeCache::RefreshResult StrangerEncodeCache::Refresh(
     const ProfileTable& profiles, const std::vector<UserId>& strangers) {
   RefreshResult result;
-  bool valid = encoded_.has_value() && source_ == &profiles &&
-               source_epoch_ == profiles.mutation_epoch() &&
+  bool valid = encoded_.has_value() && source_version_ == profiles.version() &&
                encoded_->num_attributes() ==
                    profiles.schema().num_attributes() &&
                encoded_->num_rows() <= strangers.size();
@@ -99,8 +98,7 @@ StrangerEncodeCache::RefreshResult StrangerEncodeCache::Refresh(
     row_of_.clear();
     row_of_.reserve(strangers.size());
     for (size_t i = 0; i < strangers.size(); ++i) row_of_[strangers[i]] = i;
-    source_ = &profiles;
-    source_epoch_ = profiles.mutation_epoch();
+    source_version_ = profiles.version();
     result.reused = false;
     result.rows_appended = strangers.size();
     return result;
@@ -138,8 +136,7 @@ bool StrangerEncodeCache::GatherRows(const std::vector<UserId>& users,
 void StrangerEncodeCache::Clear() {
   encoded_.reset();
   row_of_.clear();
-  source_ = nullptr;
-  source_epoch_ = 0;
+  source_version_ = {};
 }
 
 }  // namespace sight

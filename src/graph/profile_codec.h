@@ -139,8 +139,8 @@ class EncodedProfileTable {
 /// Resident encode stage of the serving flow (DESIGN.md §14): one codec +
 /// encoded table per owner, carried across crawler ticks. Each tick,
 /// Refresh() appends rows for newly discovered strangers only; a
-/// fingerprint over the source table (pointer + mutation epoch + arity)
-/// and the carried stranger prefix guards staleness — any mismatch falls
+/// fingerprint over the source table (its version + arity) and the
+/// carried stranger prefix guards staleness — any mismatch falls
 /// back to a cold rebuild, never to silent reuse. GatherRows() then hands
 /// each pool its members' code rows; the codes come from one shared
 /// injective dictionary instead of a per-pool one, which preserves both
@@ -184,8 +184,7 @@ class StrangerEncodeCache {
  private:
   std::optional<EncodedProfileTable> encoded_;
   std::unordered_map<UserId, size_t> row_of_;
-  const ProfileTable* source_ = nullptr;
-  uint64_t source_epoch_ = 0;
+  TableVersion source_version_;
 };
 
 }  // namespace sight

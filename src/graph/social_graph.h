@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "graph/table_version.h"
 #include "graph/types.h"
 #include "util/status.h"
 
@@ -62,16 +63,18 @@ class SocialGraph {
   // no observable state changes, so carried caches stay valid.
   void Reserve(size_t num_users) { adjacency_.reserve(num_users); }
 
-  /// Counter bumped by every successful structural mutation (user or edge
+  /// Identity of the current contents (graph/table_version.h): the epoch
+  /// is bumped by every successful structural mutation (user or edge
   /// insertion/removal). Caches derived from the graph (carried pool
-  /// partitions) record the epoch they were built at and fall back to a
-  /// cold rebuild when it no longer matches.
-  uint64_t mutation_epoch() const { return mutation_epoch_; }
+  /// partitions) record the version they were built at and fall back to
+  /// a cold rebuild when it no longer matches.
+  TableVersion version() const { return {stamp_.id(), mutation_epoch_}; }
 
  private:
   std::vector<std::vector<UserId>> adjacency_;
   size_t num_edges_ = 0;
   uint64_t mutation_epoch_ = 0;
+  VersionStamp stamp_;
 };
 
 }  // namespace sight

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "graph/table_version.h"
 #include "graph/types.h"
 #include "util/status.h"
 
@@ -65,14 +66,16 @@ class VisibilityTable {
 
   void SetMask(UserId user, uint8_t mask);
 
-  /// Counter bumped by every mutation (SetVisible / SetMask). Carried
-  /// learner state whose display benefits were derived from this table
-  /// records the epoch and is dropped when it no longer matches.
-  uint64_t mutation_epoch() const { return mutation_epoch_; }
+  /// Identity of the current contents (graph/table_version.h): the epoch
+  /// is bumped by every mutation (SetVisible / SetMask). Carried learner
+  /// state whose display benefits were derived from this table records
+  /// the version and is dropped when it no longer matches.
+  TableVersion version() const { return {stamp_.id(), mutation_epoch_}; }
 
  private:
   std::vector<uint8_t> masks_;
   uint64_t mutation_epoch_ = 0;
+  VersionStamp stamp_;
 };
 
 }  // namespace sight

@@ -2,87 +2,38 @@
 
 #include <algorithm>
 
+#include "learning/top_k_selection.h"
 #include "util/logging.h"
 
 namespace sight {
 
 void SimilarityMatrix::Set(size_t i, size_t j, double value) {
+  SIGHT_CHECK(!compacted_);
   SIGHT_CHECK(i < n_ && j < n_);
   if (i == j) return;
   data_[Index(i, j)] = value;
-  if (!compacted_) return;
-  // A pair touching an appended row cannot exist in the base view, so it
-  // stages cleanly; a pair between two base rows may shadow a base edge
-  // and falls back to a full invalidation.
-  if (std::max(i, j) >= base_rows_) {
-    StageEdge(i, j, value);
-  } else {
-    InvalidateCompact();
-  }
-}
-
-void SimilarityMatrix::AppendRows(size_t count) {
-  if (count == 0) return;
-  n_ += count;
-  // Index(i, j) = i * (i + 1) / 2 + j: new rows pack strictly after the
-  // old ones, so a resize preserves every existing entry in place.
-  data_.resize(n_ * (n_ + 1) / 2, 0.0);
-  if (compacted_) tail_rows_.resize(n_ - base_rows_);
-}
-
-std::vector<Neighbor>& SimilarityMatrix::MutableOverlayRow(size_t i) {
-  if (i >= base_rows_) return tail_rows_[i - base_rows_];
-  auto it = patched_rows_.find(i);
-  if (it == patched_rows_.end()) {
-    std::span<const Neighbor> base(
-        neighbors_.data() + row_offsets_[i],
-        row_offsets_[i + 1] - row_offsets_[i]);
-    it = patched_rows_
-             .emplace(i, std::vector<Neighbor>(base.begin(), base.end()))
-             .first;
-  }
-  return it->second;
-}
-
-void SimilarityMatrix::StageEdge(size_t i, size_t j, double value) {
-  auto upsert = [](std::vector<Neighbor>& row, size_t index,
-                   double weight) -> bool {
-    auto pos = std::lower_bound(
-        row.begin(), row.end(), index,
-        [](const Neighbor& nb, size_t idx) { return nb.index < idx; });
-    bool existed = pos != row.end() && pos->index == index;
-    if (weight > 0.0) {
-      if (existed) {
-        pos->weight = weight;
-      } else {
-        row.insert(pos, Neighbor{index, weight});
-      }
-    } else if (existed) {
-      row.erase(pos);
-    }
-    return existed;
-  };
-  bool existed = upsert(MutableOverlayRow(i), j, value);
-  upsert(MutableOverlayRow(j), i, value);
-  if (value > 0.0 && !existed) ++staged_edges_;
-  if (value <= 0.0 && existed) --staged_edges_;
 }
 
 void SimilarityMatrix::SetRowSpan(size_t i, size_t j0, const double* values,
                                   size_t count) {
   if (count == 0) return;
+  SIGHT_CHECK(!compacted_);
   SIGHT_CHECK(i < n_ && j0 + count <= i);
   // Index(i, j) = i * (i + 1) / 2 + j for j < i, so the span is
   // contiguous in the packed lower-triangle store.
   std::copy(values, values + count, data_.begin() +
                                         static_cast<ptrdiff_t>(Index(i, j0)));
-  InvalidateCompact();
 }
 
 double SimilarityMatrix::Get(size_t i, size_t j) const {
   SIGHT_CHECK(i < n_ && j < n_);
   if (i == j) return 0.0;
-  return data_[Index(i, j)];
+  if (!compacted_) return data_[Index(i, j)];
+  std::span<const Neighbor> row = Neighbors(i);
+  auto it = std::lower_bound(
+      row.begin(), row.end(), j,
+      [](const Neighbor& nb, size_t index) { return nb.index < index; });
+  return it != row.end() && it->index == j ? it->weight : 0.0;
 }
 
 double SimilarityMatrix::RowSum(size_t i) const {
@@ -99,43 +50,35 @@ double SimilarityMatrix::RowSum(size_t i) const {
 }
 
 void SimilarityMatrix::SparsifyTopK(size_t k) {
-  if (n_ == 0) return;
-  InvalidateCompact();
-  // Mark, per node, its k strongest neighbors.
-  std::vector<std::vector<bool>> keep(n_, std::vector<bool>(n_, false));
-  std::vector<std::pair<double, size_t>> row;
-  for (size_t i = 0; i < n_; ++i) {
-    row.clear();
-    for (size_t j = 0; j < n_; ++j) {
-      if (j == i) continue;
-      double w = Get(i, j);
-      if (w > 0.0) row.emplace_back(w, j);
-    }
-    size_t take = std::min(k, row.size());
-    std::partial_sort(row.begin(), row.begin() + static_cast<ptrdiff_t>(take),
-                      row.end(), std::greater<>());
-    for (size_t t = 0; t < take; ++t) keep[i][row[t].second] = true;
+  SIGHT_CHECK(!compacted_);
+  if (n_ < 2) return;
+  // One stripe over every column: row i's packed run [0, i) is its span.
+  TopKSelection selection(n_, k, {0});
+  for (size_t i = n_; --i > 0;) {
+    selection.AddRowSpan(0, i, 0, &data_[Index(i, 0)], i);
   }
+  SimilarityMatrix kept = selection.Finish();
+  std::fill(data_.begin(), data_.end(), 0.0);
   for (size_t i = 0; i < n_; ++i) {
-    for (size_t j = 0; j < i; ++j) {
-      if (!keep[i][j] && !keep[j][i]) data_[Index(i, j)] = 0.0;
+    for (const Neighbor& nb : kept.Neighbors(i)) {
+      if (nb.index < i) data_[Index(i, nb.index)] = nb.weight;
     }
   }
 }
 
 size_t SimilarityMatrix::NumEdges() const {
-  if (compacted_) return neighbors_.size() / 2 + staged_edges_;
+  if (compacted_) return neighbors_.size() / 2;
+  // Diagonal slots are never written, so they never count.
   size_t count = 0;
-  for (size_t i = 0; i < n_; ++i) {
-    for (size_t j = 0; j < i; ++j) {
-      if (data_[Index(i, j)] > 0.0) ++count;
-    }
+  for (double w : data_) {
+    if (w > 0.0) ++count;
   }
   return count;
 }
 
 void SimilarityMatrix::BuildCsr(std::vector<size_t>* offsets,
                                 std::vector<Neighbor>* neighbors) const {
+  SIGHT_CHECK(!compacted_);
   SIGHT_CHECK(offsets != nullptr && neighbors != nullptr);
   offsets->assign(n_ + 1, 0);
   // Degree pass over the lower triangle (each edge counts at both ends),
@@ -171,88 +114,30 @@ void SimilarityMatrix::BuildCsr(std::vector<size_t>* offsets,
 }
 
 void SimilarityMatrix::Compact() {
-  if (compacted_) {
-    MergeCompact();
-    return;
-  }
+  if (compacted_) return;
   BuildCsr(&row_offsets_, &neighbors_);
   compacted_ = true;
-  base_rows_ = n_;
-}
-
-void SimilarityMatrix::MergeCompact() {
-  if (!compacted_) {
-    Compact();
-    return;
-  }
-  if (base_rows_ == n_ && patched_rows_.empty()) return;
-
-  // One pass over row degrees (overlay-dispatched), one pass of row-span
-  // copies. Every source row is already sorted, so there is no sorting
-  // and no rescan of the dense store.
-  auto row_of = [this](size_t i) -> std::span<const Neighbor> {
-    if (i >= base_rows_) {
-      const std::vector<Neighbor>& row = tail_rows_[i - base_rows_];
-      return std::span<const Neighbor>(row.data(), row.size());
-    }
-    auto it = patched_rows_.find(i);
-    if (it != patched_rows_.end()) {
-      return std::span<const Neighbor>(it->second.data(),
-                                       it->second.size());
-    }
-    return std::span<const Neighbor>(
-        neighbors_.data() + row_offsets_[i],
-        row_offsets_[i + 1] - row_offsets_[i]);
-  };
-
-  std::vector<size_t> merged_offsets(n_ + 1, 0);
-  for (size_t i = 0; i < n_; ++i) {
-    merged_offsets[i + 1] = merged_offsets[i] + row_of(i).size();
-  }
-  std::vector<Neighbor> merged(merged_offsets.back());
-  for (size_t i = 0; i < n_; ++i) {
-    std::span<const Neighbor> row = row_of(i);
-    std::copy(row.begin(), row.end(),
-              merged.begin() + static_cast<ptrdiff_t>(merged_offsets[i]));
-  }
-  row_offsets_ = std::move(merged_offsets);
-  neighbors_ = std::move(merged);
-  base_rows_ = n_;
-  staged_edges_ = 0;
-  tail_rows_.clear();
-  patched_rows_.clear();
+  data_ = {};
 }
 
 std::span<const Neighbor> SimilarityMatrix::Neighbors(size_t i) const {
   SIGHT_CHECK(compacted_);
   SIGHT_CHECK(i < n_);
-  if (i >= base_rows_) {
-    const std::vector<Neighbor>& row = tail_rows_[i - base_rows_];
-    return std::span<const Neighbor>(row.data(), row.size());
-  }
-  if (!patched_rows_.empty()) {
-    auto it = patched_rows_.find(i);
-    if (it != patched_rows_.end()) {
-      return std::span<const Neighbor>(it->second.data(),
-                                       it->second.size());
-    }
-  }
   return std::span<const Neighbor>(neighbors_.data() + row_offsets_[i],
                                    row_offsets_[i + 1] - row_offsets_[i]);
 }
 
-void SimilarityMatrix::InvalidateCompact() {
-  if (!compacted_) return;
-  compacted_ = false;
-  row_offsets_.clear();
-  row_offsets_.shrink_to_fit();
-  neighbors_.clear();
-  neighbors_.shrink_to_fit();
-  base_rows_ = 0;
-  staged_edges_ = 0;
-  tail_rows_.clear();
-  tail_rows_.shrink_to_fit();
-  patched_rows_.clear();
+SimilarityMatrix SimilarityMatrix::FromCsr(size_t n,
+                                           std::vector<size_t> offsets,
+                                           std::vector<Neighbor> neighbors) {
+  SIGHT_CHECK(offsets.size() == n + 1 && offsets.front() == 0 &&
+              offsets.back() == neighbors.size());
+  SimilarityMatrix m(0);
+  m.n_ = n;
+  m.compacted_ = true;
+  m.row_offsets_ = std::move(offsets);
+  m.neighbors_ = std::move(neighbors);
+  return m;
 }
 
 }  // namespace sight

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "learning/top_k_selection.h"
 #include "util/logging.h"
 
 // The SIMD variants need x86-64 (SSE2 is the baseline there) and a
@@ -267,22 +268,48 @@ void ComputeBatch(const uint32_t* a, const uint32_t* b, size_t stride,
   ActiveBatchFn()(ctx, b, stride, count, out);
 }
 
-void FillTile(const uint32_t* rows, size_t num_rows, size_t num_attributes,
-              const ProfileSimilarity& ps, const ValueFrequencyTable& freqs,
-              const PairTile& tile, SimilarityMatrix* out) {
-  SIGHT_CHECK(out != nullptr && tile.row_end <= num_rows);
+namespace {
+
+// Scores every pair of `tile`, one a-row at a time against the tile's
+// block of b-rows, and hands each row's span to sink(i, values, count):
+// PS of (i, tile.col_begin + t) for t < count. Rows go in ascending
+// order, or descending with `descending`; the values do not depend on it.
+template <typename Sink>
+void ScoreTile(const uint32_t* rows, size_t num_rows, size_t num_attributes,
+               const ProfileSimilarity& ps, const ValueFrequencyTable& freqs,
+               const PairTile& tile, bool descending, Sink&& sink) {
+  SIGHT_CHECK(tile.row_end <= num_rows);
   const size_t stride = num_attributes;
   const BatchFn batch = ActiveBatchFn();
   RowContext ctx;
   std::vector<double> buf(tile.col_end - tile.col_begin);
   const uint32_t* b = rows + tile.col_begin * stride;
-  for (size_t i = std::max(tile.row_begin, tile.col_begin + 1);
-       i < tile.row_end; ++i) {
+  const size_t first = std::max(tile.row_begin, tile.col_begin + 1);
+  for (size_t r = first; r < tile.row_end; ++r) {
+    const size_t i = descending ? tile.row_end - 1 - (r - first) : r;
     const size_t count = std::min(tile.col_end, i) - tile.col_begin;
     ctx.Pack(rows + i * stride, ps.normalized_weights(), freqs);
     batch(ctx, b, stride, count, buf.data());
-    out->SetRowSpan(i, tile.col_begin, buf.data(), count);
+    sink(i, buf.data(), count);
   }
+}
+
+TileShape ShapeOrDefault(TileShape shape, size_t num_attributes) {
+  return shape.rows > 0 && shape.cols > 0 ? shape
+                                          : DefaultTileShape(num_attributes);
+}
+
+}  // namespace
+
+void FillTile(const uint32_t* rows, size_t num_rows, size_t num_attributes,
+              const ProfileSimilarity& ps, const ValueFrequencyTable& freqs,
+              const PairTile& tile, SimilarityMatrix* out) {
+  SIGHT_CHECK(out != nullptr);
+  ScoreTile(rows, num_rows, num_attributes, ps, freqs, tile,
+            /*descending=*/false,
+            [&](size_t i, const double* values, size_t count) {
+              out->SetRowSpan(i, tile.col_begin, values, count);
+            });
 }
 
 void FillTile(const EncodedProfileTable& enc, const ProfileSimilarity& ps,
@@ -298,10 +325,7 @@ FillStats FillPairwise(const EncodedProfileTable& enc,
                        SimilarityMatrix* out, TileShape shape) {
   SIGHT_CHECK(out != nullptr && out->size() == enc.num_rows());
   FillStats stats;
-  stats.tile =
-      shape.rows > 0 && shape.cols > 0
-          ? shape
-          : DefaultTileShape(enc.num_attributes());
+  stats.tile = ShapeOrDefault(shape, enc.num_attributes());
   stats.dispatch = ActiveDispatch();
   const size_t n = enc.num_rows();
   std::vector<PairTile> tiles = MakeTiles(n, stats.tile);
@@ -312,6 +336,49 @@ FillStats FillPairwise(const EncodedProfileTable& enc,
       pool, tiles.size(),
       [&](size_t t) { FillTile(enc, ps, freqs, tiles[t], out); }, options);
   return stats;
+}
+
+std::vector<size_t> StripeStarts(size_t n, TileShape shape) {
+  SIGHT_CHECK(shape.cols > 0);
+  std::vector<size_t> starts;
+  for (size_t j0 = 0; j0 + 1 < n; j0 += shape.cols) starts.push_back(j0);
+  return starts;
+}
+
+void SelectStripe(const uint32_t* rows, size_t num_rows,
+                  size_t num_attributes, const ProfileSimilarity& ps,
+                  const ValueFrequencyTable& freqs, size_t stripe,
+                  TopKSelection* selection) {
+  SIGHT_CHECK(selection != nullptr && selection->size() == num_rows);
+  const PairTile tile{selection->stripe_begin(stripe) + 1, num_rows,
+                      selection->stripe_begin(stripe),
+                      selection->stripe_end(stripe)};
+  // Descending rows: the order TopKSelection turns ties away fastest in.
+  ScoreTile(rows, num_rows, num_attributes, ps, freqs, tile,
+            /*descending=*/true,
+            [&](size_t i, const double* values, size_t count) {
+              selection->AddRowSpan(stripe, i, tile.col_begin, values, count);
+            });
+}
+
+SimilarityMatrix SelectPairwiseTopK(const EncodedProfileTable& enc,
+                                    const ProfileSimilarity& ps,
+                                    const ValueFrequencyTable& freqs,
+                                    size_t k, ThreadPool* pool,
+                                    TileShape shape) {
+  const size_t n = enc.num_rows();
+  TopKSelection selection(
+      n, k, StripeStarts(n, ShapeOrDefault(shape, enc.num_attributes())));
+  ParallelForOptions options;
+  options.total_work = n > 1 ? n * (n - 1) / 2 : 0;
+  ParallelFor(
+      pool, selection.num_stripes(),
+      [&](size_t s) {
+        SelectStripe(enc.row(0), n, enc.num_attributes(), ps, freqs, s,
+                     &selection);
+      },
+      options);
+  return selection.Finish();
 }
 
 }  // namespace ps_kernels

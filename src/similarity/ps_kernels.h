@@ -18,6 +18,13 @@
 //    triangle, so a ParallelFor over tiles (FillPairwise, or the
 //    flattened cross-pool tile list in ActiveLearner::Create) composes
 //    threading with tiling; every (i, j) pair is written exactly once.
+//  * SelectStripe / SelectPairwiseTopK are the streamed top-k build: the
+//    same kernels over the same column blocks, but each computed row
+//    span goes into a TopKSelection (learning/top_k_selection.h)
+//    instead of the triangle, so a sparsified pool is built straight
+//    into its CSR. One column stripe — every row block of one column
+//    block — is one work item; its rows see the same b-block in the
+//    same order as the stripe's tiles.
 //
 // Vectorization is across *pairs* — one pair per SIMD lane — and the
 // per-pair summation over attributes keeps the scalar path's ascending
@@ -42,6 +49,9 @@
 #include "util/thread_pool.h"
 
 namespace sight {
+
+class TopKSelection;
+
 namespace ps_kernels {
 
 /// Which ComputeBatch implementation runtime dispatch selected.
@@ -133,6 +143,29 @@ FillStats FillPairwise(const EncodedProfileTable& enc,
                        const ProfileSimilarity& ps,
                        const ValueFrequencyTable& freqs, ThreadPool* pool,
                        SimilarityMatrix* out, TileShape shape = {});
+
+/// Column-stripe starts of the tile grid MakeTiles(n, shape) lays out
+/// (0, cols, 2 * cols, ... below n - 1): the stripes of a TopKSelection
+/// fed by SelectStripe. Empty when n < 2.
+std::vector<size_t> StripeStarts(size_t n, TileShape shape);
+
+/// Scores column stripe `stripe` of `selection` — every pair (i, j) with
+/// j in the stripe and j < i, over raw row-major code rows as FillTile
+/// takes them — and feeds each row's span into the selection. Concurrent
+/// calls on distinct stripes of one selection are safe.
+void SelectStripe(const uint32_t* rows, size_t num_rows,
+                  size_t num_attributes, const ProfileSimilarity& ps,
+                  const ValueFrequencyTable& freqs, size_t stripe,
+                  TopKSelection* selection);
+
+/// Streamed top-k build of one pool: bitwise the compacted graph that
+/// FillPairwise, SparsifyTopK(k) and Compact() give, without ever
+/// holding the n x n triangle. Stripes are the ParallelFor work items.
+SimilarityMatrix SelectPairwiseTopK(const EncodedProfileTable& enc,
+                                    const ProfileSimilarity& ps,
+                                    const ValueFrequencyTable& freqs,
+                                    size_t k, ThreadPool* pool,
+                                    TileShape shape = {});
 
 }  // namespace ps_kernels
 }  // namespace sight

@@ -1,0 +1,189 @@
+// Golden digests: two end-to-end outputs pinned bit for bit, so a change
+// meant to keep behaviour (a refactor, a faster path) proves it here.
+//
+//  * Every field of one cold top-k assessment (RiskService::AssessNow,
+//    sparsify_top_k = 8) of a generated paper-scale owner, doubles by
+//    their bit patterns. The same digest is required from a serial and
+//    a 4-thread engine.
+//  * The stdout of bench/headline_accuracy at its default arguments.
+//
+// A change that alters behaviour on purpose re-baselines the constants
+// below (the failure message prints the new digest) and says why.
+
+#include <bit>
+#include <cinttypes>
+#include <cstdint>
+#include <cstdio>
+#include <string>
+
+#include <gtest/gtest.h>
+
+#include "service/risk_service.h"
+#include "sim/facebook_generator.h"
+#include "sim/owner_model.h"
+#include "sim/schema.h"
+#include "util/random.h"
+
+namespace sight {
+namespace {
+
+constexpr uint64_t kColdTopKDigest = 0x358a7565a3266f27;
+constexpr uint64_t kHeadlineDigest = 0x7391f7709a468af7;
+
+// FNV-1a, 64-bit.
+uint64_t Digest(const std::string& text) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (unsigned char c : text) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+std::string Hex(uint64_t value) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "0x%016" PRIx64, value);
+  return buf;
+}
+
+// One line per record; doubles as their exact bit patterns.
+class Fields {
+ public:
+  Fields& Add(const char* name, uint64_t value) {
+    return Add(name, std::to_string(value));
+  }
+  Fields& Add(const char* name, double value) {
+    return Add(name, std::bit_cast<uint64_t>(value));
+  }
+  Fields& Add(const char* name, bool value) {
+    return Add(name, static_cast<uint64_t>(value));
+  }
+  Fields& Add(const char* name, const std::string& value) {
+    text_ += name;
+    text_ += '=';
+    text_ += value;
+    text_ += ' ';
+    return *this;
+  }
+  void EndRecord() { text_ += '\n'; }
+  const std::string& text() const { return text_; }
+
+ private:
+  std::string text_;
+};
+
+std::string Serialize(const RiskReport& report) {
+  Fields f;
+  const AssessmentResult& a = report.assessment;
+  f.Add("num_strangers", uint64_t{report.num_strangers})
+      .Add("num_pools", uint64_t{report.num_pools})
+      .Add("total_queries", uint64_t{a.total_queries})
+      .Add("pools_total", uint64_t{a.pools_total})
+      .Add("pools_converged", uint64_t{a.pools_converged})
+      .Add("pools_exhausted", uint64_t{a.pools_exhausted})
+      .Add("pools_round_limit", uint64_t{a.pools_round_limit})
+      .Add("pools_carried", uint64_t{a.pools_carried})
+      .Add("mean_rounds", a.mean_rounds)
+      .Add("validation_matches", uint64_t{a.validation_matches})
+      .Add("validation_total", uint64_t{a.validation_total})
+      .Add("partition_reused", report.carry.partition_reused)
+      .Add("partition_new_strangers",
+           uint64_t{report.carry.partition_new_strangers})
+      .Add("encode_reused", report.carry.encode_reused)
+      .Add("encode_rows_appended", uint64_t{report.carry.encode_rows_appended})
+      .EndRecord();
+  for (size_t size : report.pool_sizes) {
+    f.Add("pool_size", uint64_t{size}).EndRecord();
+  }
+  for (const RoundRecord& r : a.rounds) {
+    f.Add("pool_index", uint64_t{r.pool_index})
+        .Add("round", uint64_t{r.round})
+        .Add("newly_labeled", uint64_t{r.newly_labeled})
+        .Add("rmse_valid", r.rmse_valid)
+        .Add("rmse", r.rmse)
+        .Add("unstabilized", uint64_t{r.unstabilized})
+        .Add("stabilized", r.stabilized)
+        .Add("solver", r.solver)
+        .Add("solve_iterations", uint64_t{r.solve_iterations})
+        .EndRecord();
+  }
+  for (const StrangerAssessment& s : a.strangers) {
+    f.Add("stranger", uint64_t{s.stranger})
+        .Add("network_similarity", s.network_similarity)
+        .Add("benefit", s.benefit)
+        .Add("pool_index", uint64_t{s.pool_index})
+        .Add("predicted_score", s.predicted_score)
+        .Add("predicted_label", static_cast<uint64_t>(s.predicted_label))
+        .Add("owner_labeled", s.owner_labeled)
+        .EndRecord();
+  }
+  return f.text();
+}
+
+// A generated paper-scale owner (3,661 strangers) assessed cold with
+// top-8 sparsification, from fixed seeds.
+uint64_t ColdTopKDigest(size_t num_threads) {
+  sim::GeneratorConfig gen_config;
+  gen_config.num_strangers = 3661;
+  auto generator = sim::FacebookGenerator::Create(gen_config).value();
+  Rng gen_rng(20120401);
+  sim::OwnerDataset ds =
+      generator.Generate({sim::Gender::kMale, sim::Locale::kTR}, &gen_rng)
+          .value();
+  Rng attitude_rng(47);
+  sim::OwnerAttitude attitude = sim::SampleOwnerAttitude(&attitude_rng);
+
+  RiskServiceConfig config;
+  config.num_shards = 1;
+  config.engine.pools.attribute_weights = sim::PaperAttributeWeights();
+  config.engine.theta = attitude.theta;
+  config.engine.learner.confidence = attitude.confidence;
+  config.engine.learner.sparsify_top_k = 8;
+  config.engine.num_threads = num_threads;
+  auto service = RiskService::Create(config).value();
+  OwnerRegistration registration;
+  registration.owner = ds.owner;
+  registration.graph = &ds.graph;
+  registration.profiles = &ds.profiles;
+  registration.visibility = &ds.visibility;
+  EXPECT_TRUE(service->RegisterOwner(registration).ok());
+  EXPECT_TRUE(service->DiscoverAllStrangers(ds.owner).ok());
+
+  auto oracle =
+      sim::OwnerModel::Create(attitude, &ds.profiles, &ds.visibility).value();
+  Rng rng(3661);
+  Result<RiskReport> report = service->AssessNow(ds.owner, &oracle, &rng);
+  EXPECT_TRUE(report.ok());
+  if (!report.ok()) return 0;
+  EXPECT_EQ(report->num_strangers, ds.strangers.size());
+  return Digest(Serialize(report.value()));
+}
+
+TEST(GoldenTest, ColdTopKAssessment) {
+  uint64_t digest = ColdTopKDigest(1);
+  EXPECT_EQ(digest, kColdTopKDigest) << "digest is now " << Hex(digest);
+}
+
+TEST(GoldenTest, ColdTopKAssessmentOnFourThreads) {
+  uint64_t digest = ColdTopKDigest(4);
+  EXPECT_EQ(digest, kColdTopKDigest) << "digest is now " << Hex(digest);
+}
+
+TEST(GoldenTest, HeadlineAccuracyStdout) {
+  FILE* pipe = popen(SIGHT_HEADLINE_ACCURACY_BIN, "r");
+  ASSERT_NE(pipe, nullptr);
+  std::string out;
+  char buf[4096];
+  size_t got = 0;
+  while ((got = std::fread(buf, 1, sizeof(buf), pipe)) > 0) {
+    out.append(buf, got);
+  }
+  ASSERT_EQ(pclose(pipe), 0);
+  uint64_t digest = Digest(out);
+  EXPECT_EQ(digest, kHeadlineDigest)
+      << "digest is now " << Hex(digest) << " for stdout:\n"
+      << out;
+}
+
+}  // namespace
+}  // namespace sight

@@ -70,6 +70,23 @@ TEST(SimilarityMatrixTest, SparsifyKeepsStrongestEdges) {
   EXPECT_EQ(clique.NumEdges(), 2u);
 }
 
+TEST(SimilarityMatrixTest, SparsifyTiesKeepTheLargerNeighborIndex) {
+  SimilarityMatrix m(6);
+  // Node 0's three edges tie at 0.5; nodes 1-3 each have a stronger
+  // edge elsewhere, so only node 0's own top-1 can keep one of them.
+  m.Set(0, 1, 0.5);
+  m.Set(0, 2, 0.5);
+  m.Set(0, 3, 0.5);
+  m.Set(1, 4, 0.9);
+  m.Set(3, 4, 0.8);
+  m.Set(2, 5, 0.9);
+  m.SparsifyTopK(1);
+  EXPECT_DOUBLE_EQ(m.Get(0, 3), 0.5);
+  EXPECT_DOUBLE_EQ(m.Get(0, 1), 0.0);
+  EXPECT_DOUBLE_EQ(m.Get(0, 2), 0.0);
+  EXPECT_EQ(m.NumEdges(), 4u);
+}
+
 TEST(SimilarityMatrixTest, SparsifyZeroClearsAll) {
   SimilarityMatrix m(3);
   m.Set(0, 1, 0.5);
@@ -169,23 +186,31 @@ TEST(SimilarityMatrixCompactTest, SparsifyTopKThenCompactIterates) {
   EXPECT_EQ(directed, 2 * m.NumEdges());
 }
 
-TEST(SimilarityMatrixCompactTest, SetInvalidatesCompactView) {
+TEST(SimilarityMatrixCompactTest, CompactServesGetFromTheCsr) {
+  SimilarityMatrix m = MakeRandomMatrix(23, 0.4, 7);
+  SimilarityMatrix dense = m;
+  m.Compact();
+  for (size_t i = 0; i < m.size(); ++i) {
+    for (size_t j = 0; j < m.size(); ++j) {
+      EXPECT_EQ(m.Get(i, j), dense.Get(i, j)) << i << ", " << j;
+    }
+  }
+}
+
+TEST(SimilarityMatrixCompactDeathTest, SetAfterCompactIsACheckedError) {
   SimilarityMatrix m(4);
   m.Set(0, 1, 0.5);
   m.Compact();
   ASSERT_TRUE(m.compacted());
-  m.Set(2, 3, 0.7);
-  EXPECT_FALSE(m.compacted());
-  m.Compact();
-  EXPECT_EQ(m.Neighbors(2).size(), 1u);
-  EXPECT_DOUBLE_EQ(m.Neighbors(2)[0].weight, 0.7);
+  EXPECT_DEATH(m.Set(2, 3, 0.7), "check failed");
+  const double span[] = {0.7};
+  EXPECT_DEATH(m.SetRowSpan(3, 2, span, 1), "check failed");
 }
 
-TEST(SimilarityMatrixCompactTest, SparsifyInvalidatesCompactView) {
+TEST(SimilarityMatrixCompactDeathTest, SparsifyAfterCompactIsACheckedError) {
   SimilarityMatrix m = MakeRandomMatrix(10, 0.8, 3);
   m.Compact();
-  m.SparsifyTopK(1);
-  EXPECT_FALSE(m.compacted());
+  EXPECT_DEATH(m.SparsifyTopK(1), "check failed");
 }
 
 TEST(SimilarityMatrixCompactTest, CompactIsIdempotentAndHandlesEdgeSizes) {

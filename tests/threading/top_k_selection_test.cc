@@ -1,0 +1,215 @@
+// The streamed top-k build against the keep-matrix body it replaced.
+//
+// For random pools — duplicate-heavy, so PS ties are common, and with
+// all-missing profiles, which give zero rows — every pool size around
+// the tile edges, every k from 1 past n, degenerate tile shapes, and no
+// pool or 1/2/4-thread pools, the streamed CSR must equal the reference
+// SparsifyTopK + Compact in row offsets, neighbor indices and weight
+// bits. SimilarityMatrix::SparsifyTopK, the other feeder of the same
+// rule, must too. Labeled `threading` so the TSan leg runs the threaded
+// builds.
+
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <functional>
+#include <memory>
+#include <span>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "graph/profile.h"
+#include "graph/profile_codec.h"
+#include "learning/similarity_matrix.h"
+#include "similarity/profile_similarity.h"
+#include "similarity/ps_kernels.h"
+#include "util/random.h"
+#include "util/thread_pool.h"
+
+namespace sight {
+namespace {
+
+// The keep-matrix SparsifyTopK body the streamed selection replaced:
+// mark each node's k strongest positive neighbors, ranked by (weight,
+// index) descending, then zero every pair neither endpoint marked.
+void ReferenceSparsifyTopK(SimilarityMatrix* m, size_t k) {
+  const size_t n = m->size();
+  if (n == 0) return;
+  std::vector<std::vector<bool>> keep(n, std::vector<bool>(n, false));
+  std::vector<std::pair<double, size_t>> row;
+  for (size_t i = 0; i < n; ++i) {
+    row.clear();
+    for (size_t j = 0; j < n; ++j) {
+      if (j == i) continue;
+      double w = m->Get(i, j);
+      if (w > 0.0) row.emplace_back(w, j);
+    }
+    size_t take = std::min(k, row.size());
+    std::partial_sort(row.begin(), row.begin() + static_cast<ptrdiff_t>(take),
+                      row.end(), std::greater<>());
+    for (size_t t = 0; t < take; ++t) keep[i][row[t].second] = true;
+  }
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < i; ++j) {
+      if (!keep[i][j] && !keep[j][i]) m->Set(i, j, 0.0);
+    }
+  }
+}
+
+// Row offsets, neighbor indices and weight bits of two compacted
+// matrices.
+void ExpectSameCsr(const SimilarityMatrix& got, const SimilarityMatrix& want,
+                   const std::string& label) {
+  ASSERT_TRUE(got.compacted() && want.compacted()) << label;
+  ASSERT_EQ(got.size(), want.size()) << label;
+  size_t got_offset = 0;
+  size_t want_offset = 0;
+  for (size_t i = 0; i < got.size(); ++i) {
+    std::span<const Neighbor> g = got.Neighbors(i);
+    std::span<const Neighbor> w = want.Neighbors(i);
+    ASSERT_EQ(got_offset, want_offset) << label << " row " << i;
+    ASSERT_EQ(g.size(), w.size()) << label << " row " << i;
+    for (size_t t = 0; t < g.size(); ++t) {
+      ASSERT_EQ(g[t].index, w[t].index) << label << " row " << i;
+      ASSERT_EQ(std::bit_cast<uint64_t>(g[t].weight),
+                std::bit_cast<uint64_t>(w[t].weight))
+          << label << " row " << i << " neighbor " << g[t].index;
+    }
+    got_offset += g.size();
+    want_offset += w.size();
+  }
+}
+
+// Users 0..n-1 over four attributes with 2-5 values each, so many
+// profiles repeat and PS values tie; about one user in six has no
+// profile (an all-missing row, PS 0 with everyone) and one value in ten
+// is missing.
+ProfileTable RandomTable(size_t n, uint64_t seed) {
+  ProfileTable table(ProfileSchema::Create({"a", "b", "c", "d"}).value());
+  Rng rng(seed);
+  for (UserId u = 0; u < n; ++u) {
+    if (rng.Bernoulli(1.0 / 6.0)) continue;
+    Profile p;
+    for (int64_t a = 0; a < 4; ++a) {
+      p.values.push_back(rng.Bernoulli(0.1)
+                             ? std::string(kMissingValue)
+                             : "v" + std::to_string(rng.UniformInt(0, a + 1)));
+    }
+    EXPECT_TRUE(table.Set(u, p).ok());
+  }
+  return table;
+}
+
+struct Pool {
+  explicit Pool(size_t n, uint64_t seed)
+      : table(RandomTable(n, seed)),
+        enc(EncodedProfileTable::Build(table, Users(n))),
+        freqs(ValueFrequencyTable::Build(enc)),
+        ps(ProfileSimilarity::Create(table.schema()).value()) {}
+
+  static std::vector<UserId> Users(size_t n) {
+    std::vector<UserId> users(n);
+    for (size_t u = 0; u < n; ++u) users[u] = static_cast<UserId>(u);
+    return users;
+  }
+
+  ProfileTable table;
+  EncodedProfileTable enc;
+  ValueFrequencyTable freqs;
+  ProfileSimilarity ps;
+};
+
+// Checks every k against the reference on one pool, for each tile shape
+// and thread pool given. Returns the number of builds compared.
+size_t CheckPool(const Pool& pool, const std::vector<size_t>& ks,
+                 const std::vector<ps_kernels::TileShape>& shapes,
+                 const std::vector<ThreadPool*>& thread_pools) {
+  const size_t n = pool.enc.num_rows();
+  SimilarityMatrix dense(n);
+  ps_kernels::FillPairwise(pool.enc, pool.ps, pool.freqs, nullptr, &dense);
+  size_t builds = 0;
+  for (size_t k : ks) {
+    SimilarityMatrix reference = dense;
+    ReferenceSparsifyTopK(&reference, k);
+    reference.Compact();
+
+    SimilarityMatrix sparsified = dense;
+    sparsified.SparsifyTopK(k);
+    sparsified.Compact();
+    ExpectSameCsr(sparsified, reference,
+                  "SparsifyTopK n=" + std::to_string(n) +
+                      " k=" + std::to_string(k));
+
+    for (ps_kernels::TileShape shape : shapes) {
+      for (ThreadPool* threads : thread_pools) {
+        std::string label =
+            "n=" + std::to_string(n) + " k=" + std::to_string(k) +
+            " shape=" + std::to_string(shape.rows) + "x" +
+            std::to_string(shape.cols) + " threads=" +
+            std::to_string(threads == nullptr ? 0 : threads->num_threads());
+        SimilarityMatrix streamed = ps_kernels::SelectPairwiseTopK(
+            pool.enc, pool.ps, pool.freqs, k, threads, shape);
+        ExpectSameCsr(streamed, reference, label);
+        ++builds;
+      }
+    }
+  }
+  return builds;
+}
+
+class TopKSelectionTest : public ::testing::Test {
+ protected:
+  TopKSelectionTest() : one_(1), two_(2), four_(4) {}
+
+  std::vector<ThreadPool*> AllPools() {
+    return {nullptr, &one_, &two_, &four_};
+  }
+
+  ThreadPool one_;
+  ThreadPool two_;
+  ThreadPool four_;
+};
+
+// Sizes 0, 1, 2, around a tile edge of 8 columns and past two stripes,
+// under degenerate shapes; k from 1 to past n.
+TEST_F(TopKSelectionTest, SmallPoolsMatchTheReferenceBitwise) {
+  const std::vector<ps_kernels::TileShape> shapes = {
+      {1, 1}, {4, 5}, {3, 8}, {64, 8}, {2, 3}};
+  size_t builds = 0;
+  for (size_t n : {size_t{0}, size_t{1}, size_t{2}, size_t{7}, size_t{8},
+                   size_t{9}, size_t{17}, size_t{40}}) {
+    for (uint64_t seed : {uint64_t{1}, uint64_t{2}, uint64_t{3}}) {
+      Pool pool(n, 1000 * n + seed);
+      std::vector<size_t> ks = {1, 2, 8, n + 3};
+      if (n > 1) ks.push_back(n - 1);
+      ks.push_back(n);
+      builds += CheckPool(pool, ks, shapes, AllPools());
+    }
+  }
+  EXPECT_GT(builds, 0u);
+}
+
+// Pools around the default tile edge (512 columns for four attributes),
+// the last one past a single column stripe, big enough that ParallelFor
+// dispatches the stripes to the thread pools.
+TEST_F(TopKSelectionTest, PoolsAroundTheDefaultTileEdgeMatchBitwise) {
+  const size_t edge = ps_kernels::DefaultTileShape(4).cols;
+  for (size_t n : {edge - 1, edge, edge + 1}) {
+    Pool pool(n, 77 + n);
+    CheckPool(pool, {1, 8}, {ps_kernels::TileShape{}}, AllPools());
+  }
+}
+
+// Many narrow stripes over one large pool, with every k up to n - 1
+// and past it.
+TEST_F(TopKSelectionTest, NarrowStripesAndLargeKMatchBitwise) {
+  Pool pool(300, 4242);
+  CheckPool(pool, {1, 3, 8, 299, 300, 1000},
+            {ps_kernels::TileShape{16, 24}}, AllPools());
+}
+
+}  // namespace
+}  // namespace sight

@@ -107,7 +107,6 @@ HOT_REBUILD_SANCTIONED = {
     "StrangerEncodeCache::Refresh",   # encode cold rebuild on epoch mismatch
     "ActiveLearner::Create",          # per-pool encode when the cache misses
     "PoolLearner::Create",            # CSR compaction of a newly built pool
-    "SimilarityMatrix::MergeCompact", # falls back to Compact when never built
     "KModes::Cluster",                # string-path clustering encodes once
     "ValueFrequencyTable::Build",     # frequency tables own a codec
     "ValueFrequencyTable::BuildFromCodes",
