@@ -14,9 +14,10 @@
 //   carried   the learner-carry-only arm (carry_pool_partition and
 //             carry_encoded_tables off): what serving looked like
 //             before the partition/encode caches landed.
-//   baseline  rebuild-per-tick legacy shape: RiskSession, which keeps
-//             labels and warm-start seeds but rebuilds every pool's
-//             codec, similarity matrix, and learner on each Assess.
+//   baseline  rebuild-per-tick shape: a one-shard service with every
+//             carry off, driven by AssessSync, which keeps labels and
+//             warm-start seeds but rebuilds every pool's codec,
+//             similarity matrix, and learner on each tick.
 //
 // The headline number is steady-state throughput: once discovery is
 // exhausted and the owner's answers have reached a fixpoint, a serving
@@ -51,7 +52,6 @@
 #include <vector>
 
 #include "core/risk_engine.h"
-#include "core/risk_session.h"
 #include "graph/algorithms.h"
 #include "service/risk_service.h"
 #include "sim/crawler.h"
@@ -108,7 +108,7 @@ struct CrawlRow {
   size_t discovered_total = 0;
   double service_ms = 0.0;   // full arm: all carries on
   double carried_ms = 0.0;   // learner-carry-only arm
-  double baseline_ms = 0.0;  // rebuild-per-tick RiskSession
+  double baseline_ms = 0.0;  // rebuild-per-tick arm: every carry off
   size_t service_queries = 0;   // new oracle questions this tick
   size_t baseline_queries = 0;
   size_t pools_carried = 0;     // full arm
@@ -211,13 +211,17 @@ TraceStudy RunTraceStudy(size_t num_strangers, size_t batch_size,
   carried_registration.oracle = &carried_oracle;
   SIGHT_CHECK(carried->RegisterOwner(carried_registration).ok());
 
-  // Rebuild-per-tick baseline: RiskSession keeps labels and warm-start
-  // seeds across Assess calls but re-runs encode/matrix/rounds for
-  // every pool on every call.
-  auto baseline = RiskSession::Create(engine_config, &ds.graph,
-                                      &ds.profiles, &ds.visibility,
-                                      ds.owner)
-                      .value();
+  // Rebuild-per-tick baseline: every carry off, driven by AssessSync, so
+  // labels and warm-start seeds survive a tick but encode/matrix/rounds
+  // re-run for every pool on every call.
+  RiskServiceConfig baseline_config = service_config;
+  baseline_config.carry_learners = false;
+  baseline_config.carry_pool_partition = false;
+  baseline_config.carry_encoded_tables = false;
+  auto baseline = RiskService::Create(baseline_config).value();
+  OwnerRegistration baseline_registration = registration;
+  baseline_registration.oracle = nullptr;  // AssessSync takes it per call
+  SIGHT_CHECK(baseline->RegisterOwner(baseline_registration).ok());
   Rng baseline_rng(99);
 
   sim::CrawlerConfig crawl_config;
@@ -286,9 +290,10 @@ TraceStudy RunTraceStudy(size_t num_strangers, size_t batch_size,
 
     RiskReport baseline_report;
     row.baseline_ms = TimeMs([&] {
-      SIGHT_CHECK(baseline.AddStrangers(batch).ok());
+      SIGHT_CHECK(baseline->AddStrangers(ds.owner, batch).ok());
       baseline_report =
-          baseline.Assess(&baseline_oracle, &baseline_rng).value();
+          baseline->AssessSync(ds.owner, &baseline_oracle, &baseline_rng)
+              .value();
     });
     row.baseline_queries =
         baseline_oracle.num_queries() - baseline_queries_before;
@@ -364,7 +369,8 @@ TraceStudy RunTraceStudy(size_t num_strangers, size_t batch_size,
   }
   for (size_t warm = 0; warm < 8; ++warm) {
     RiskReport report =
-        baseline.Assess(&baseline_oracle, &baseline_rng).value();
+        baseline->AssessSync(ds.owner, &baseline_oracle, &baseline_rng)
+            .value();
     if (report.assessment.total_queries == 0) break;
   }
 
@@ -402,7 +408,8 @@ TraceStudy RunTraceStudy(size_t num_strangers, size_t batch_size,
   steady.baseline_ms_total = TimeMs([&] {
     for (size_t i = 0; i < steady_ticks; ++i) {
       RiskReport report =
-          baseline.Assess(&baseline_oracle, &baseline_rng).value();
+          baseline->AssessSync(ds.owner, &baseline_oracle, &baseline_rng)
+              .value();
       SIGHT_CHECK(report.num_strangers == crawler.discovered().size());
     }
   });

@@ -399,26 +399,23 @@ Result<ActiveLearner> ActiveLearner::Create(
     carry->retained_.clear();
   }
 
-  // Per-pool scaffolding (cheap relative to the pairwise loop below):
-  // the pool's member rows — gathered from the owner-level encode cache
-  // when one was supplied, dictionary-encoded per pool otherwise — value
-  // frequencies from the pool itself (Section III-C) indexed by those
-  // codes, the weight matrix to fill, and the display vectors surfaced
-  // to the oracle. Carried pools keep all of this from their previous
-  // tick. The two row sources differ only in code numbering, which
-  // profile similarity cannot observe (code equality and per-value
-  // counts survive any injective re-coding), so both are bitwise-equal.
-  struct PoolRows {
-    const uint32_t* rows = nullptr;
-    size_t num_rows = 0;
-    size_t num_attributes = 0;
-  };
+  // Every pool gathers its member rows from one owner-level encode: the
+  // caller's (refreshed against `profiles` this tick), or a fresh one
+  // that dies with the call. Value frequencies come from the pool itself
+  // (Section III-C), indexed by those codes. Carried pools keep all of
+  // this from their previous tick. Profile similarity only sees code
+  // equality and per-value counts, which no injective re-coding changes,
+  // so every pool scores as it would under a dictionary of its own.
+  StrangerEncodeCache fresh;
+  if (encode == nullptr) {
+    fresh.Refresh(profiles, pools.strangers);
+    encode = &fresh;
+  }
+  const size_t num_attributes = encode->num_attributes();
   // With sparsify_top_k > 0 a pool never gets a triangle: its pairs
   // stream into a TopKSelection that emits the compacted top-k graph.
   const bool streamed = config.sparsify_top_k > 0;
-  std::vector<std::optional<EncodedProfileTable>> encoded(num_pools);
-  std::vector<std::vector<uint32_t>> gathered(num_pools);
-  std::vector<PoolRows> rows_of(num_pools);
+  std::vector<std::vector<uint32_t>> rows(num_pools);
   std::vector<std::optional<ValueFrequencyTable>> freqs(num_pools);
   std::vector<SimilarityMatrix> weights;
   std::vector<std::optional<TopKSelection>> selections(num_pools);
@@ -433,26 +430,6 @@ Result<ActiveLearner> ActiveLearner::Create(
       continue;
     }
     size_t n = pool.members.size();
-    bool from_cache = encode != nullptr && !encode->empty() &&
-                      encode->GatherRows(pool.members, &gathered[p]);
-    if (from_cache) {
-      rows_of[p] = {gathered[p].data(), n, encode->num_attributes()};
-      freqs[p].emplace(ValueFrequencyTable::BuildFromCodes(
-          rows_of[p].rows, n, rows_of[p].num_attributes));
-    } else {
-      encoded[p].emplace(EncodedProfileTable::Build(profiles, pool.members));
-      rows_of[p] = {encoded[p]->row(0), encoded[p]->num_rows(),
-                    encoded[p]->num_attributes()};
-      freqs[p].emplace(ValueFrequencyTable::Build(*encoded[p]));
-    }
-    weights.emplace_back(streamed ? 0 : n);
-    if (streamed) {
-      selections[p].emplace(
-          n, config.sparsify_top_k,
-          ps_kernels::StripeStarts(
-              n, ps_kernels::DefaultTileShape(rows_of[p].num_attributes)));
-    }
-    total_pairs += n * (n - 1) / 2;
     sims[p].assign(n, 0.0);
     bens[p].assign(n, 0.0);
     for (size_t i = 0; i < n; ++i) {
@@ -465,6 +442,23 @@ Result<ActiveLearner> ActiveLearner::Create(
       sims[p][i] = pools.network_similarities[it->second];
       bens[p][i] = learner.benefits_[it->second];
     }
+    if (!encode->GatherRows(pool.members, &rows[p])) {
+      return Status::FailedPrecondition(StrFormat(
+          "the encode cache has no row for some member of pool %zu; "
+          "refresh it over the pool set's strangers first",
+          p));
+    }
+    freqs[p].emplace(
+        ValueFrequencyTable::BuildFromCodes(rows[p].data(), n,
+                                            num_attributes));
+    weights.emplace_back(streamed ? 0 : n);
+    if (streamed) {
+      selections[p].emplace(
+          n, config.sparsify_top_k,
+          ps_kernels::StripeStarts(
+              n, ps_kernels::DefaultTileShape(num_attributes)));
+    }
+    total_pairs += n * (n - 1) / 2;
   }
 
   // Edge weights: the O(n^2) pairwise profile-similarity fill runs on
@@ -487,9 +481,9 @@ Result<ActiveLearner> ActiveLearner::Create(
       continue;
     }
     const ps_kernels::TileShape shape =
-        ps_kernels::DefaultTileShape(rows_of[p].num_attributes);
+        ps_kernels::DefaultTileShape(num_attributes);
     for (const ps_kernels::PairTile& tile :
-         ps_kernels::MakeTiles(rows_of[p].num_rows, shape)) {
+         ps_kernels::MakeTiles(pools.pools[p].members.size(), shape)) {
       tiles.emplace_back(p, tile);
     }
   }
@@ -499,14 +493,14 @@ Result<ActiveLearner> ActiveLearner::Create(
               [&](size_t t) {
     if (t < tiles.size()) {
       const auto& [p, tile] = tiles[t];
-      ps_kernels::FillTile(rows_of[p].rows, rows_of[p].num_rows,
-                           rows_of[p].num_attributes, ps, *freqs[p], tile,
+      ps_kernels::FillTile(rows[p].data(), pools.pools[p].members.size(),
+                           num_attributes, ps, *freqs[p], tile,
                            &weights[p]);
       return;
     }
     const auto& [p, s] = stripes[t - tiles.size()];
-    ps_kernels::SelectStripe(rows_of[p].rows, rows_of[p].num_rows,
-                             rows_of[p].num_attributes, ps, *freqs[p], s,
+    ps_kernels::SelectStripe(rows[p].data(), pools.pools[p].members.size(),
+                             num_attributes, ps, *freqs[p], s,
                              &*selections[p]);
   }, pf);
 

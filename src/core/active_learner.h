@@ -338,11 +338,11 @@ class ActiveLearner {
   /// CanResume one skip the matrix build entirely; retained learners are
   /// consumed whether or not they match (call HarvestInto after Run to
   /// refill the carry for the next tick). `encode` (optional) is the
-  /// owner-level encoded stranger table (refreshed against `profiles`
-  /// this tick); pools gather their member rows from it instead of
-  /// re-encoding per pool — bitwise-identical because profile similarity
-  /// only sees code equality and per-value frequencies, both invariant
-  /// under the codec swap.
+  /// owner-level encoded stranger table, refreshed against `profiles`
+  /// over `pools.strangers` this tick; without one, a fresh table is
+  /// refreshed here and dies with the call. Pools gather their member
+  /// rows from it, so a supplied table that lacks a row for some pool
+  /// member is FailedPrecondition.
   [[nodiscard]]
   static Result<ActiveLearner> Create(
       const PoolSet& pools, const ProfileTable& profiles,

@@ -19,17 +19,21 @@ Result<NetworkSimilarityGroups> NetworkSimilarityGroups::Build(
   result.groups_.resize(alpha);
   result.assignment_.reserve(strangers.size());
   for (size_t i = 0; i < strangers.size(); ++i) {
-    double ns = similarities[i];
-    if (ns < 0.0 || ns > 1.0) {
-      return Status::OutOfRange(
-          StrFormat("network similarity %f outside [0, 1]", ns));
-    }
-    size_t x = static_cast<size_t>(ns * static_cast<double>(alpha));
-    if (x >= alpha) x = alpha - 1;  // ns == 1 goes to the last group
+    SIGHT_ASSIGN_OR_RETURN(size_t x, GroupOf(similarities[i], alpha));
     result.groups_[x].push_back(strangers[i]);
     result.assignment_.push_back(x);
   }
   return result;
+}
+
+Result<size_t> NetworkSimilarityGroups::GroupOf(double ns, size_t alpha) {
+  // Negated so NaN, which fails every comparison, is rejected too.
+  if (!(ns >= 0.0 && ns <= 1.0)) {
+    return Status::OutOfRange(
+        StrFormat("network similarity %f outside [0, 1]", ns));
+  }
+  size_t x = static_cast<size_t>(ns * static_cast<double>(alpha));
+  return x < alpha ? x : alpha - 1;  // ns == 1 goes to the last group
 }
 
 std::vector<size_t> NetworkSimilarityGroups::GroupSizes() const {

@@ -24,6 +24,10 @@ class NetworkSimilarityGroups {
       size_t alpha, const std::vector<UserId>& strangers,
       const std::vector<double>& similarities);
 
+  /// The Definition 1 bin of one NS value among `alpha` > 0 groups.
+  /// OutOfRange for a value outside [0, 1], NaN included.
+  [[nodiscard]] static Result<size_t> GroupOf(double ns, size_t alpha);
+
   size_t alpha() const { return groups_.size(); }
 
   /// Strangers in group x (ascending NS ranges as x grows).

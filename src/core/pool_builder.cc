@@ -40,50 +40,9 @@ Result<PoolSet> PoolBuilder::Build(const SocialGraph& graph,
 Result<PoolSet> PoolBuilder::BuildForStrangers(
     const SocialGraph& graph, const ProfileTable& profiles, UserId owner,
     std::vector<UserId> strangers) const {
-  PoolSet result;
-  result.strangers = std::move(strangers);
-
-  SIGHT_ASSIGN_OR_RETURN(NetworkSimilarity ns,
-                         NetworkSimilarity::Create(config_.ns_config));
-  result.network_similarities =
-      ns.ComputeBatch(graph, owner, result.strangers, config_.thread_pool);
-
-  SIGHT_ASSIGN_OR_RETURN(
-      NetworkSimilarityGroups nsg,
-      NetworkSimilarityGroups::Build(config_.alpha, result.strangers,
-                                     result.network_similarities));
-
-  if (config_.strategy == PoolStrategy::kNetworkOnly) {
-    for (size_t x = 0; x < nsg.alpha(); ++x) {
-      if (nsg.group(x).empty()) continue;
-      StrangerPool pool;
-      pool.members = nsg.group(x);
-      pool.nsg_index = x;
-      pool.cluster_index = 0;
-      result.pools.push_back(std::move(pool));
-    }
-    return result;
-  }
-
-  SqueezerConfig sq_config;
-  sq_config.threshold = config_.beta;
-  sq_config.weights = config_.attribute_weights;
-  SIGHT_ASSIGN_OR_RETURN(Squeezer squeezer,
-                         Squeezer::Create(profiles.schema(), sq_config));
-
-  for (size_t x = 0; x < nsg.alpha(); ++x) {
-    if (nsg.group(x).empty()) continue;
-    SIGHT_ASSIGN_OR_RETURN(Clustering clustering,
-                           squeezer.Cluster(profiles, nsg.group(x)));
-    for (size_t c = 0; c < clustering.num_clusters(); ++c) {
-      StrangerPool pool;
-      pool.members = clustering.clusters[c];
-      pool.nsg_index = x;
-      pool.cluster_index = c;
-      result.pools.push_back(std::move(pool));
-    }
-  }
-  return result;
+  PoolPartitionCache fresh;
+  return BuildForStrangersCached(graph, profiles, owner, std::move(strangers),
+                                 &fresh);
 }
 
 Result<PoolSet> PoolBuilder::BuildForStrangersCached(
@@ -153,15 +112,9 @@ Result<PoolSet> PoolBuilder::BuildForStrangersCached(
       squeezer.emplace(std::move(created));
     }
     for (size_t k = 0; k < suffix.size(); ++k) {
-      double value = suffix_ns[k];
-      // Same validation and binning as NetworkSimilarityGroups::Build.
-      if (value < 0.0 || value > 1.0) {
-        return Status::OutOfRange(
-            StrFormat("network similarity %f outside [0, 1]", value));
-      }
-      size_t x = static_cast<size_t>(value *
-                                     static_cast<double>(config_.alpha));
-      if (x >= config_.alpha) x = config_.alpha - 1;
+      SIGHT_ASSIGN_OR_RETURN(
+          size_t x,
+          NetworkSimilarityGroups::GroupOf(suffix_ns[k], config_.alpha));
       cache->group_members_[x].push_back(suffix[k]);
       if (squeezer.has_value()) {
         if (!cache->squeezers_[x].has_value()) {
@@ -173,15 +126,14 @@ Result<PoolSet> PoolBuilder::BuildForStrangersCached(
             cache->squeezers_[x]->Add(profiles, suffix[k]).status());
       }
       cache->strangers_.push_back(suffix[k]);
-      cache->ns_.push_back(value);
+      cache->ns_.push_back(suffix_ns[k]);
     }
   }
   cache->valid_ = true;
 
-  // Materialize the pool set in the exact shape BuildForStrangers emits:
-  // groups in ascending NSG order, clusters in creation order, members in
-  // insertion order — report ordering and the shared learner Rng stream
-  // depend on it.
+  // Materialize the pool set in Definition 3 order: groups in ascending
+  // NSG order, clusters in creation order, members in insertion order —
+  // report ordering and the shared learner Rng stream depend on it.
   PoolSet result;
   result.strangers = cache->strangers_;
   result.network_similarities = cache->ns_;

@@ -136,20 +136,22 @@ class PoolBuilder {
                         UserId owner) const;
 
   /// Same, but over a caller-provided stranger set (used by the
-  /// incremental crawler flow where discovery is partial).
+  /// incremental crawler flow where discovery is partial): a
+  /// BuildForStrangersCached on a fresh cache that dies with the call.
   [[nodiscard]]
   Result<PoolSet> BuildForStrangers(const SocialGraph& graph,
                                     const ProfileTable& profiles, UserId owner,
                                     std::vector<UserId> strangers) const;
 
-  /// BuildForStrangers through a carried partition: when `cache` still
-  /// fingerprints to (graph, profiles, owner, this config) and its
-  /// carried strangers are a prefix of `strangers`, only the new suffix
-  /// is NS-scored, binned, and squeezed; otherwise the cache is rebuilt
-  /// from scratch. The returned PoolSet is bitwise-identical to
-  /// BuildForStrangers on every path — pools materialize in the same
-  /// (group, cluster) order with members in the same insertion order.
-  /// On error the cache is invalidated (next call rebuilds).
+  /// The partition stage itself, through a carried partition: when
+  /// `cache` still fingerprints to (graph, profiles, owner, this config)
+  /// and its carried strangers are a prefix of `strangers`, only the new
+  /// suffix is NS-scored, binned, and squeezed; otherwise the cache is
+  /// rebuilt from scratch. Because Squeezer is one-pass, the returned
+  /// PoolSet is bitwise-identical on every path to a build on a fresh
+  /// cache — pools materialize in the same (group, cluster) order with
+  /// members in the same insertion order. On error the cache is
+  /// invalidated (next call rebuilds).
   [[nodiscard]]
   Result<PoolSet> BuildForStrangersCached(const SocialGraph& graph,
                                           const ProfileTable& profiles,

@@ -5,15 +5,6 @@
 
 namespace sight {
 
-void AssessCarry::Clear() {
-  learners.Clear();
-  partition.Clear();
-  encode.Clear();
-  graph_version_ = {};
-  profiles_version_ = {};
-  visibility_version_ = {};
-}
-
 void AssessCarry::InvalidateOnUpstreamChange(
     const SocialGraph& graph, const ProfileTable& profiles,
     const VisibilityTable& visibility) {
@@ -131,23 +122,34 @@ Result<RiskReport> RiskEngine::AssessImpl(
     const PoolLearner::KnownLabels* known_labels,
     const PoolLearner::KnownLabels* prior_scores, AssessCarry* carry) const {
   RiskReport report;
-  if (carry != nullptr) {
-    carry->InvalidateOnUpstreamChange(graph, profiles, visibility);
-  }
+  // One path for every call: the stages always run on an AssessCarry.
+  // Without the caller's, they run on fresh caches that die with the
+  // call, so nothing is harvested and the telemetry stays all zero.
+  AssessCarry fresh;
+  AssessCarry* stages = carry != nullptr ? carry : &fresh;
+  stages->InvalidateOnUpstreamChange(graph, profiles, visibility);
 
   PoolBuilderConfig pool_config = config_.pools;
   pool_config.thread_pool = effective_pool();
   SIGHT_ASSIGN_OR_RETURN(PoolBuilder builder,
                          PoolBuilder::Create(std::move(pool_config)));
-  PoolSet pools;
-  if (carry != nullptr && carry->use_partition) {
-    size_t known = carry->partition.num_strangers();
-    size_t total = strangers.size();
-    size_t misses_before = carry->partition.stats().misses;
-    SIGHT_ASSIGN_OR_RETURN(
-        pools, builder.BuildForStrangersCached(graph, profiles, owner,
-                                               std::move(strangers),
-                                               &carry->partition));
+  size_t known = stages->partition.num_strangers();
+  size_t total = strangers.size();
+  size_t misses_before = stages->partition.stats().misses;
+  SIGHT_ASSIGN_OR_RETURN(
+      PoolSet pools,
+      builder.BuildForStrangersCached(graph, profiles, owner,
+                                      std::move(strangers),
+                                      &stages->partition));
+
+  SIGHT_ASSIGN_OR_RETURN(BenefitModel benefit,
+                         BenefitModel::Create(config_.theta));
+  std::vector<double> benefits =
+      benefit.ComputeBatch(visibility, pools.strangers);
+
+  StrangerEncodeCache::RefreshResult refreshed =
+      stages->encode.Refresh(profiles, pools.strangers);
+  if (carry != nullptr) {
     // The cache's own counters are the ground truth: a cold rebuild of
     // an already-full cache leaves num_strangers() unchanged and would
     // otherwise masquerade as a reuse.
@@ -155,38 +157,21 @@ Result<RiskReport> RiskEngine::AssessImpl(
         carry->partition.stats().misses == misses_before;
     report.carry.partition_new_strangers =
         report.carry.partition_reused ? total - known : total;
-  } else {
-    SIGHT_ASSIGN_OR_RETURN(pools,
-                           builder.BuildForStrangers(graph, profiles, owner,
-                                                     std::move(strangers)));
-  }
-
-  SIGHT_ASSIGN_OR_RETURN(BenefitModel benefit,
-                         BenefitModel::Create(config_.theta));
-  std::vector<double> benefits =
-      benefit.ComputeBatch(visibility, pools.strangers);
-
-  const StrangerEncodeCache* encode = nullptr;
-  if (carry != nullptr && carry->use_encode) {
-    StrangerEncodeCache::RefreshResult refreshed =
-        carry->encode.Refresh(profiles, pools.strangers);
     report.carry.encode_reused = refreshed.reused;
     report.carry.encode_rows_appended = refreshed.rows_appended;
-    encode = &carry->encode;
   }
 
   ActiveLearnerConfig learner_config = config_.learner;
   learner_config.thread_pool = effective_pool();
-  LearnerCarry* learners =
-      carry != nullptr && carry->use_learners ? &carry->learners : nullptr;
   SIGHT_ASSIGN_OR_RETURN(
       ActiveLearner learner,
       ActiveLearner::Create(pools, profiles, std::move(benefits),
                             learner_config, classifier_.get(), sampler_.get(),
-                            known_labels, prior_scores, learners, encode));
+                            known_labels, prior_scores, &stages->learners,
+                            &stages->encode));
 
   SIGHT_ASSIGN_OR_RETURN(report.assessment, learner.Run(oracle, rng));
-  if (learners != nullptr) learner.HarvestInto(learners);
+  if (carry != nullptr) learner.HarvestInto(&carry->learners);
   report.num_strangers = pools.TotalStrangers();
   report.num_pools = pools.pools.size();
   report.pool_sizes.reserve(pools.pools.size());

@@ -84,7 +84,7 @@ struct RiskEngineConfig {
 };
 
 /// What the resident caches did for one assessment (all zero/false on
-/// cold paths).
+/// cold calls, whose caches are fresh and die with the call).
 struct CarryTelemetry {
   /// The carried pool partition was reused (identical or grown set).
   bool partition_reused = false;
@@ -111,23 +111,17 @@ struct RiskReport {
 /// Cross-tick carry bundle for one owner (the resident-service flow,
 /// DESIGN.md §14): the finished PoolLearners of the previous tick, the
 /// carried NS/NSG/Squeezer pool partition, and the owner-level encoded
-/// profile table. Each layer fingerprints its own inputs and falls back
-/// to a cold rebuild independently; on top of that, the engine drops the
-/// learner carry whenever the graph, profile, or visibility tables
-/// mutated since the carry was filled (their fingerprints cannot see
-/// upstream edits that keep pool membership stable). The use_* flags let
-/// callers (bench arms, equivalence tests) disable individual layers;
-/// results are bitwise-identical at every setting.
+/// profile table. Every assessment runs its stages on one — a cold call
+/// on a fresh bundle of its own. Each layer fingerprints its own inputs
+/// and falls back to a cold rebuild independently; on top of that, the
+/// engine drops the learner carry whenever the graph, profile, or
+/// visibility tables mutated since the carry was filled (their
+/// fingerprints cannot see upstream edits that keep pool membership
+/// stable).
 struct AssessCarry {
   LearnerCarry learners;
   PoolPartitionCache partition;
   StrangerEncodeCache encode;
-  bool use_learners = true;
-  bool use_partition = true;
-  bool use_encode = true;
-
-  /// Drops all carried state (fingerprints re-arm on the next tick).
-  void Clear();
 
   /// Drops the learner carry when any upstream table's version
   /// (graph/table_version.h) changed since the last call; records the
@@ -166,7 +160,8 @@ class RiskEngine {
   /// oracle is only queried for the rest. Strangers in `prior_scores`
   /// (optional) seed the pools' first solves with the previous tick's
   /// predicted scores (warm start across ticks). RiskService manages
-  /// both maps automatically.
+  /// both maps automatically. Runs AssessIncremental's stages on a fresh
+  /// carry that dies with the call.
   [[nodiscard]]
   Result<RiskReport> AssessStrangers(
       const SocialGraph& graph, const ProfileTable& profiles,

@@ -6,9 +6,10 @@
 // answer both slowly (byte compares, hash lookups); interning each
 // attribute's observed values into dense uint32_t codes answers them with
 // an integer compare and an array load. A ProfileCodec holds the
-// per-attribute dictionaries; an EncodedProfileTable is a pool's profiles
-// re-expressed as flat code rows, built once per pool and then read by the
-// O(n^2) similarity kernels.
+// per-attribute dictionaries; an EncodedProfileTable is a user list's
+// profiles re-expressed as flat code rows. The assessment pipeline keeps
+// one per owner (StrangerEncodeCache) and gathers each pool's rows from
+// it for the O(n^2) similarity kernels.
 //
 // Code space per attribute: kMissingCode (0) is the sentinel for missing
 // values; observed values get codes 1..NumCodes-1 in first-seen order.
@@ -87,9 +88,9 @@ class ProfileCodec {
   std::vector<std::vector<std::string>> values_;
 };
 
-/// The profiles of one user pool as a row-major matrix of codes: row i is
-/// users()[i]'s profile, one uint32_t per schema attribute. Built once per
-/// pool; the similarity hot paths then run entirely on the codes.
+/// The profiles of a user list as a row-major matrix of codes: row i is
+/// users()[i]'s profile, one uint32_t per schema attribute. The
+/// similarity hot paths run entirely on the codes.
 class EncodedProfileTable {
  public:
   /// Encodes the profiles of `users` from `table`. When `base` is given,
@@ -136,17 +137,17 @@ class EncodedProfileTable {
   std::vector<uint32_t> codes_;  // row-major, num_rows x num_attributes
 };
 
-/// Resident encode stage of the serving flow (DESIGN.md §14): one codec +
-/// encoded table per owner, carried across crawler ticks. Each tick,
-/// Refresh() appends rows for newly discovered strangers only; a
-/// fingerprint over the source table (its version + arity) and the
-/// carried stranger prefix guards staleness — any mismatch falls
-/// back to a cold rebuild, never to silent reuse. GatherRows() then hands
-/// each pool its members' code rows; the codes come from one shared
-/// injective dictionary instead of a per-pool one, which preserves both
-/// code equality and per-value pool frequencies, so everything downstream
-/// (ValueFrequencyTable::BuildFromCodes + the PS kernels) is
-/// bitwise-identical to the per-pool encode it replaces.
+/// Encode stage of the assessment pipeline (DESIGN.md §14): one codec +
+/// encoded table per owner, carried across crawler ticks by the service
+/// or fresh for one cold call. Each tick, Refresh() appends rows for
+/// newly discovered strangers only; a fingerprint over the source table
+/// (its version + arity) and the carried stranger prefix guards
+/// staleness — any mismatch falls back to a cold rebuild, never to
+/// silent reuse. GatherRows() then hands each pool its members' code
+/// rows; the codes come from one shared injective dictionary, which
+/// preserves both code equality and per-value pool frequencies, so
+/// everything downstream (ValueFrequencyTable::BuildFromCodes + the PS
+/// kernels) is bitwise-identical to encoding each pool on its own.
 class StrangerEncodeCache {
  public:
   struct RefreshResult {
@@ -167,12 +168,10 @@ class StrangerEncodeCache {
                         const std::vector<UserId>& strangers);
 
   /// Copies the code rows of `users` (in order) into `out`, resized to
-  /// users.size() * num_attributes. False if any user has no cached row
-  /// (caller falls back to a direct encode).
+  /// users.size() * num_attributes. False if any user has no cached row.
   [[nodiscard]] bool GatherRows(const std::vector<UserId>& users,
                                 std::vector<uint32_t>* out) const;
 
-  bool empty() const { return !encoded_.has_value(); }
   size_t num_rows() const { return encoded_ ? encoded_->num_rows() : 0; }
   size_t num_attributes() const {
     return encoded_ ? encoded_->num_attributes() : 0;

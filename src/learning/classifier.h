@@ -41,7 +41,7 @@ class ClassifierState {
 
   /// Seeds the next solve's starting vector (one value per pool member)
   /// without recording any labeled-set history — the cross-tick warm
-  /// start of the RiskSession crawler flow. Stateless classifiers ignore
+  /// start of the RiskService crawler flow. Stateless classifiers ignore
   /// it.
   virtual void SeedSolution(std::vector<double> f) { (void)f; }
 };

@@ -44,7 +44,7 @@ namespace sight {
 class HarmonicSolveState final : public ClassifierState {
  public:
   /// Installs a starting vector (one value per pool member) without any
-  /// labeled-set history — the cross-tick seed of the RiskSession
+  /// labeled-set history — the cross-tick seed of the RiskService
   /// crawler flow. The next solve starts from it and may extend it with
   /// any labeled set.
   void SeedSolution(std::vector<double> f) override;

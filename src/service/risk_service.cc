@@ -291,22 +291,26 @@ Result<RiskReport> RiskService::AssessLocked(OwnerState* state,
   RecordingOracle recording(oracle, &state->known_labels);
   const PoolLearner::KnownLabels* prior =
       state->last_scores.empty() ? nullptr : &state->last_scores;
-  bool any_carry = config_.carry_learners || config_.carry_pool_partition ||
-                   config_.carry_encoded_tables;
-  state->carry.use_learners = config_.carry_learners;
-  state->carry.use_partition = config_.carry_pool_partition;
-  state->carry.use_encode = config_.carry_encoded_tables;
-  Result<RiskReport> report =
-      any_carry
-          ? engine_.AssessIncremental(
-                *state->graph, *state->profiles, *state->visibility,
-                state->owner, state->strangers, &recording, rng,
-                &state->known_labels, prior, &state->carry)
-          : engine_.AssessStrangers(*state->graph, *state->profiles,
-                                    *state->visibility, state->owner,
-                                    state->strangers, &recording, rng,
-                                    &state->known_labels, prior);
+  Result<RiskReport> report = engine_.AssessIncremental(
+      *state->graph, *state->profiles, *state->visibility, state->owner,
+      state->strangers, &recording, rng, &state->known_labels, prior,
+      &state->carry);
+  // The carry knobs decide only what survives the tick: a cache the
+  // config does not carry is dropped now, so the next tick rebuilds it
+  // cold, and it reports no telemetry.
+  if (!config_.carry_learners) state->carry.learners.Clear();
+  if (!config_.carry_pool_partition) state->carry.partition.Clear();
+  if (!config_.carry_encoded_tables) state->carry.encode.Clear();
   if (!report.ok()) return report;
+  CarryTelemetry& telemetry = report->carry;
+  if (!config_.carry_pool_partition) {
+    telemetry.partition_reused = false;
+    telemetry.partition_new_strangers = 0;
+  }
+  if (!config_.carry_encoded_tables) {
+    telemetry.encode_reused = false;
+    telemetry.encode_rows_appended = 0;
+  }
   // Remember this tick's converged scores so the next tick seeds its
   // solves from them instead of the label mean.
   state->last_scores.clear();
@@ -316,8 +320,7 @@ Result<RiskReport> RiskService::AssessLocked(OwnerState* state,
   {
     std::lock_guard<std::mutex> stats_lock(stats_mutex_);
     ++stats_.assessments_run;
-    stats_.pools_carried += report.value().assessment.pools_carried;
-    const CarryTelemetry& telemetry = report.value().carry;
+    stats_.pools_carried += report->assessment.pools_carried;
     if (config_.carry_pool_partition) {
       if (telemetry.partition_reused) {
         ++stats_.partition_hits;
@@ -420,8 +423,9 @@ Result<RiskReport> RiskService::AssessNow(UserId owner, LabelOracle* oracle,
   }
   std::lock_guard<std::mutex> lock(state->mutex);
   // Cold read-through: identical inputs to a batch
-  // RiskEngine::AssessStrangers call, no carry, no warm seed, and no
-  // recording — the owner's state is untouched. The engine fans out on
+  // RiskEngine::AssessStrangers call, whose stages run on fresh caches
+  // rather than the owner's carry, no warm seed, and no recording — the
+  // owner's state is untouched. The engine fans out on
   // its own pool, which RiskServiceConfig::Validate guarantees is
   // distinct from the service's drain pool.
   // SIGHT_ANALYZER_OK(lock-discipline): engine pool distinct by Validate.

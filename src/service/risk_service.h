@@ -1,9 +1,9 @@
 // RiskService: the resident, owner-sharded front door of the Sight
 // library.
 //
-// RiskEngine and RiskSession are batch objects: every assessment
-// rebuilds pool codecs, frequency tables, and learners from scratch for
-// one owner. A crawler serving many owners wants the opposite shape —
+// RiskEngine is a batch object: every assessment rebuilds pool codecs,
+// frequency tables, and learners from scratch for one owner. A crawler
+// serving many owners wants the opposite shape —
 // one long-lived server object that carries per-owner state
 // (ProfileCodecs, EncodedProfileTables, PoolLearners, and their
 // HarmonicSolveStates) across ticks, accepts events from any thread,
@@ -34,8 +34,9 @@
 // is bitwise-identical to a cold batch `RiskEngine::AssessStrangers`
 // call over the owner's current state, and `AssessSync` is the warm
 // in-place tick (records labels, seeds next solves, reuses carried
-// learners) that `RiskSession` adapts onto. See DESIGN.md §13 for the
-// architecture and the old->new API map.
+// learners). A one-shard service with every carry off, driven by
+// AssessSync, is the rebuild-per-tick single-owner flow. See DESIGN.md
+// §13 for the architecture and the old->new API map.
 
 #ifndef SIGHT_SERVICE_RISK_SERVICE_H_
 #define SIGHT_SERVICE_RISK_SERVICE_H_
@@ -82,7 +83,8 @@ struct RiskServiceConfig {
   QueueFullPolicy queue_full_policy = QueueFullPolicy::kReject;
   /// Background workers draining shard queues. 0 = hardware
   /// concurrency. The pool is created lazily on the first Submit, so
-  /// purely synchronous users (RiskSession) never spawn a thread.
+  /// purely synchronous users (AssessSync/AssessNow only) never spawn a
+  /// thread.
   /// Ignored when `thread_pool` is set.
   size_t num_threads = 1;
   /// Optional caller-owned worker pool (non-owning; must outlive the
@@ -90,24 +92,26 @@ struct RiskServiceConfig {
   /// run on this pool and the engine's ParallelFor phases must not wait
   /// on the pool they run inside of.
   ThreadPool* thread_pool = nullptr;
-  /// Carry finished PoolLearners across ticks for pools whose member
-  /// list and owner labels are unchanged (skips the encode/matrix/round
-  /// rebuild for them). Stale carried state is rejected by fingerprint
-  /// checks, never silently reused. Applies to background drains and
-  /// AssessSync; AssessNow is always cold.
+  /// The three carry knobs decide only which of the owner's caches
+  /// survive a tick (DESIGN.md §14); every tick runs the same stages on
+  /// them, and a cache not carried is dropped after the tick and
+  /// reports no CarryTelemetry. They apply to background drains and
+  /// AssessSync; AssessNow always runs on fresh caches.
+  ///
+  /// Keep finished PoolLearners for pools whose member list and owner
+  /// labels are unchanged (skips the matrix/round rebuild for them).
+  /// Stale carried state is rejected by fingerprint checks, never
+  /// silently reused. The one knob that changes which questions are
+  /// asked.
   bool carry_learners = true;
-  /// Carry the NS/NSG/Squeezer pool partition across ticks: an
-  /// unchanged stranger set reuses it outright, a grown one routes only
-  /// the new suffix through the carried per-group squeezers
-  /// (DESIGN.md §14). Fingerprinted on the owner's tables and their
-  /// mutation epochs; any mismatch rebuilds cold. Bitwise-identical
-  /// either way.
+  /// Keep the NS/NSG/Squeezer pool partition: an unchanged stranger set
+  /// reuses it outright, a grown one routes only the new suffix through
+  /// the carried per-group squeezers. Fingerprinted on the owner's
+  /// tables; any mismatch rebuilds cold. Bitwise-identical either way.
   bool carry_pool_partition = true;
-  /// Carry one owner-level ProfileCodec + EncodedProfileTable across
-  /// ticks: each tick encodes only newly discovered strangers and pools
-  /// gather their rows from the shared table instead of re-encoding
-  /// (DESIGN.md §14). Same fingerprint/fallback rules; bitwise-identical
-  /// either way.
+  /// Keep the owner-level encoded stranger table: each tick encodes only
+  /// newly discovered strangers. Same fingerprint/fallback rules;
+  /// bitwise-identical either way.
   bool carry_encoded_tables = true;
 
   [[nodiscard]] Status Validate() const;
@@ -195,22 +199,26 @@ class RiskService {
 
   /// Synchronous cold assessment of the owner's current stranger set:
   /// bitwise-identical to RiskEngine::AssessStrangers over the same
-  /// strangers/known labels/oracle/rng — no learner carry, no score
-  /// seeding, and no state mutation (answers are NOT recorded; use
-  /// AssessSync or Submit for that). Blocks new events for this owner
-  /// while it runs.
+  /// strangers/known labels/oracle/rng — fresh caches instead of the
+  /// owner's carry, no score seeding, and no state mutation (answers are
+  /// NOT recorded; use AssessSync or Submit for that). Blocks new events
+  /// for this owner while it runs.
   [[nodiscard]] Result<RiskReport> AssessNow(UserId owner, LabelOracle* oracle,
                                              Rng* rng) const;
 
   /// Synchronous warm tick: assesses with the owner's accumulated
   /// labels and prior scores, records every new oracle answer, seeds
-  /// the next tick, reuses carried learners (per config), and publishes
-  /// a snapshot. This is RiskSession::Assess, service-resident.
+  /// the next tick, reuses the carried caches (per config), and
+  /// publishes a snapshot.
   [[nodiscard]] Result<RiskReport> AssessSync(UserId owner, LabelOracle* oracle,
                                               Rng* rng);
 
   /// Synchronous mutators (the Submit path applies the same operations
-  /// from the background). Same validation as RiskSession.
+  /// from the background). AddStrangers ignores duplicates and rejects
+  /// unknown users and the owner itself; DiscoverAllStrangers adds the
+  /// owner's current two-hop set. ImportLabels also discovers labeled
+  /// strangers not yet known; on an out-of-range label or an invalid
+  /// user it changes nothing.
   [[nodiscard]] Status AddStrangers(UserId owner,
                                     const std::vector<UserId>& discovered);
   [[nodiscard]] Status DiscoverAllStrangers(UserId owner);
@@ -265,7 +273,8 @@ class RiskService {
     PoolLearner::KnownLabels last_scores;
     /// Resident cross-tick caches: finished learners, the pool
     /// partition, and the owner-level encoded stranger table
-    /// (DESIGN.md §14). The use_* flags mirror the service config.
+    /// (DESIGN.md §14). Those the config does not carry are cleared
+    /// after every tick.
     AssessCarry carry;
     uint64_t next_version = 1;
     std::shared_ptr<const AssessmentSnapshot> snapshot;

@@ -51,13 +51,14 @@ class ValueFrequencyTable {
   static ValueFrequencyTable Build(const EncodedProfileTable& encoded);
 
   /// Builds frequencies straight from row-major code rows (`num_rows` x
-  /// `num_attributes`), without copying any codec — the serving flow's
-  /// per-pool path over rows gathered from a shared owner-level encode
-  /// (StrangerEncodeCache). FrequencyByCode agrees with the codes in
-  /// `rows`; the frequency of a value is its count over the non-missing
-  /// observations, identical to the codec-carrying builders. The
-  /// string-keyed Frequency() lookups on such a table answer 0 (there is
-  /// no dictionary to resolve them), which no hot path uses.
+  /// `num_attributes`), without copying any codec — the assessment
+  /// pipeline's per-pool path over rows gathered from a shared
+  /// owner-level encode (StrangerEncodeCache). FrequencyByCode agrees
+  /// with the codes in `rows`; the frequency of a value is its count over
+  /// the non-missing observations, identical to the codec-carrying
+  /// builders. The string-keyed Frequency() lookups on such a table
+  /// answer 0 (there is no dictionary to resolve them), which no hot path
+  /// uses.
   static ValueFrequencyTable BuildFromCodes(const uint32_t* rows,
                                             size_t num_rows,
                                             size_t num_attributes);

@@ -193,9 +193,6 @@ void Result<T>::AbortIfError() const {
     if (!_st.ok()) return _st;               \
   } while (false)
 
-// Older spelling of SIGHT_RETURN_IF_ERROR, kept for existing call sites.
-#define SIGHT_RETURN_NOT_OK(expr) SIGHT_RETURN_IF_ERROR(expr)
-
 // Assigns the value of a Result expression to `lhs`, or propagates the
 // error.  `lhs` may include a declaration:
 //

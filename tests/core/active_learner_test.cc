@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include "graph/profile_codec.h"
 #include "learning/harmonic.h"
 #include "learning/sampling.h"
+#include "sim/facebook_generator.h"
+#include "sim/schema.h"
 
 namespace sight {
 namespace {
@@ -433,6 +436,93 @@ TEST(ActiveLearnerTest, RoundRecordsCarryPoolIndices) {
   std::set<size_t> pool_indices;
   for (const RoundRecord& r : result.rounds) pool_indices.insert(r.pool_index);
   EXPECT_EQ(pool_indices, (std::set<size_t>{0, 1}));
+}
+
+TEST(ActiveLearnerTest, SuppliedEncodeCacheMustServeEveryPoolMember) {
+  ProfileTable profiles(ProfileSchema::Create({"g"}).value());
+  for (UserId u = 0; u < 4; ++u) {
+    Profile p;
+    p.values = {u % 2 == 0 ? "x" : "y"};
+    ASSERT_TRUE(profiles.Set(u, p).ok());
+  }
+  PoolSet pools;
+  pools.strangers = {0, 1, 2, 3};
+  pools.network_similarities = {0.1, 0.1, 0.1, 0.1};
+  pools.pools = {MakePool({0, 1}), MakePool({2, 3})};
+  LearnerParts parts;
+  auto create = [&](const StrangerEncodeCache* encode) {
+    return ActiveLearner::Create(pools, profiles, std::vector<double>(4, 0.0),
+                                 parts.config, &parts.classifier,
+                                 &parts.sampler, nullptr, nullptr, nullptr,
+                                 encode);
+  };
+
+  // A table that has no row for stranger 3 is an error, not a silent
+  // re-encode.
+  StrangerEncodeCache partial;
+  partial.Refresh(profiles, {0, 1, 2});
+  EXPECT_EQ(create(&partial).status().code(),
+            StatusCode::kFailedPrecondition);
+  StrangerEncodeCache never_refreshed;
+  EXPECT_EQ(create(&never_refreshed).status().code(),
+            StatusCode::kFailedPrecondition);
+
+  // Refreshed over the pool set's strangers, it serves every pool.
+  partial.Refresh(profiles, pools.strangers);
+  EXPECT_TRUE(create(&partial).ok());
+  EXPECT_TRUE(create(nullptr).ok());
+}
+
+TEST(ActiveLearnerTest, SuppliedEncodeCacheMatchesFreshOneBitwise) {
+  sim::GeneratorConfig gen_config;
+  gen_config.num_strangers = 300;
+  auto generator = sim::FacebookGenerator::Create(gen_config).value();
+  Rng gen_rng(5);
+  sim::OwnerDataset ds =
+      generator.Generate({sim::Gender::kFemale, sim::Locale::kDE}, &gen_rng)
+          .value();
+  PoolBuilderConfig pool_config;
+  pool_config.attribute_weights = sim::PaperAttributeWeights();
+  PoolSet pools = PoolBuilder::Create(pool_config)
+                      .value()
+                      .Build(ds.graph, ds.profiles, ds.owner)
+                      .value();
+  // A table encoded in reverse discovery order: its codes differ from
+  // those of the fresh table Create builds without one.
+  std::vector<UserId> carried_order(pools.strangers.rbegin(),
+                                    pools.strangers.rend());
+  StrangerEncodeCache carried;
+  carried.Refresh(ds.profiles, carried_order);
+  std::map<UserId, RiskLabel> labels;
+  for (UserId s : pools.strangers) {
+    labels[s] =
+        static_cast<RiskLabel>(kRiskLabelMin + static_cast<int>(s % 3));
+  }
+
+  LearnerParts parts;
+  auto run = [&](const StrangerEncodeCache* encode) {
+    auto learner =
+        ActiveLearner::Create(pools, ds.profiles,
+                              std::vector<double>(pools.strangers.size(), 0.5),
+                              parts.config, &parts.classifier,
+                              &parts.sampler, nullptr, nullptr, nullptr,
+                              encode)
+            .value();
+    MapOracle oracle(labels);
+    Rng rng(17);
+    return learner.Run(&oracle, &rng).value();
+  };
+  AssessmentResult fresh = run(nullptr);
+  AssessmentResult supplied = run(&carried);
+  EXPECT_GT(fresh.pools_total, 1u);
+  EXPECT_EQ(fresh.total_queries, supplied.total_queries);
+  ASSERT_EQ(fresh.strangers.size(), supplied.strangers.size());
+  for (size_t i = 0; i < fresh.strangers.size(); ++i) {
+    EXPECT_EQ(fresh.strangers[i].stranger, supplied.strangers[i].stranger);
+    EXPECT_EQ(fresh.strangers[i].predicted_score,
+              supplied.strangers[i].predicted_score)
+        << "stranger " << fresh.strangers[i].stranger;
+  }
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include "core/nsg.h"
 
+#include <cmath>
+
 #include <gtest/gtest.h>
 
 namespace sight {
@@ -10,6 +12,10 @@ TEST(NsgTest, BuildValidatesInput) {
   EXPECT_FALSE(NetworkSimilarityGroups::Build(10, {1}, {}).ok());
   EXPECT_FALSE(NetworkSimilarityGroups::Build(10, {1}, {1.5}).ok());
   EXPECT_FALSE(NetworkSimilarityGroups::Build(10, {1}, {-0.1}).ok());
+  EXPECT_EQ(NetworkSimilarityGroups::Build(10, {1}, {std::nan("")})
+                .status()
+                .code(),
+            StatusCode::kOutOfRange);
   EXPECT_TRUE(NetworkSimilarityGroups::Build(10, {}, {}).ok());
 }
 

@@ -1,13 +1,17 @@
 #include "core/pool_builder.h"
 
 #include <algorithm>
+#include <optional>
 #include <set>
 
 #include <gtest/gtest.h>
 
+#include "clustering/squeezer.h"
 #include "graph/algorithms.h"
 #include "graph/profile.h"
 #include "graph/social_graph.h"
+#include "sim/facebook_generator.h"
+#include "sim/schema.h"
 
 namespace sight {
 namespace {
@@ -206,9 +210,91 @@ void ExpectSamePoolSet(const PoolSet& got, const PoolSet& want) {
   }
 }
 
+// Definition 3 computed directly: NS over the whole list, then
+// NetworkSimilarityGroups::Build, then one Squeezer::Cluster per group.
+// The reference every build through a partition cache is compared to.
+PoolSet ReferencePoolSet(const PoolBuilderConfig& config,
+                         const SocialGraph& graph,
+                         const ProfileTable& profiles, UserId owner,
+                         std::vector<UserId> strangers) {
+  PoolSet result;
+  result.strangers = std::move(strangers);
+  NetworkSimilarity ns = NetworkSimilarity::Create(config.ns_config).value();
+  result.network_similarities =
+      ns.ComputeBatch(graph, owner, result.strangers, nullptr);
+  NetworkSimilarityGroups nsg =
+      NetworkSimilarityGroups::Build(config.alpha, result.strangers,
+                                     result.network_similarities)
+          .value();
+  std::optional<Squeezer> squeezer;
+  if (config.strategy == PoolStrategy::kNetworkAndProfile) {
+    SqueezerConfig sq_config;
+    sq_config.threshold = config.beta;
+    sq_config.weights = config.attribute_weights;
+    squeezer.emplace(Squeezer::Create(profiles.schema(), sq_config).value());
+  }
+  for (size_t x = 0; x < nsg.alpha(); ++x) {
+    if (nsg.group(x).empty()) continue;
+    if (!squeezer.has_value()) {
+      result.pools.push_back({nsg.group(x), x, 0});
+      continue;
+    }
+    Clustering clustering = squeezer->Cluster(profiles, nsg.group(x)).value();
+    for (size_t c = 0; c < clustering.num_clusters(); ++c) {
+      result.pools.push_back({clustering.clusters[c], x, c});
+    }
+  }
+  return result;
+}
+
+PoolSet Reference(const PoolBuilder& builder, const Fixture& fx,
+                  std::vector<UserId> strangers) {
+  return ReferencePoolSet(builder.config(), fx.graph, fx.profiles, fx.owner,
+                          std::move(strangers));
+}
+
+TEST(PoolBuilderTest, ColdBuildMatchesReferenceOnGeneratedOwner) {
+  sim::GeneratorConfig gen_config;
+  gen_config.num_strangers = 400;
+  auto generator = sim::FacebookGenerator::Create(gen_config).value();
+  Rng rng(41);
+  sim::OwnerDataset ds =
+      generator.Generate({sim::Gender::kMale, sim::Locale::kTR}, &rng)
+          .value();
+  for (PoolStrategy strategy :
+       {PoolStrategy::kNetworkAndProfile, PoolStrategy::kNetworkOnly}) {
+    PoolBuilderConfig config = DefaultConfig(strategy);
+    config.attribute_weights = sim::PaperAttributeWeights();
+    auto builder = PoolBuilder::Create(config).value();
+    PoolSet want = ReferencePoolSet(config, ds.graph, ds.profiles, ds.owner,
+                                    ds.strangers);
+    EXPECT_GT(want.pools.size(), 1u);
+    ExpectSamePoolSet(builder.BuildForStrangers(ds.graph, ds.profiles,
+                                                ds.owner, ds.strangers)
+                          .value(),
+                      want);
+    // A carried partition grown in two steps lands on the same pools.
+    PoolPartitionCache cache;
+    std::vector<UserId> half(ds.strangers.begin(),
+                             ds.strangers.begin() + 150);
+    ASSERT_TRUE(builder
+                    .BuildForStrangersCached(ds.graph, ds.profiles, ds.owner,
+                                             half, &cache)
+                    .ok());
+    ExpectSamePoolSet(builder
+                          .BuildForStrangersCached(ds.graph, ds.profiles,
+                                                   ds.owner, ds.strangers,
+                                                   &cache)
+                          .value(),
+                      want);
+    EXPECT_EQ(cache.stats().hits_grown, 1u);
+  }
+}
+
 TEST(PoolBuilderTest, CachedBuildMatchesColdOnEveryPath) {
-  // Identical set, grown set, and cold rebuild must all be bitwise-equal
-  // to BuildForStrangers over the same list, for both strategies.
+  // Cold build, identical set, grown set, and cold rebuild must all be
+  // bitwise-equal to the reference partition over the same list, for
+  // both strategies.
   for (PoolStrategy strategy :
        {PoolStrategy::kNetworkAndProfile, PoolStrategy::kNetworkOnly}) {
     Fixture fx;
@@ -216,9 +302,11 @@ TEST(PoolBuilderTest, CachedBuildMatchesColdOnEveryPath) {
     PoolPartitionCache cache;
 
     std::vector<UserId> first = {5, 6, 7};
-    auto cold1 =
+    PoolSet cold1 = Reference(builder, fx, first);
+    ExpectSamePoolSet(
         builder.BuildForStrangers(fx.graph, fx.profiles, fx.owner, first)
-            .value();
+            .value(),
+        cold1);
     auto warm1 = builder
                      .BuildForStrangersCached(fx.graph, fx.profiles, fx.owner,
                                               first, &cache)
@@ -236,9 +324,7 @@ TEST(PoolBuilderTest, CachedBuildMatchesColdOnEveryPath) {
 
     // Grown set: only the suffix routes through the carried squeezers.
     std::vector<UserId> grown = {5, 6, 7, 8, 9, 10};
-    auto cold2 =
-        builder.BuildForStrangers(fx.graph, fx.profiles, fx.owner, grown)
-            .value();
+    PoolSet cold2 = Reference(builder, fx, grown);
     auto warm3 = builder
                      .BuildForStrangersCached(fx.graph, fx.profiles, fx.owner,
                                               grown, &cache)
@@ -264,9 +350,7 @@ TEST(PoolBuilderTest, CachedBuildRebuildsOnInvalidation) {
   // A graph edit bumps the epoch: next build is a cold rebuild that sees
   // the new edge (stranger 7 gains a second mutual friend).
   ASSERT_TRUE(fx.graph.AddEdge(7, 2).ok());
-  auto cold =
-      builder.BuildForStrangers(fx.graph, fx.profiles, fx.owner, strangers)
-          .value();
+  PoolSet cold = Reference(builder, fx, strangers);
   auto warm = builder
                   .BuildForStrangersCached(fx.graph, fx.profiles, fx.owner,
                                            strangers, &cache)
@@ -276,9 +360,7 @@ TEST(PoolBuilderTest, CachedBuildRebuildsOnInvalidation) {
 
   // A profile edit invalidates too.
   ASSERT_TRUE(fx.profiles.SetValue(5, 0, "female").ok());
-  auto cold2 =
-      builder.BuildForStrangers(fx.graph, fx.profiles, fx.owner, strangers)
-          .value();
+  PoolSet cold2 = Reference(builder, fx, strangers);
   auto warm2 = builder
                    .BuildForStrangersCached(fx.graph, fx.profiles, fx.owner,
                                             strangers, &cache)
@@ -288,9 +370,7 @@ TEST(PoolBuilderTest, CachedBuildRebuildsOnInvalidation) {
 
   // A reordered (non-prefix) list breaks the prefix and rebuilds.
   std::vector<UserId> reordered = {6, 5, 7, 8};
-  auto cold3 =
-      builder.BuildForStrangers(fx.graph, fx.profiles, fx.owner, reordered)
-          .value();
+  PoolSet cold3 = Reference(builder, fx, reordered);
   auto warm3 = builder
                    .BuildForStrangersCached(fx.graph, fx.profiles, fx.owner,
                                             reordered, &cache)
@@ -302,10 +382,7 @@ TEST(PoolBuilderTest, CachedBuildRebuildsOnInvalidation) {
   PoolBuilderConfig other = DefaultConfig(PoolStrategy::kNetworkAndProfile);
   other.alpha = 5;
   auto other_builder = PoolBuilder::Create(other).value();
-  auto cold4 = other_builder
-                   .BuildForStrangers(fx.graph, fx.profiles, fx.owner,
-                                      reordered)
-                   .value();
+  PoolSet cold4 = Reference(other_builder, fx, reordered);
   auto warm4 = other_builder
                    .BuildForStrangersCached(fx.graph, fx.profiles, fx.owner,
                                             reordered, &cache)

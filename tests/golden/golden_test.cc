@@ -1,11 +1,16 @@
-// Golden digests: two end-to-end outputs pinned bit for bit, so a change
+// Golden digests: end-to-end outputs pinned bit for bit, so a change
 // meant to keep behaviour (a refactor, a faster path) proves it here.
 //
 //  * Every field of one cold top-k assessment (RiskService::AssessNow,
 //    sparsify_top_k = 8) of a generated paper-scale owner, doubles by
 //    their bit patterns. The same digest is required from a serial and
 //    a 4-thread engine.
+//  * Every field, carry telemetry included, of every tick of a growing
+//    crawl driven through RiskService::AssessSync: once with all three
+//    cross-tick carries on, once with all of them off (the
+//    rebuild-per-tick semantics).
 //  * The stdout of bench/headline_accuracy at its default arguments.
+//  * The label files sight_cli writes for a generated dataset.
 //
 // A change that alters behaviour on purpose re-baselines the constants
 // below (the failure message prints the new digest) and says why.
@@ -14,7 +19,14 @@
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
+#include <vector>
+
+#include <sys/wait.h>
 
 #include <gtest/gtest.h>
 
@@ -29,6 +41,9 @@ namespace {
 
 constexpr uint64_t kColdTopKDigest = 0x358a7565a3266f27;
 constexpr uint64_t kHeadlineDigest = 0x7391f7709a468af7;
+constexpr uint64_t kCrawlCarriedDigest = 0xb1b3be8226010243;
+constexpr uint64_t kCrawlRebuiltDigest = 0xd98b50d0299de47c;
+constexpr uint64_t kCliLabelsDigest = 0xf65d08f52d3d95be;
 
 // FNV-1a, 64-bit.
 uint64_t Digest(const std::string& text) {
@@ -169,6 +184,76 @@ TEST(GoldenTest, ColdTopKAssessmentOnFourThreads) {
   EXPECT_EQ(digest, kColdTopKDigest) << "digest is now " << Hex(digest);
 }
 
+// A generated 1,000-stranger owner discovered in five waves through
+// RiskService::AssessSync, then re-assessed once unchanged and once after
+// a profile edit, with dense pools. Every tick's report is serialized,
+// carry telemetry included.
+uint64_t CrawlDigest(bool carries) {
+  sim::GeneratorConfig gen_config;
+  gen_config.num_strangers = 1000;
+  auto generator = sim::FacebookGenerator::Create(gen_config).value();
+  Rng gen_rng(20120402);
+  sim::OwnerDataset ds =
+      generator.Generate({sim::Gender::kFemale, sim::Locale::kUS}, &gen_rng)
+          .value();
+  Rng attitude_rng(53);
+  sim::OwnerAttitude attitude = sim::SampleOwnerAttitude(&attitude_rng);
+
+  RiskServiceConfig config;
+  config.num_shards = 1;
+  config.engine.pools.attribute_weights = sim::PaperAttributeWeights();
+  config.engine.theta = attitude.theta;
+  config.engine.learner.confidence = attitude.confidence;
+  config.carry_learners = carries;
+  config.carry_pool_partition = carries;
+  config.carry_encoded_tables = carries;
+  auto service = RiskService::Create(config).value();
+  OwnerRegistration registration;
+  registration.owner = ds.owner;
+  registration.graph = &ds.graph;
+  registration.profiles = &ds.profiles;
+  registration.visibility = &ds.visibility;
+  EXPECT_TRUE(service->RegisterOwner(registration).ok());
+
+  auto oracle =
+      sim::OwnerModel::Create(attitude, &ds.profiles, &ds.visibility).value();
+  Rng rng(1000);
+  std::string text;
+  auto tick = [&] {
+    Result<RiskReport> report = service->AssessSync(ds.owner, &oracle, &rng);
+    EXPECT_TRUE(report.ok());
+    if (report.ok()) text += Serialize(report.value());
+    text += "--\n";
+  };
+  const size_t waves = 5;
+  const size_t n = ds.strangers.size();
+  for (size_t w = 0; w < waves; ++w) {
+    std::vector<UserId> wave(
+        ds.strangers.begin() + static_cast<ptrdiff_t>(w * n / waves),
+        ds.strangers.begin() + static_cast<ptrdiff_t>((w + 1) * n / waves));
+    EXPECT_TRUE(service->AddStrangers(ds.owner, wave).ok());
+    tick();
+  }
+  tick();  // unchanged stranger set
+  const UserId edited = ds.strangers[n / 2];
+  const std::string gender = ds.profiles.Get(edited).value(0);
+  EXPECT_TRUE(ds.profiles
+                  .SetValue(edited, 0, gender == "male" ? "female" : "male")
+                  .ok());
+  tick();  // every fingerprint broken by the edit
+  return Digest(text);
+}
+
+TEST(GoldenTest, CrawlWithCarriesOn) {
+  uint64_t digest = CrawlDigest(true);
+  EXPECT_EQ(digest, kCrawlCarriedDigest) << "digest is now " << Hex(digest);
+}
+
+TEST(GoldenTest, CrawlWithCarriesOff) {
+  uint64_t digest = CrawlDigest(false);
+  EXPECT_EQ(digest, kCrawlRebuiltDigest) << "digest is now " << Hex(digest);
+}
+
 TEST(GoldenTest, HeadlineAccuracyStdout) {
   FILE* pipe = popen(SIGHT_HEADLINE_ACCURACY_BIN, "r");
   ASSERT_NE(pipe, nullptr);
@@ -183,6 +268,48 @@ TEST(GoldenTest, HeadlineAccuracyStdout) {
   EXPECT_EQ(digest, kHeadlineDigest)
       << "digest is now " << Hex(digest) << " for stdout:\n"
       << out;
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+int RunQuietly(const std::string& command) {
+  int status = std::system((command + " > /dev/null").c_str());
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+// sight_cli generate + assess at fixed seeds, then a second assess that
+// resumes from the first one's owner answers: the predicted-label CSVs and
+// the saved owner answers, concatenated.
+TEST(GoldenTest, CliAssessLabelFiles) {
+  std::string dir = testing::TempDir() + "sight_golden_cli_XXXXXX";
+  ASSERT_NE(mkdtemp(dir.data()), nullptr);
+  const std::string cli = SIGHT_CLI_BIN;
+  const std::string data = dir + "/data";
+  const std::string labels = dir + "/labels.csv";
+  const std::string answers = dir + "/answers.csv";
+  const std::string resumed = dir + "/resumed.csv";
+  ASSERT_EQ(RunQuietly(cli + " generate --out=" + data +
+                       " --friends=50 --strangers=300 --seed=7"),
+            0);
+  ASSERT_EQ(RunQuietly(cli + " assess --data=" + data +
+                       " --seed=11 --labels-out=" + labels +
+                       " --owner-labels-out=" + answers),
+            0);
+  ASSERT_EQ(RunQuietly(cli + " assess --data=" + data +
+                       " --seed=12 --labels-in=" + answers +
+                       " --labels-out=" + resumed),
+            0);
+  std::string text = ReadFile(labels) + "--\n" + ReadFile(answers) +
+                     "--\n" + ReadFile(resumed);
+  EXPECT_GT(text.size(), 1000u);
+  uint64_t digest = Digest(text);
+  EXPECT_EQ(digest, kCliLabelsDigest) << "digest is now " << Hex(digest);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

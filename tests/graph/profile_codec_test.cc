@@ -237,8 +237,8 @@ TEST(StrangerEncodeCacheTest, RefreshRebuildsOnMutationOrBrokenPrefix) {
 
   // Clear drops everything.
   cache.Clear();
-  EXPECT_TRUE(cache.empty());
   EXPECT_EQ(cache.num_rows(), 0u);
+  EXPECT_FALSE(cache.GatherRows({1}, &rows));
 }
 
 TEST(ProfileCodecTest, DecodeRoundTripsInternedValues) {

@@ -124,8 +124,8 @@ TEST_P(WarmColdEquivalenceTest, FullRunHistoriesMatch) {
 
 TEST_P(WarmColdEquivalenceTest, SeededRunHistoriesMatch) {
   const EquivalenceCase& c = GetParam();
-  // Carry-over owner labels plus previous-tick scores, like a RiskSession
-  // second tick.
+  // Carry-over owner labels plus previous-tick scores, like a
+  // RiskService::AssessSync second tick.
   PoolLearner::KnownLabels known_labels;
   known_labels[100] = 1.0;
   known_labels[101] = 3.0;

@@ -5,8 +5,8 @@
 #include <gtest/gtest.h>
 
 #include "core/risk_engine.h"
-#include "core/risk_session.h"
 #include "graph/algorithms.h"
+#include "service/risk_service.h"
 #include "sim/facebook_generator.h"
 
 namespace sight {
@@ -138,17 +138,27 @@ TEST(RobustnessTest, TinyMaxRoundsStillCoversEveryStranger) {
 }
 
 TEST(RobustnessTest, SessionSurvivesGraphGrowthBetweenAssessments) {
-  // Users and edges added to the graph after session creation are picked
-  // up on the next Assess (the session only reads during Assess).
+  // Users and edges added to the graph after the owner registered are
+  // picked up on the next AssessSync (the service only reads the tables
+  // while assessing). One shard, every carry off: the rebuild-per-tick
+  // single-owner flow.
   sim::OwnerDataset ds = MakeDataset(5, 80);
   RandomConsistentOracle oracle(17);
-  RiskEngineConfig config;
-  auto session = RiskSession::Create(config, &ds.graph, &ds.profiles,
-                                     &ds.visibility, ds.owner)
-                     .value();
-  ASSERT_TRUE(session.DiscoverAllStrangers().ok());
+  RiskServiceConfig config;
+  config.num_shards = 1;
+  config.carry_learners = false;
+  config.carry_pool_partition = false;
+  config.carry_encoded_tables = false;
+  auto service = RiskService::Create(std::move(config)).value();
+  OwnerRegistration registration;
+  registration.owner = ds.owner;
+  registration.graph = &ds.graph;
+  registration.profiles = &ds.profiles;
+  registration.visibility = &ds.visibility;
+  ASSERT_TRUE(service->RegisterOwner(registration).ok());
+  ASSERT_TRUE(service->DiscoverAllStrangers(ds.owner).ok());
   Rng rng(19);
-  ASSERT_TRUE(session.Assess(&oracle, &rng).ok());
+  ASSERT_TRUE(service->AssessSync(ds.owner, &oracle, &rng).ok());
 
   // Grow the graph: a brand-new stranger via an existing friend.
   UserId newcomer = ds.graph.AddUser();
@@ -156,9 +166,9 @@ TEST(RobustnessTest, SessionSurvivesGraphGrowthBetweenAssessments) {
   Profile p;
   p.values.assign(ds.profiles.schema().num_attributes(), "x");
   ASSERT_TRUE(ds.profiles.Set(newcomer, p).ok());
-  ASSERT_TRUE(session.AddStrangers({newcomer}).ok());
+  ASSERT_TRUE(service->AddStrangers(ds.owner, {newcomer}).ok());
 
-  auto report = session.Assess(&oracle, &rng).value();
+  auto report = service->AssessSync(ds.owner, &oracle, &rng).value();
   bool found = false;
   for (const StrangerAssessment& sa : report.assessment.strangers) {
     if (sa.stranger == newcomer) found = true;

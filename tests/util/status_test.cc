@@ -119,17 +119,6 @@ TEST(StatusTest, IgnoreErrorDiscardsExplicitly) {
 
 Status FailingOperation() { return Status::OutOfRange("boom"); }
 
-Status UsesReturnNotOk() {
-  // Exercises the legacy alias; new code uses SIGHT_RETURN_IF_ERROR.
-  SIGHT_RETURN_NOT_OK(FailingOperation());
-  return Status::OK();
-}
-
-TEST(StatusMacroTest, LegacyReturnNotOkAliasPropagates) {
-  Status s = UsesReturnNotOk();
-  EXPECT_EQ(s.code(), StatusCode::kOutOfRange);
-}
-
 Status UsesReturnIfError(bool fail) {
   SIGHT_RETURN_IF_ERROR(fail ? FailingOperation() : Status::OK());
   return Status::AlreadyExists("reached end");

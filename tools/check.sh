@@ -22,6 +22,10 @@
 #   --nosimd     build with -DSIGHT_SIMD=OFF and run the full ctest
 #                suite (incremental tests included), so the portable
 #                scalar PS kernels stay a first-class target
+#   --perfbench  build the repo benchmark (perfbench/, BENCHMARK.json)
+#                and smoke-run each workload for one second with
+#                tracing on; fails on a non-zero exit, i.e. a build
+#                error, a failed operation or a failed correctness gate
 #
 # With no flags: --build --lint (the fast local gate).
 # CI (.github/workflows/ci.yml) fans the same stages out as matrix jobs.
@@ -39,7 +43,7 @@ STRICT_TOOLS="${CHECK_STRICT_TOOLS:-0}"
 cd "$REPO_ROOT"
 
 run_build=0 run_lint=0 run_analyze=0 run_tidy=0 run_format=0
-run_asan=0 run_ubsan=0 run_tsan=0 run_nosimd=0
+run_asan=0 run_ubsan=0 run_tsan=0 run_nosimd=0 run_perfbench=0
 
 if [[ $# -eq 0 ]]; then
   run_build=1 run_lint=1
@@ -55,12 +59,14 @@ for arg in "$@"; do
     --ubsan)  run_ubsan=1 ;;
     --tsan)   run_tsan=1 ;;
     --nosimd) run_nosimd=1 ;;
+    --perfbench) run_perfbench=1 ;;
     --sanitize=address)   run_asan=1 ;;
     --sanitize=undefined) run_ubsan=1 ;;
     --sanitize=thread)    run_tsan=1 ;;
     --all) run_build=1 run_lint=1 run_analyze=1 run_tidy=1 run_format=1
-           run_asan=1 run_ubsan=1 run_tsan=1 run_nosimd=1 ;;
-    -h|--help) sed -n '2,27p' "$0"; exit 0 ;;
+           run_asan=1 run_ubsan=1 run_tsan=1 run_nosimd=1
+           run_perfbench=1 ;;
+    -h|--help) sed -n '2,35p' "$0"; exit 0 ;;
     *) echo "check.sh: unknown flag '$arg' (see --help)" >&2; exit 2 ;;
   esac
 done
@@ -167,6 +173,14 @@ if [[ $run_tsan -eq 1 ]]; then
   (cd build-tsan && \
    ctest --output-on-failure -L 'threading|incremental|serving' \
      -j "$JOBS")
+fi
+
+if [[ $run_perfbench -eq 1 ]]; then
+  step "perfbench smoke: every workload, 1 s, traced"
+  for workload in crawl_growth cold_10k_topk8; do
+    python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 \
+      --trace 1
+  done
 fi
 
 step "all requested checks passed"

@@ -105,7 +105,6 @@ HOT_REBUILD_CTORS = {"ProfileCodec"}
 # cold fallbacks and the codec/matrix machinery itself (DESIGN.md §14/§15).
 HOT_REBUILD_SANCTIONED = {
     "StrangerEncodeCache::Refresh",   # encode cold rebuild on epoch mismatch
-    "ActiveLearner::Create",          # per-pool encode when the cache misses
     "PoolLearner::Create",            # CSR compaction of a newly built pool
     "KModes::Cluster",                # string-path clustering encodes once
     "ValueFrequencyTable::Build",     # frequency tables own a codec

@@ -23,20 +23,26 @@
 //   sight_cli suggest --data=DIR [--seed=N]
 //       Runs an assessment (simulated owner) and prints friend
 //       suggestions among the not-risky strangers.
+//
+// An unknown flag, or a numeric flag whose value is not a whole decimal
+// number, is a usage error (exit 2).
 
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <string>
 
 #include "core/friend_suggestion.h"
 #include "core/query_text.h"
 #include "core/risk_engine.h"
-#include "core/risk_session.h"
 #include "graph/statistics.h"
 #include "io/dataset_io.h"
 #include "io/labels_io.h"
+#include "service/risk_service.h"
 #include "sim/facebook_generator.h"
 #include "sim/owner_model.h"
 #include "util/csv.h"
@@ -60,12 +66,26 @@ struct Args {
   size_t strangers = 400;
   uint64_t seed = 2012;
   bool interactive = false;
+  /// An unknown or malformed flag was seen; the command must not run.
+  bool usage_error = false;
 };
 
-bool ParseSizeFlag(const char* arg, const char* name, size_t* out) {
+// True when `arg` is the flag `name` (e.g. "--seed="). A value that is not
+// a whole decimal number in range sets `*malformed` and leaves `*out`.
+bool ParseSizeFlag(const char* arg, const char* name, size_t* out,
+                   bool* malformed) {
   size_t len = std::strlen(name);
   if (std::strncmp(arg, name, len) != 0) return false;
-  *out = static_cast<size_t>(std::strtoull(arg + len, nullptr, 10));
+  const char* text = arg + len;
+  char* end = nullptr;
+  errno = 0;
+  unsigned long long value = std::strtoull(text, &end, 10);
+  if (!std::isdigit(static_cast<unsigned char>(*text)) || *end != '\0' ||
+      errno == ERANGE) {
+    *malformed = true;
+    return true;
+  }
+  *out = static_cast<size_t>(value);
   return true;
 }
 
@@ -94,7 +114,6 @@ Args ParseArgs(int argc, char** argv) {
   if (argc >= 2) args.command = argv[1];
   for (int i = 2; i < argc; ++i) {
     const char* arg = argv[i];
-    size_t seed = 0;
     if (ParseStringFlag(arg, "--out=", &args.out)) continue;
     if (ParseStringFlag(arg, "--data=", &args.data)) continue;
     if (ParseStringFlag(arg, "--labels-in=", &args.labels_in)) continue;
@@ -105,10 +124,16 @@ Args ParseArgs(int argc, char** argv) {
     }
     if (ParseStringFlag(arg, "--gender=", &args.gender)) continue;
     if (ParseStringFlag(arg, "--locale=", &args.locale)) continue;
-    if (ParseSizeFlag(arg, "--friends=", &args.friends)) continue;
-    if (ParseSizeFlag(arg, "--strangers=", &args.strangers)) continue;
-    if (ParseSizeFlag(arg, "--seed=", &seed)) {
+    size_t seed = args.seed;
+    bool malformed = false;
+    if (ParseSizeFlag(arg, "--friends=", &args.friends, &malformed) ||
+        ParseSizeFlag(arg, "--strangers=", &args.strangers, &malformed) ||
+        ParseSizeFlag(arg, "--seed=", &seed, &malformed)) {
       args.seed = seed;
+      if (malformed) {
+        std::fprintf(stderr, "malformed number in flag: %s\n", arg);
+        args.usage_error = true;
+      }
       continue;
     }
     if (std::strcmp(arg, "--interactive") == 0) {
@@ -116,6 +141,7 @@ Args ParseArgs(int argc, char** argv) {
       continue;
     }
     std::fprintf(stderr, "unknown flag: %s\n", arg);
+    args.usage_error = true;
   }
   return args;
 }
@@ -226,30 +252,45 @@ RiskEngineConfig EngineConfigFor(const sim::OwnerDataset& dataset) {
   return config;
 }
 
+// Assesses the dataset's owner on a one-shard RiskService with every
+// cross-tick carry off, through AssessSync, which records the owner's
+// answers. No worker thread is started.
 Result<RiskReport> RunAssessment(const Args& args,
                                  const sim::OwnerDataset& dataset,
                                  LabelOracle* oracle) {
-  SIGHT_ASSIGN_OR_RETURN(
-      RiskSession session,
-      RiskSession::Create(EngineConfigFor(dataset), &dataset.graph,
-                          &dataset.profiles, &dataset.visibility,
-                          dataset.owner));
+  RiskServiceConfig config;
+  config.engine = EngineConfigFor(dataset);
+  config.num_shards = 1;
+  config.carry_learners = false;
+  config.carry_pool_partition = false;
+  config.carry_encoded_tables = false;
+  SIGHT_ASSIGN_OR_RETURN(std::unique_ptr<RiskService> service,
+                         RiskService::Create(std::move(config)));
+  const UserId owner = dataset.owner;
+  OwnerRegistration registration;
+  registration.owner = owner;
+  registration.graph = &dataset.graph;
+  registration.profiles = &dataset.profiles;
+  registration.visibility = &dataset.visibility;
+  SIGHT_RETURN_IF_ERROR(service->RegisterOwner(registration));
   if (!args.labels_in.empty()) {
     SIGHT_ASSIGN_OR_RETURN(PoolLearner::KnownLabels previous,
                            io::LoadKnownLabelsFromFile(args.labels_in));
-    SIGHT_RETURN_IF_ERROR(session.ImportLabels(previous));
+    SIGHT_RETURN_IF_ERROR(service->ImportLabels(owner, previous));
     std::printf("resumed %zu previously collected labels from %s\n",
                 previous.size(), args.labels_in.c_str());
   }
-  SIGHT_RETURN_IF_ERROR(session.DiscoverAllStrangers());
+  SIGHT_RETURN_IF_ERROR(service->DiscoverAllStrangers(owner));
   Rng rng(args.seed ^ 0xa55e55ULL);
-  SIGHT_ASSIGN_OR_RETURN(RiskReport report, session.Assess(oracle, &rng));
+  SIGHT_ASSIGN_OR_RETURN(RiskReport report,
+                         service->AssessSync(owner, oracle, &rng));
   if (!args.owner_labels_out.empty()) {
-    SIGHT_RETURN_IF_ERROR(io::SaveKnownLabelsToFile(session.known_labels(),
-                                                  args.owner_labels_out));
+    SIGHT_ASSIGN_OR_RETURN(const PoolLearner::KnownLabels* answers,
+                           service->KnownLabelsView(owner));
+    SIGHT_RETURN_IF_ERROR(
+        io::SaveKnownLabelsToFile(*answers, args.owner_labels_out));
     std::printf("owner answers saved to %s (%zu labels)\n",
-                args.owner_labels_out.c_str(),
-                session.num_known_labels());
+                args.owner_labels_out.c_str(), answers->size());
   }
   return report;
 }
@@ -361,6 +402,7 @@ int CommandSuggest(const Args& args) {
 
 int main(int argc, char** argv) {
   Args args = ParseArgs(argc, argv);
+  if (args.usage_error) return Usage();
   if (args.command == "generate") return CommandGenerate(args);
   if (args.command == "stats") return CommandStats(args);
   if (args.command == "assess") return CommandAssess(args);

@@ -18,9 +18,9 @@ Enforces the Sight library conventions documented in DESIGN.md §10:
                      ThreadPool / ParallelFor so determinism and shutdown
                      stay centralized.
   no-direct-engine   No `RiskEngine::Create` outside src/service/ — library
-                     code goes through the resident RiskService (or the
-                     RiskSession adapter) so per-owner state, carry, and
-                     deprecation stay behind one front door (DESIGN.md §13).
+                     code goes through the resident RiskService so
+                     per-owner state, carry, and deprecation stay behind
+                     one front door (DESIGN.md §13).
   no-hot-rebuild     No `EncodedProfileTable::Build` inside src/service/ —
                      the serving hot path carries one encoded table per
                      owner (StrangerEncodeCache, DESIGN.md §14); per-tick
@@ -282,8 +282,7 @@ def check_direct_engine(rel, lines, violations):
         violations.append(Violation(
             rel, line_no, "no-direct-engine",
             "direct RiskEngine::Create outside src/service/ — go"
-            " through RiskService (or the RiskSession adapter);"
-            " see DESIGN.md §13"))
+            " through RiskService; see DESIGN.md §13"))
 
 
 def check_hot_rebuild(rel, lines, violations):
