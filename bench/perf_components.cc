@@ -81,59 +81,6 @@ void BM_SqueezerCluster(benchmark::State& state) {
 }
 BENCHMARK(BM_SqueezerCluster)->Arg(400)->Arg(2000);
 
-void BM_ProfileSimilarityMatrix(benchmark::State& state) {
-  size_t n = static_cast<size_t>(state.range(0));
-  sim::OwnerDataset ds = MakeDataset(n);
-  std::vector<UserId> pool(ds.strangers.begin(),
-                           ds.strangers.begin() +
-                               static_cast<ptrdiff_t>(std::min(
-                                   n, ds.strangers.size())));
-  auto ps = ProfileSimilarity::Create(ds.profiles.schema()).value();
-  auto freqs = ValueFrequencyTable::Build(ds.profiles, pool);
-  for (auto _ : state) {
-    SimilarityMatrix m(pool.size());
-    for (size_t i = 0; i < pool.size(); ++i) {
-      for (size_t j = i + 1; j < pool.size(); ++j) {
-        m.Set(i, j, ps.Compute(ds.profiles, pool[i], pool[j], freqs));
-      }
-    }
-    benchmark::DoNotOptimize(m);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(pool.size() * pool.size() / 2));
-}
-BENCHMARK(BM_ProfileSimilarityMatrix)->Arg(100)->Arg(300);
-
-// The ActiveLearner construction kernel with its ParallelFor row split:
-// range(0) = pool size, range(1) = thread count (1 runs inline with no
-// pool). Speedup over threads=1 requires multi-core hardware.
-void BM_ProfileSimilarityMatrixThreaded(benchmark::State& state) {
-  size_t n = static_cast<size_t>(state.range(0));
-  size_t threads = static_cast<size_t>(state.range(1));
-  sim::OwnerDataset ds = MakeDataset(n);
-  const std::vector<UserId>& pool = ds.strangers;
-  auto ps = ProfileSimilarity::Create(ds.profiles.schema()).value();
-  auto freqs = ValueFrequencyTable::Build(ds.profiles, pool);
-  std::unique_ptr<ThreadPool> tp =
-      threads > 1 ? std::make_unique<ThreadPool>(threads) : nullptr;
-  for (auto _ : state) {
-    SimilarityMatrix m(pool.size());
-    ParallelFor(tp.get(), pool.size(), [&](size_t i) {
-      for (size_t j = 0; j < i; ++j) {
-        m.Set(i, j, ps.Compute(ds.profiles, pool[i], pool[j], freqs));
-      }
-    });
-    benchmark::DoNotOptimize(m);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(pool.size() * pool.size() / 2));
-}
-BENCHMARK(BM_ProfileSimilarityMatrixThreaded)
-    ->Args({400, 1})
-    ->Args({400, 4})
-    ->Args({2000, 1})
-    ->Args({2000, 4});
-
 // One-vs-many PS batch kernel (the inner loop of the tiled matrix
 // build): one a-row scored against a block of b-rows per iteration.
 // The reported dispatch label shows which SIMD variant ran.
@@ -142,7 +89,8 @@ void BM_PsKernelComputeBatch(benchmark::State& state) {
   sim::OwnerDataset ds = MakeDataset(n);
   EncodedProfileTable enc =
       EncodedProfileTable::Build(ds.profiles, ds.strangers);
-  ValueFrequencyTable freqs = ValueFrequencyTable::Build(enc);
+  ValueFrequencyTable freqs = ValueFrequencyTable::BuildFromCodes(
+      enc.row(0), enc.num_rows(), enc.num_attributes());
   auto ps = ProfileSimilarity::Create(ds.profiles.schema()).value();
   std::vector<double> out(enc.num_rows());
   for (auto _ : state) {
@@ -162,7 +110,8 @@ void BM_PsKernelTiledFill(benchmark::State& state) {
   sim::OwnerDataset ds = MakeDataset(n);
   EncodedProfileTable enc =
       EncodedProfileTable::Build(ds.profiles, ds.strangers);
-  ValueFrequencyTable freqs = ValueFrequencyTable::Build(enc);
+  ValueFrequencyTable freqs = ValueFrequencyTable::BuildFromCodes(
+      enc.row(0), enc.num_rows(), enc.num_attributes());
   auto ps = ProfileSimilarity::Create(ds.profiles.schema()).value();
   ps_kernels::FillStats stats;
   for (auto _ : state) {

@@ -61,6 +61,7 @@
 #include <string>
 #include <thread>
 #include <tuple>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -411,20 +412,70 @@ sim::OwnerDataset MakeDataset(size_t strangers) {
   return gen.Generate({sim::Gender::kMale, sim::Locale::kTR}, &rng).value();
 }
 
+// Per-attribute relative frequencies of the pool's values, keyed by the
+// value strings (missing values excluded from the denominators).
+using StringFrequencies =
+    std::vector<std::unordered_map<std::string, double>>;
+
+StringFrequencies BuildStringFrequencies(const ProfileTable& table,
+                                         const std::vector<UserId>& pool) {
+  const size_t num_attrs = table.schema().num_attributes();
+  std::vector<std::unordered_map<std::string, size_t>> counts(num_attrs);
+  std::vector<size_t> totals(num_attrs, 0);
+  for (UserId u : pool) {
+    const Profile& profile = table.Get(u);
+    for (AttributeId a = 0; a < num_attrs; ++a) {
+      if (profile.IsMissing(a)) continue;
+      ++counts[a][profile.value(a)];
+      ++totals[a];
+    }
+  }
+  StringFrequencies freqs(num_attrs);
+  for (AttributeId a = 0; a < num_attrs; ++a) {
+    for (const auto& [value, count] : counts[a]) {
+      freqs[a][value] =
+          static_cast<double>(count) / static_cast<double>(totals[a]);
+    }
+  }
+  return freqs;
+}
+
 // The pre-encoding ActiveLearner construction kernel, kept as the
-// benchmark baseline: every pair compares std::string attribute values
-// and resolves frequencies through the table's by-value lookup.
-SimilarityMatrix FillMatrixString(const sim::OwnerDataset& ds,
+// benchmark baseline and as the independent reference the encoded and
+// tiled fills are gated against: every pair compares std::string
+// attribute values and resolves frequencies through a by-value hash
+// lookup.
+SimilarityMatrix FillMatrixString(const ProfileTable& table,
                                   const std::vector<UserId>& pool,
-                                  const ProfileSimilarity& ps,
-                                  const ValueFrequencyTable& freqs) {
+                                  const std::vector<double>& weights,
+                                  const StringFrequencies& freqs) {
+  auto frequency = [&](AttributeId a, const std::string& value) {
+    auto it = freqs[a].find(value);
+    return it == freqs[a].end() ? 0.0 : it->second;
+  };
   SimilarityMatrix m(pool.size());
   for (size_t i = 0; i < pool.size(); ++i) {
+    const Profile& pi = table.Get(pool[i]);
     for (size_t j = 0; j < i; ++j) {
-      m.Set(i, j, ps.Compute(ds.profiles, pool[i], pool[j], freqs));
+      const Profile& pj = table.Get(pool[j]);
+      double total = 0.0;
+      for (AttributeId a = 0; a < weights.size(); ++a) {
+        if (pi.IsMissing(a) || pj.IsMissing(a)) continue;
+        const std::string& va = pi.value(a);
+        const std::string& vb = pj.value(a);
+        double sim = va == vb ? 1.0
+                              : std::min(frequency(a, va), frequency(a, vb));
+        total += weights[a] * sim;
+      }
+      m.Set(i, j, total);
     }
   }
   return m;
+}
+
+ValueFrequencyTable FrequenciesOf(const EncodedProfileTable& enc) {
+  return ValueFrequencyTable::BuildFromCodes(enc.row(0), enc.num_rows(),
+                                             enc.num_attributes());
 }
 
 // The pre-kernel encoded construction loop, kept as the baseline the
@@ -479,11 +530,12 @@ BuildRow RunBuildStudy(size_t n, const std::vector<size_t>& thread_counts) {
   std::vector<UserId> pool = ds.strangers;
   row.pairs = pool.size() * (pool.size() - 1) / 2;
   auto ps = ProfileSimilarity::Create(ds.profiles.schema()).value();
-  auto string_freqs = ValueFrequencyTable::Build(ds.profiles, pool);
+  StringFrequencies string_freqs = BuildStringFrequencies(ds.profiles, pool);
 
   SimilarityMatrix reference(0);
   row.string_serial_ms = TimeMsBestOf(RepsFor(n), [&] {
-    reference = FillMatrixString(ds, pool, ps, string_freqs);
+    reference = FillMatrixString(ds.profiles, pool, ps.normalized_weights(),
+                                 string_freqs);
   });
   std::printf("build     n=%-5zu pairs=%-9zu string=%9.2fms\n", n, row.pairs,
               row.string_serial_ms);
@@ -492,7 +544,7 @@ BuildRow RunBuildStudy(size_t n, const std::vector<size_t>& thread_counts) {
   std::optional<ValueFrequencyTable> freqs;
   row.encode_ms = TimeMsBestOf(RepsFor(n), [&] {
     enc = EncodedProfileTable::Build(ds.profiles, pool);
-    freqs = ValueFrequencyTable::Build(*enc);
+    freqs = FrequenciesOf(*enc);
   });
 
   // The serial and threaded reps are interleaved (one of each per pass,
@@ -632,7 +684,7 @@ TopKBuildRow RunTopKBuildStudy(size_t n) {
   auto ps = ProfileSimilarity::Create(ds.profiles.schema()).value();
   EncodedProfileTable enc =
       EncodedProfileTable::Build(ds.profiles, ds.strangers);
-  ValueFrequencyTable freqs = ValueFrequencyTable::Build(enc);
+  ValueFrequencyTable freqs = FrequenciesOf(enc);
 
   SimilarityMatrix dense(0);
   SimilarityMatrix streamed(0);

@@ -6,17 +6,6 @@
 
 namespace sight {
 
-void ClusterSummary::Add(const Profile& profile) {
-  for (AttributeId a = 0; a < supports_.size(); ++a) {
-    if (profile.IsMissing(a)) continue;
-    uint32_t code = codec_->Intern(a, profile.value(a));
-    if (code >= supports_[a].size()) supports_[a].resize(code + 1, 0);
-    ++supports_[a][code];
-    ++totals_[a];
-  }
-  ++size_;
-}
-
 void ClusterSummary::AddCodes(const uint32_t* codes) {
   for (AttributeId a = 0; a < supports_.size(); ++a) {
     uint32_t code = codes[a];
@@ -28,19 +17,13 @@ void ClusterSummary::AddCodes(const uint32_t* codes) {
   ++size_;
 }
 
-size_t ClusterSummary::Support(AttributeId attr,
-                               const std::string& value) const {
-  if (attr >= supports_.size()) return 0;
-  return SupportByCode(attr, codec_->Code(attr, value));
-}
-
 size_t ClusterSummary::TotalSupport(AttributeId attr) const {
   return attr < totals_.size() ? totals_[attr] : 0;
 }
 
 Result<Squeezer> Squeezer::Create(const ProfileSchema& schema,
                                   SqueezerConfig config) {
-  if (config.threshold < 0.0 || config.threshold > 1.0) {
+  if (!(config.threshold >= 0.0 && config.threshold <= 1.0)) {
     return Status::InvalidArgument(
         StrFormat("threshold %f not in [0, 1]", config.threshold));
   }
@@ -69,20 +52,6 @@ Result<Squeezer> Squeezer::Create(const ProfileSchema& schema,
   return Squeezer(config.threshold, std::move(weights));
 }
 
-double Squeezer::Similarity(const uint32_t* codes,
-                            const ClusterSummary& summary) const {
-  double sim = 0.0;
-  for (AttributeId a = 0; a < weights_.size(); ++a) {
-    if (codes[a] == ProfileCodec::kMissingCode) continue;
-    size_t total = summary.TotalSupport(a);
-    if (total == 0) continue;
-    sim += weights_[a] *
-           (static_cast<double>(summary.SupportByCode(a, codes[a])) /
-            static_cast<double>(total));
-  }
-  return sim;
-}
-
 void Squeezer::SimilarityBatch(const uint32_t* codes,
                                const ClusterSummary* summaries, size_t count,
                                double* out) const {
@@ -99,22 +68,6 @@ void Squeezer::SimilarityBatch(const uint32_t* codes,
                      static_cast<double>(total));
     }
   }
-}
-
-double Squeezer::Similarity(const Profile& profile,
-                            const ClusterSummary& summary) const {
-  double sim = 0.0;
-  for (AttributeId a = 0; a < weights_.size(); ++a) {
-    if (profile.IsMissing(a)) continue;
-    size_t total = summary.TotalSupport(a);
-    if (total == 0) continue;
-    sim += weights_[a] *
-           (static_cast<double>(
-                summary.SupportByCode(a, summary.codec().Code(
-                                              a, profile.value(a)))) /
-            static_cast<double>(total));
-  }
-  return sim;
 }
 
 Result<IncrementalSqueezer> Squeezer::MakeIncremental(
@@ -147,10 +100,10 @@ Result<size_t> IncrementalSqueezer::Add(const ProfileTable& table,
     return Status::InvalidArgument(
         "profile table schema does not match the Squeezer schema");
   }
-  // Encode once (interning any new values — fresh codes have support 0 in
-  // every existing summary, matching the string path's map misses), then
-  // score every cluster in one attribute-outer batch over the codes.
-  codec_->EncodeInto(table.Get(user), code_buf_.data());
+  // Encode once (a value no member has seen gets a fresh code, which has
+  // support 0 in every existing summary), then score every cluster in one
+  // attribute-outer batch over the codes.
+  codec_.EncodeInto(table.Get(user), code_buf_.data());
   sim_buf_.resize(summaries_.size());
   squeezer_.SimilarityBatch(code_buf_.data(), summaries_.data(),
                             summaries_.size(), sim_buf_.data());
@@ -163,7 +116,7 @@ Result<size_t> IncrementalSqueezer::Add(const ProfileTable& table,
     }
   }
   if (summaries_.empty() || best_sim < squeezer_.threshold()) {
-    summaries_.emplace_back(codec_);
+    summaries_.emplace_back(num_attributes_);
     clustering_.clusters.emplace_back();
     best_cluster = summaries_.size() - 1;
   }

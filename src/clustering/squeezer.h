@@ -12,18 +12,16 @@
 // beta, otherwise it starts a new cluster. Weights w_i let callers emphasize
 // attributes (the paper mines them via information gain ratio).
 //
-// Hot path: one ProfileCodec is shared by all cluster summaries of a run;
-// each arriving profile is dictionary-encoded once, and the per-cluster
-// support lookups are code-indexed array loads instead of string hashing.
-// The string-based entry points delegate through the codec, so both paths
-// produce bitwise-identical similarities and therefore identical clusters.
+// Sim(s, c) needs only whether two values are equal, so the squeezer
+// dictionary-encodes each arriving profile once, on entry (Cluster, Add,
+// AddBatch), through its own ProfileCodec. Cluster summaries and the
+// similarity below them see only code rows: a support lookup is a
+// code-indexed array load.
 
 #ifndef SIGHT_CLUSTERING_SQUEEZER_H_
 #define SIGHT_CLUSTERING_SQUEEZER_H_
 
 #include <cstdint>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "graph/profile.h"
@@ -35,34 +33,19 @@ namespace sight {
 
 /// Incremental per-cluster value supports (the "cluster summary" of the
 /// Squeezer paper): for each attribute, value -> member count, stored as
-/// code-indexed vectors over a dictionary shared with sibling summaries.
+/// code-indexed vectors.
 class ClusterSummary {
  public:
-  /// Stand-alone summary with its own value dictionary (unit tests,
-  /// ad-hoc callers).
   explicit ClusterSummary(size_t num_attributes)
-      : ClusterSummary(std::make_shared<ProfileCodec>(num_attributes)) {}
+      : supports_(num_attributes), totals_(num_attributes, 0) {}
 
-  /// Summary sharing `codec` with its siblings — one dictionary per
-  /// clustering run, so a profile is encoded once and compared against
-  /// every summary by code.
-  explicit ClusterSummary(std::shared_ptr<ProfileCodec> codec)
-      : codec_(std::move(codec)), supports_(codec_->num_attributes()),
-        totals_(codec_->num_attributes(), 0) {}
-
-  /// Adds one profile's values to the summary (missing values skipped),
-  /// interning them into the shared dictionary.
-  void Add(const Profile& profile);
-
-  /// Hot path: adds an already-encoded row (num_attributes codes from the
-  /// shared codec).
+  /// Adds one member's code row (num_attributes codes; missing values
+  /// skipped).
   void AddCodes(const uint32_t* codes);
 
-  /// Sup(value) for `attr`: members of this cluster with that value.
-  size_t Support(AttributeId attr, const std::string& value) const;
-
-  /// Sup() by dictionary code; codes this summary never saw (including
-  /// ProfileCodec::kUnknownValue) read as 0.
+  /// Sup() by dictionary code: members of this cluster with that value.
+  /// Codes this summary never saw (including ProfileCodec::kUnknownValue)
+  /// read as 0.
   size_t SupportByCode(AttributeId attr, uint32_t code) const {
     if (attr >= supports_.size()) return 0;
     const std::vector<size_t>& s = supports_[attr];
@@ -75,10 +58,7 @@ class ClusterSummary {
 
   size_t size() const { return size_; }
 
-  const ProfileCodec& codec() const { return *codec_; }
-
  private:
-  std::shared_ptr<ProfileCodec> codec_;
   std::vector<std::vector<size_t>> supports_;  // [attr][code]
   std::vector<size_t> totals_;
   size_t size_ = 0;
@@ -113,21 +93,12 @@ class Squeezer {
   static Result<Squeezer> Create(const ProfileSchema& schema,
                                  SqueezerConfig config);
 
-  /// Definition 2 similarity of `profile` to the cluster summarized by
-  /// `summary`; in [0, 1] when weights sum to 1. Empty clusters score 0.
-  double Similarity(const Profile& profile,
-                    const ClusterSummary& summary) const;
-
-  /// Hot path: Definition 2 similarity of an encoded row (codes from the
-  /// summary's shared codec).
-  double Similarity(const uint32_t* codes,
-                    const ClusterSummary& summary) const;
-
-  /// Batched hot path: out[c] = Similarity(codes, summaries[c]) for c in
-  /// [0, count). Runs attribute-outer so the row's missing-value skips
-  /// and weight loads are hoisted out of the per-cluster loop; each
-  /// out[c] accumulates its contributions in the same ascending
-  /// attribute order as Similarity, so results are bitwise-identical.
+  /// out[c] = Definition 2 similarity of the code row `codes` to the
+  /// cluster summarized by summaries[c], for c in [0, count); in [0, 1]
+  /// since the weights sum to 1, and 0 for an empty cluster. Runs
+  /// attribute-outer so the row's missing-value skips and weight loads
+  /// are hoisted out of the per-cluster loop; each out[c] still sums its
+  /// contributions in ascending attribute order.
   void SimilarityBatch(const uint32_t* codes, const ClusterSummary* summaries,
                        size_t count, double* out) const;
 
@@ -162,8 +133,9 @@ class Squeezer {
 /// cluster summaries stay alive between batches, so a stranger discovered
 /// next week joins the cluster its profile matches today — assignments
 /// never change retroactively, exactly the one-pass semantics of the
-/// batch algorithm stretched over time. The shared dictionary grows with
-/// the data; codes once assigned never change, so summaries stay valid.
+/// batch algorithm stretched over time. The squeezer's dictionary grows
+/// with the data; codes once assigned never change, so summaries stay
+/// valid.
 class IncrementalSqueezer {
  public:
   [[nodiscard]]
@@ -187,12 +159,11 @@ class IncrementalSqueezer {
  private:
   IncrementalSqueezer(Squeezer squeezer, size_t num_attributes)
       : squeezer_(std::move(squeezer)), num_attributes_(num_attributes),
-        codec_(std::make_shared<ProfileCodec>(num_attributes)),
-        code_buf_(num_attributes) {}
+        codec_(num_attributes), code_buf_(num_attributes) {}
 
   Squeezer squeezer_;
   size_t num_attributes_;
-  std::shared_ptr<ProfileCodec> codec_;
+  ProfileCodec codec_;
   std::vector<uint32_t> code_buf_;  // scratch row for the profile at hand
   std::vector<double> sim_buf_;     // scratch per-cluster similarities
   std::vector<ClusterSummary> summaries_;

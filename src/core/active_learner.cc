@@ -21,7 +21,7 @@ Status ActiveLearnerConfig::Validate() const {
   if (!(rmse_threshold > 0.0)) {
     return Status::InvalidArgument("rmse_threshold must be positive");
   }
-  if (confidence < 0.0 || confidence > 100.0) {
+  if (!(confidence >= 0.0 && confidence <= 100.0)) {
     return Status::InvalidArgument(
         StrFormat("confidence %f not in [0, 100]", confidence));
   }
@@ -463,13 +463,13 @@ Result<ActiveLearner> ActiveLearner::Create(
 
   // Edge weights: the O(n^2) pairwise profile-similarity fill runs on
   // the batched, cache-tiled kernels (similarity/ps_kernels.h), bitwise-
-  // identical to the per-pair string path. Every pool's triangle is cut
-  // into tiles and the flattened cross-pool tile list feeds a single
-  // ParallelFor, so tiling composes with threading and small pools
-  // load-balance alongside large ones. Distinct tiles cover disjoint
-  // pairs, so tiles write without synchronization. A streamed pool's
-  // work items are its column stripes instead, each owning its share of
-  // the selection state.
+  // identical to per-pair ProfileSimilarity::Compute. Every pool's
+  // triangle is cut into tiles and the flattened cross-pool tile list
+  // feeds a single ParallelFor, so tiling composes with threading and
+  // small pools load-balance alongside large ones. Distinct tiles cover
+  // disjoint pairs, so tiles write without synchronization. A streamed
+  // pool's work items are its column stripes instead, each owning its
+  // share of the selection state.
   std::vector<std::pair<size_t, ps_kernels::PairTile>> tiles;
   std::vector<std::pair<size_t, size_t>> stripes;
   for (size_t p = 0; p < num_pools; ++p) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "graph/profile_codec.h"
 #include "learning/info_gain.h"
 #include "util/string_util.h"
 
@@ -43,24 +44,12 @@ Result<std::vector<AttributeImportance>> ProfileAttributeImportance(
     const ProfileTable& profiles, const std::vector<UserId>& strangers,
     const std::vector<RiskLabel>& labels) {
   SIGHT_RETURN_IF_ERROR(CheckParallel(strangers.size(), labels.size()));
-  // Encode once, then mine on code columns: the gain-ratio measures
-  // partition by value identity only and the codec maps equal strings to
-  // equal codes (and "" to kMissingCode), so this is bitwise-identical
-  // to mining the string columns directly.
-  return ProfileAttributeImportance(
-      profiles.schema(), EncodedProfileTable::Build(profiles, strangers),
-      labels);
-}
-
-Result<std::vector<AttributeImportance>> ProfileAttributeImportance(
-    const ProfileSchema& schema, const EncodedProfileTable& encoded,
-    const std::vector<RiskLabel>& labels) {
-  SIGHT_RETURN_IF_ERROR(CheckParallel(encoded.num_rows(), labels.size()));
-  if (schema.num_attributes() != encoded.num_attributes()) {
-    return Status::InvalidArgument(
-        StrFormat("schema has %zu attributes, encoded table %zu",
-                  schema.num_attributes(), encoded.num_attributes()));
-  }
+  // The gain-ratio measures partition by value identity only, and the
+  // codec maps equal strings to equal codes ("" to kMissingCode), so the
+  // strangers are encoded once and mined on code columns.
+  const EncodedProfileTable encoded =
+      EncodedProfileTable::Build(profiles, strangers);
+  const ProfileSchema& schema = profiles.schema();
 
   std::vector<int> label_values;
   label_values.reserve(labels.size());
@@ -71,7 +60,7 @@ Result<std::vector<AttributeImportance>> ProfileAttributeImportance(
   std::vector<uint32_t> column(encoded.num_rows());
   for (AttributeId a = 0; a < schema.num_attributes(); ++a) {
     for (size_t i = 0; i < encoded.num_rows(); ++i) {
-      column[i] = encoded.row(i)[a];
+      column[i] = encoded.code(i, a);
     }
     SIGHT_ASSIGN_OR_RETURN(double igr,
                            CorrectedGainRatio(column, label_values));

@@ -21,7 +21,6 @@
 
 #include "core/risk_label.h"
 #include "graph/profile.h"
-#include "graph/profile_codec.h"
 #include "graph/types.h"
 #include "graph/visibility.h"
 #include "util/status.h"
@@ -41,20 +40,11 @@ struct AttributeImportance {
 /// Definition 6 over profile attributes: IGR of each schema attribute's
 /// values w.r.t. the owner labels, normalized across attributes.
 /// `strangers` and `labels` are parallel; requires at least one instance.
-/// Encodes the strangers' profiles once and delegates to the encoded
-/// overload below, so both entry points are bitwise-identical.
+/// Encodes the strangers' profiles once and mines each attribute's code
+/// column (the measures only group rows by value).
 [[nodiscard]]
 Result<std::vector<AttributeImportance>> ProfileAttributeImportance(
     const ProfileTable& profiles, const std::vector<UserId>& strangers,
-    const std::vector<RiskLabel>& labels);
-
-/// Hot path: Definition 6 over an already-encoded pool (e.g. the view
-/// the risk pipeline built for the similarity matrix). `labels` is
-/// parallel to the rows of `encoded`; `schema` supplies the attribute
-/// names and must match the encoded width.
-[[nodiscard]]
-Result<std::vector<AttributeImportance>> ProfileAttributeImportance(
-    const ProfileSchema& schema, const EncodedProfileTable& encoded,
     const std::vector<RiskLabel>& labels);
 
 /// Definition 6 over benefit items: attribute values are the visibility

@@ -7,7 +7,7 @@ namespace sight {
 Result<std::vector<FriendSuggestion>> SuggestFriends(
     const AssessmentResult& assessment,
     const FriendSuggestionConfig& config) {
-  if (config.ns_weight < 0.0 || config.ns_weight > 1.0) {
+  if (!(config.ns_weight >= 0.0 && config.ns_weight <= 1.0)) {
     return Status::InvalidArgument("ns_weight must be in [0, 1]");
   }
   std::vector<FriendSuggestion> suggestions;

@@ -60,7 +60,8 @@ Result<std::vector<PrivacySuggestion>> SuggestPrivacySettings(
   if (assessment.strangers.empty()) {
     return Status::InvalidArgument("assessment covers no strangers");
   }
-  if (risky_fraction_threshold < 0.0 || risky_fraction_threshold > 1.0) {
+  if (!(risky_fraction_threshold >= 0.0 &&
+        risky_fraction_threshold <= 1.0)) {
     return Status::InvalidArgument(
         "risky_fraction_threshold must be in [0, 1]");
   }

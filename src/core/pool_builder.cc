@@ -21,7 +21,7 @@ Result<PoolBuilder> PoolBuilder::Create(PoolBuilderConfig config) {
   if (config.alpha == 0) {
     return Status::InvalidArgument("alpha must be positive");
   }
-  if (config.beta < 0.0 || config.beta > 1.0) {
+  if (!(config.beta >= 0.0 && config.beta <= 1.0)) {
     return Status::InvalidArgument(
         StrFormat("beta %f not in [0, 1]", config.beta));
   }

@@ -46,13 +46,10 @@ void ProfileCodec::EncodeInto(const Profile& profile, uint32_t* out) {
   }
 }
 
-EncodedProfileTable EncodedProfileTable::Build(const ProfileTable& table,
-                                               const std::vector<UserId>& users,
-                                               const ProfileCodec* base) {
+EncodedProfileTable EncodedProfileTable::Build(
+    const ProfileTable& table, const std::vector<UserId>& users) {
   size_t num_attrs = table.schema().num_attributes();
-  EncodedProfileTable result(base != nullptr ? *base
-                                             : ProfileCodec(num_attrs),
-                             users, num_attrs);
+  EncodedProfileTable result(ProfileCodec(num_attrs), users, num_attrs);
   result.codes_.resize(users.size() * num_attrs);
   uint32_t* out = result.codes_.data();
   for (UserId u : users) {

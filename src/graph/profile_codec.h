@@ -14,8 +14,8 @@
 // Code space per attribute: kMissingCode (0) is the sentinel for missing
 // values; observed values get codes 1..NumCodes-1 in first-seen order.
 // Code() on a never-interned value returns kUnknownValue, which no code
-// array contains, so support/frequency lookups for it are 0 — exactly the
-// unordered_map-miss semantics of the string path.
+// array contains, so support/frequency lookups for it are 0 — the answer
+// an unordered_map keyed by the strings would give on a miss.
 
 #ifndef SIGHT_GRAPH_PROFILE_CODEC_H_
 #define SIGHT_GRAPH_PROFILE_CODEC_H_
@@ -93,15 +93,9 @@ class ProfileCodec {
 /// similarity hot paths run entirely on the codes.
 class EncodedProfileTable {
  public:
-  /// Encodes the profiles of `users` from `table`. When `base` is given,
-  /// its dictionary is the starting point (copied), so values shared with
-  /// the base keep their base codes and new values extend the code space —
-  /// this is how profiles outside a frequency pool are encoded against the
-  /// pool's codec (their novel values get codes the frequency arrays do
-  /// not contain, i.e. frequency 0).
+  /// Encodes the profiles of `users` from `table` with a fresh codec.
   static EncodedProfileTable Build(const ProfileTable& table,
-                                   const std::vector<UserId>& users,
-                                   const ProfileCodec* base = nullptr);
+                                   const std::vector<UserId>& users);
 
   /// Appends one row per user, encoding through this table's codec.
   /// Because interning is append-only, Build(prefix) + AppendRows(suffix)

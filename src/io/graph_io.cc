@@ -55,6 +55,13 @@ Result<SocialGraph> LoadGraph(std::istream* in) {
           StrFormat("bad counts line: '%s'", line.c_str()));
     }
   }
+  // Every id below the count must be a UserId, and the graph allocates
+  // per user up front.
+  if (num_users > kInvalidUser) {
+    return Status::OutOfRange(StrFormat(
+        "user count %zu exceeds the UserId range (%u)", num_users,
+        kInvalidUser));
+  }
 
   SocialGraph graph(num_users);
   size_t edges_read = 0;

@@ -20,27 +20,14 @@ Status CheckInput(size_t values, size_t labels) {
 }
 
 // A column reduced to dense ids 0..num_values-1 assigned in
-// first-occurrence order. Both the string and the code overloads funnel
-// through this, which pins the partition iteration order — and with it
-// the floating-point summation order — to the column's own order rather
-// than to a hash table's, making the two paths bitwise-identical.
+// first-occurrence order. Every measure funnels through this, which pins
+// the partition iteration order — and with it the floating-point
+// summation order — to the column's own order rather than to a hash
+// table's.
 struct DenseColumn {
   std::vector<uint32_t> ids;  // parallel to the input column
   size_t num_values = 0;
 };
-
-DenseColumn Densify(const std::vector<std::string>& values) {
-  DenseColumn d;
-  d.ids.reserve(values.size());
-  std::unordered_map<std::string, uint32_t> first_seen;
-  for (const std::string& v : values) {
-    auto [it, inserted] =
-        first_seen.emplace(v, static_cast<uint32_t>(first_seen.size()));
-    d.ids.push_back(it->second);
-  }
-  d.num_values = first_seen.size();
-  return d;
-}
 
 DenseColumn Densify(const std::vector<uint32_t>& codes) {
   DenseColumn d;
@@ -141,25 +128,10 @@ double LabelEntropy(const std::vector<int>& labels) {
   return EntropyFromCounts(count_vec);
 }
 
-Result<double> InformationGain(
-    const std::vector<std::string>& attribute_values,
-    const std::vector<int>& labels) {
-  SIGHT_RETURN_IF_ERROR(CheckInput(attribute_values.size(), labels.size()));
-  return InformationGainDense(Densify(attribute_values), labels);
-}
-
 Result<double> InformationGain(const std::vector<uint32_t>& attribute_codes,
                                const std::vector<int>& labels) {
   SIGHT_RETURN_IF_ERROR(CheckInput(attribute_codes.size(), labels.size()));
   return InformationGainDense(Densify(attribute_codes), labels);
-}
-
-Result<double> SplitInformation(
-    const std::vector<std::string>& attribute_values) {
-  if (attribute_values.empty()) {
-    return Status::InvalidArgument("empty input");
-  }
-  return SplitInformationDense(Densify(attribute_values));
 }
 
 Result<double> SplitInformation(
@@ -170,23 +142,10 @@ Result<double> SplitInformation(
   return SplitInformationDense(Densify(attribute_codes));
 }
 
-Result<double> GainRatio(const std::vector<std::string>& attribute_values,
-                         const std::vector<int>& labels) {
-  SIGHT_RETURN_IF_ERROR(CheckInput(attribute_values.size(), labels.size()));
-  return GainRatioDense(Densify(attribute_values), labels);
-}
-
 Result<double> GainRatio(const std::vector<uint32_t>& attribute_codes,
                          const std::vector<int>& labels) {
   SIGHT_RETURN_IF_ERROR(CheckInput(attribute_codes.size(), labels.size()));
   return GainRatioDense(Densify(attribute_codes), labels);
-}
-
-Result<double> CorrectedGainRatio(
-    const std::vector<std::string>& attribute_values,
-    const std::vector<int>& labels) {
-  SIGHT_RETURN_IF_ERROR(CheckInput(attribute_values.size(), labels.size()));
-  return CorrectedGainRatioDense(Densify(attribute_values), labels);
 }
 
 Result<double> CorrectedGainRatio(

@@ -5,19 +5,17 @@
 // (Definition 6, Tables I and II): an attribute whose values strongly
 // reduce label entropy carries more of the owner's labeling rationale.
 
-// Every measure has a string-column and a code-column overload (the
-// latter for dictionary-encoded pools, graph/profile_codec.h). Both
-// reduce to one core over dense ids assigned in first-occurrence order,
-// so partitions are iterated — and their floating-point contributions
-// summed — in the same order on both paths: as long as two entries are
-// equal as strings iff they are equal as codes (which the codec
-// guarantees), the results are bitwise-identical.
+// Every measure takes a code column: one dictionary code per instance
+// (graph/profile_codec.h), of which only equality matters, so
+// kMissingCode partitions like any value. Each reduces to one core over
+// dense ids assigned in first-occurrence order, so partitions are
+// iterated — and their floating-point contributions summed — in the
+// column's own order rather than a hash table's.
 
 #ifndef SIGHT_LEARNING_INFO_GAIN_H_
 #define SIGHT_LEARNING_INFO_GAIN_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "util/status.h"
@@ -31,33 +29,19 @@ double EntropyFromCounts(const std::vector<size_t>& counts);
 /// Entropy (bits) of the label multiset.
 double LabelEntropy(const std::vector<int>& labels);
 
-/// Information gain of `attribute_values` w.r.t. `labels`:
+/// Information gain of `attribute_codes` w.r.t. `labels`:
 /// H(labels) - sum_v p(v) H(labels | value = v).
 /// Errors on size mismatch or empty input.
-[[nodiscard]]
-Result<double> InformationGain(const std::vector<std::string>& attribute_values,
-                               const std::vector<int>& labels);
-
-/// Code-column overload: one dictionary code per instance (any codes —
-/// only equality matters, so kMissingCode partitions like any value).
 [[nodiscard]]
 Result<double> InformationGain(const std::vector<uint32_t>& attribute_codes,
                                const std::vector<int>& labels);
 
 /// Split information: entropy of the attribute-value distribution itself.
 [[nodiscard]]
-Result<double> SplitInformation(
-    const std::vector<std::string>& attribute_values);
-
-[[nodiscard]]
 Result<double> SplitInformation(const std::vector<uint32_t>& attribute_codes);
 
 /// C4.5 gain ratio: InformationGain / SplitInformation. Returns 0 when the
 /// attribute has a single value (no split, no information).
-[[nodiscard]]
-Result<double> GainRatio(const std::vector<std::string>& attribute_values,
-                         const std::vector<int>& labels);
-
 [[nodiscard]]
 Result<double> GainRatio(const std::vector<uint32_t>& attribute_codes,
                          const std::vector<int>& labels);
@@ -74,11 +58,6 @@ Result<double> GainRatio(const std::vector<uint32_t>& attribute_codes,
 /// accident. The correction removes exactly that chance mass, so
 /// informative low-arity attributes (gender) keep their score while noise
 /// attributes collapse to ~0.
-[[nodiscard]]
-Result<double> CorrectedGainRatio(
-    const std::vector<std::string>& attribute_values,
-    const std::vector<int>& labels);
-
 [[nodiscard]]
 Result<double> CorrectedGainRatio(
     const std::vector<uint32_t>& attribute_codes,

@@ -77,7 +77,7 @@ Status GeneratorConfig::Validate() const {
        {intra_community_edge_prob, inter_community_edge_prob,
         same_locale_friend_prob, community_same_locale_prob,
         same_locale_stranger_prob, male_fraction}) {
-    if (p < 0.0 || p > 1.0) {
+    if (!(p >= 0.0 && p <= 1.0)) {
       return Status::InvalidArgument("probabilities must lie in [0, 1]");
     }
   }

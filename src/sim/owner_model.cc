@@ -96,7 +96,7 @@ Result<OwnerModel> OwnerModel::Create(OwnerAttitude attitude,
     return Status::InvalidArgument(
         "threshold_low must be below threshold_high");
   }
-  if (attitude.label_noise < 0.0 || attitude.label_noise > 1.0) {
+  if (!(attitude.label_noise >= 0.0 && attitude.label_noise <= 1.0)) {
     return Status::InvalidArgument("label_noise must be in [0, 1]");
   }
   SIGHT_RETURN_IF_ERROR(attitude.theta.Validate());

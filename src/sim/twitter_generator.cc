@@ -58,7 +58,7 @@ Status TwitterGeneratorConfig::Validate() const {
   }
   for (double p :
        {celebrity_follow_prob, same_language_prob, verified_fraction}) {
-    if (p < 0.0 || p > 1.0) {
+    if (!(p >= 0.0 && p <= 1.0)) {
       return Status::InvalidArgument("probabilities must lie in [0, 1]");
     }
   }

@@ -7,7 +7,7 @@
 namespace sight {
 
 Status NetworkSimilarityConfig::Validate() const {
-  if (mutual_weight < 0.0 || mutual_weight > 1.0) {
+  if (!(mutual_weight >= 0.0 && mutual_weight <= 1.0)) {
     return Status::InvalidArgument(
         StrFormat("mutual_weight %f not in [0, 1]", mutual_weight));
   }

@@ -6,18 +6,26 @@
 
 namespace sight {
 
-ValueFrequencyTable ValueFrequencyTable::FromCounts(
-    ProfileCodec codec, std::vector<std::vector<size_t>> counts,
-    std::vector<size_t> totals) {
+ValueFrequencyTable ValueFrequencyTable::BuildFromCodes(
+    const uint32_t* rows, size_t num_rows, size_t num_attributes) {
+  std::vector<std::vector<size_t>> counts(num_attributes);
   ValueFrequencyTable result;
-  result.codec_ = std::move(codec);
-  result.totals_ = std::move(totals);
-  size_t num_attrs = counts.size();
-  result.freq_.resize(num_attrs);
-  result.distinct_.assign(num_attrs, 0);
-  for (AttributeId a = 0; a < num_attrs; ++a) {
-    // The ratio is the same count/total division the string path used to
-    // perform per lookup, so precomputing it is bitwise-neutral.
+  result.totals_.assign(num_attributes, 0);
+  for (size_t i = 0; i < num_rows; ++i) {
+    const uint32_t* row = rows + i * num_attributes;
+    for (AttributeId a = 0; a < num_attributes; ++a) {
+      uint32_t code = row[a];
+      if (code == ProfileCodec::kMissingCode) continue;
+      if (code >= counts[a].size()) counts[a].resize(code + 1, 0);
+      ++counts[a][code];
+      ++result.totals_[a];
+    }
+  }
+  result.freq_.resize(num_attributes);
+  result.distinct_.assign(num_attributes, 0);
+  for (AttributeId a = 0; a < num_attributes; ++a) {
+    // One count/total division per value, precomputed: a lookup is then
+    // a single array load.
     result.freq_[a].assign(counts[a].size(), 0.0);
     double total = static_cast<double>(result.totals_[a]);
     for (uint32_t code = 1; code < counts[a].size(); ++code) {
@@ -27,68 +35,6 @@ ValueFrequencyTable ValueFrequencyTable::FromCounts(
     }
   }
   return result;
-}
-
-ValueFrequencyTable ValueFrequencyTable::Build(
-    const ProfileTable& table, const std::vector<UserId>& users) {
-  size_t num_attrs = table.schema().num_attributes();
-  ProfileCodec codec(num_attrs);
-  std::vector<std::vector<size_t>> counts(num_attrs);
-  std::vector<size_t> totals(num_attrs, 0);
-  for (UserId u : users) {
-    const Profile& p = table.Get(u);
-    for (AttributeId a = 0; a < num_attrs; ++a) {
-      if (p.IsMissing(a)) continue;
-      uint32_t code = codec.Intern(a, p.value(a));
-      if (code >= counts[a].size()) counts[a].resize(code + 1, 0);
-      ++counts[a][code];
-      ++totals[a];
-    }
-  }
-  return FromCounts(std::move(codec), std::move(counts), std::move(totals));
-}
-
-ValueFrequencyTable ValueFrequencyTable::Build(
-    const EncodedProfileTable& encoded) {
-  size_t num_attrs = encoded.num_attributes();
-  std::vector<std::vector<size_t>> counts(num_attrs);
-  for (AttributeId a = 0; a < num_attrs; ++a) {
-    counts[a].assign(encoded.codec().NumCodes(a), 0);
-  }
-  std::vector<size_t> totals(num_attrs, 0);
-  for (size_t i = 0; i < encoded.num_rows(); ++i) {
-    const uint32_t* row = encoded.row(i);
-    for (AttributeId a = 0; a < num_attrs; ++a) {
-      if (row[a] == ProfileCodec::kMissingCode) continue;
-      ++counts[a][row[a]];
-      ++totals[a];
-    }
-  }
-  return FromCounts(encoded.codec(), std::move(counts), std::move(totals));
-}
-
-ValueFrequencyTable ValueFrequencyTable::BuildFromCodes(
-    const uint32_t* rows, size_t num_rows, size_t num_attributes) {
-  std::vector<std::vector<size_t>> counts(num_attributes);
-  std::vector<size_t> totals(num_attributes, 0);
-  for (size_t i = 0; i < num_rows; ++i) {
-    const uint32_t* row = rows + i * num_attributes;
-    for (AttributeId a = 0; a < num_attributes; ++a) {
-      uint32_t code = row[a];
-      if (code == ProfileCodec::kMissingCode) continue;
-      if (code >= counts[a].size()) counts[a].resize(code + 1, 0);
-      ++counts[a][code];
-      ++totals[a];
-    }
-  }
-  return FromCounts(ProfileCodec(num_attributes), std::move(counts),
-                    std::move(totals));
-}
-
-double ValueFrequencyTable::Frequency(AttributeId attr,
-                                      const std::string& value) const {
-  if (attr >= freq_.size() || totals_[attr] == 0) return 0.0;
-  return FrequencyByCode(attr, codec_.Code(attr, value));
 }
 
 size_t ValueFrequencyTable::Support(AttributeId attr) const {
@@ -125,30 +71,6 @@ Result<ProfileSimilarity> ProfileSimilarity::Create(
   }
   for (double& w : weights) w /= sum;
   return ProfileSimilarity(std::move(weights));
-}
-
-double ProfileSimilarity::Compute(const Profile& a, const Profile& b,
-                                  const ValueFrequencyTable& freqs) const {
-  double total = 0.0;
-  for (AttributeId attr = 0; attr < weights_.size(); ++attr) {
-    if (a.IsMissing(attr) || b.IsMissing(attr)) continue;
-    const std::string& va = a.value(attr);
-    const std::string& vb = b.value(attr);
-    double sim;
-    if (va == vb) {
-      sim = 1.0;
-    } else {
-      sim = std::min(freqs.Frequency(attr, va), freqs.Frequency(attr, vb));
-    }
-    total += weights_[attr] * sim;
-  }
-  return total;
-}
-
-double ProfileSimilarity::Compute(const ProfileTable& table, UserId a,
-                                  UserId b,
-                                  const ValueFrequencyTable& freqs) const {
-  return Compute(table.Get(a), table.Get(b), freqs);
 }
 
 double ProfileSimilarity::Compute(const uint32_t* a, const uint32_t* b,

@@ -14,17 +14,16 @@
 // values keep some similarity mass. Missing values contribute 0. The total
 // is the weighted mean over attributes.
 //
-// Hot path: the table dictionary-encodes its population (graph/
-// profile_codec.h), stores code-indexed frequency arrays, and PS over code
-// rows is an integer compare plus two array loads per attribute. The
-// string-based overloads are thin wrappers that encode values on the fly
-// through the same codec, so both paths produce bitwise-identical values.
+// PS needs only whether two values are equal and how often a value
+// occurs in the pool, so it runs on dictionary codes (graph/
+// profile_codec.h): profiles are encoded once, at the boundary, the
+// frequency table is code-indexed arrays, and PS over two code rows is an
+// integer compare plus two array loads per attribute.
 
 #ifndef SIGHT_SIMILARITY_PROFILE_SIMILARITY_H_
 #define SIGHT_SIMILARITY_PROFILE_SIMILARITY_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "graph/profile.h"
@@ -36,41 +35,21 @@ namespace sight {
 
 /// Per-attribute relative frequencies of values in a reference population
 /// (typically the profiles of the pool under consideration), stored as
-/// code-indexed arrays over the population's dictionary encoding.
+/// code-indexed arrays.
 class ValueFrequencyTable {
  public:
-  /// Builds frequencies from the profiles of `users` in `table`,
-  /// dictionary-encoding the population as it goes. Missing values are
-  /// excluded from the denominators.
-  static ValueFrequencyTable Build(const ProfileTable& table,
-                                   const std::vector<UserId>& users);
-
-  /// Builds frequencies from an already-encoded population; the resulting
-  /// table copies `encoded.codec()`, so FrequencyByCode agrees with the
-  /// codes in `encoded` (and in any table built on top of that codec).
-  static ValueFrequencyTable Build(const EncodedProfileTable& encoded);
-
-  /// Builds frequencies straight from row-major code rows (`num_rows` x
-  /// `num_attributes`), without copying any codec — the assessment
-  /// pipeline's per-pool path over rows gathered from a shared
-  /// owner-level encode (StrangerEncodeCache). FrequencyByCode agrees
-  /// with the codes in `rows`; the frequency of a value is its count over
-  /// the non-missing observations, identical to the codec-carrying
-  /// builders. The string-keyed Frequency() lookups on such a table
-  /// answer 0 (there is no dictionary to resolve them), which no hot path
-  /// uses.
+  /// Builds frequencies from row-major code rows (`num_rows` x
+  /// `num_attributes`), e.g. a pool's rows gathered from the owner-level
+  /// encode (StrangerEncodeCache). The frequency of a value is its count
+  /// over the non-missing observations of its attribute; missing values
+  /// are excluded from the denominators.
   static ValueFrequencyTable BuildFromCodes(const uint32_t* rows,
                                             size_t num_rows,
                                             size_t num_attributes);
 
-  /// Relative frequency of `value` for `attr` in [0, 1]; 0 for unseen
-  /// values or empty populations.
-  double Frequency(AttributeId attr, const std::string& value) const;
-
-  /// Relative frequency of the value encoded as `code` under codec().
-  /// Codes outside the population's dictionary (including
-  /// ProfileCodec::kUnknownValue and codes interned on top of this codec)
-  /// read as 0.
+  /// Relative frequency in [0, 1] of the value encoded as `code`. Codes
+  /// that do not occur in the rows the table was built from (including
+  /// ProfileCodec::kUnknownValue) read as 0.
   double FrequencyByCode(AttributeId attr, uint32_t code) const {
     const std::vector<double>& f = freq_[attr];
     return code < f.size() ? f[code] : 0.0;
@@ -94,17 +73,9 @@ class ValueFrequencyTable {
     return freq_[attr];
   }
 
-  /// The dictionary the frequency arrays are indexed by.
-  const ProfileCodec& codec() const { return codec_; }
-
  private:
-  ValueFrequencyTable() : codec_(0) {}
+  ValueFrequencyTable() = default;
 
-  static ValueFrequencyTable FromCounts(
-      ProfileCodec codec, std::vector<std::vector<size_t>> counts,
-      std::vector<size_t> totals);
-
-  ProfileCodec codec_;
   std::vector<std::vector<double>> freq_;  // [attr][code]; [attr][0] = 0
   std::vector<size_t> totals_;
   std::vector<size_t> distinct_;
@@ -119,26 +90,10 @@ class ProfileSimilarity {
   static Result<ProfileSimilarity> Create(const ProfileSchema& schema,
                                           std::vector<double> weights = {});
 
-  /// PS(a, b) in [0, 1] with frequencies from `freqs`.
-  double Compute(const Profile& a, const Profile& b,
-                 const ValueFrequencyTable& freqs) const;
-
-  /// Convenience over users in a table.
-  double Compute(const ProfileTable& table, UserId a, UserId b,
-                 const ValueFrequencyTable& freqs) const;
-
-  /// Hot path: PS over code rows (one code per attribute) produced by the
-  /// codec the frequency table is indexed by — rows of an
-  /// EncodedProfileTable built from `freqs.codec()` or sharing its
-  /// dictionary prefix. Bitwise-identical to the string overloads.
+  /// PS(a, b) in [0, 1] over two code rows (one code per attribute) from
+  /// the dictionary `freqs` was built on.
   double Compute(const uint32_t* a, const uint32_t* b,
                  const ValueFrequencyTable& freqs) const;
-
-  /// Convenience over rows of an encoded pool.
-  double Compute(const EncodedProfileTable& encoded, size_t row_a,
-                 size_t row_b, const ValueFrequencyTable& freqs) const {
-    return Compute(encoded.row(row_a), encoded.row(row_b), freqs);
-  }
 
   const std::vector<double>& normalized_weights() const { return weights_; }
 

@@ -1,8 +1,13 @@
 #include "clustering/squeezer.h"
 
+#include <limits>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "graph/profile.h"
+#include "graph/profile_codec.h"
 
 namespace sight {
 namespace {
@@ -32,33 +37,49 @@ Squeezer MakeSqueezer(double threshold,
   return Squeezer::Create(TestSchema(), config).value();
 }
 
+// `values` as a code row, interning unseen values into `codec`.
+std::vector<uint32_t> Codes(ProfileCodec* codec,
+                            std::vector<std::string> values) {
+  std::vector<uint32_t> row(codec->num_attributes());
+  codec->EncodeInto(Profile{std::move(values)}, row.data());
+  return row;
+}
+
+// Definition 2 similarity of one row to one cluster.
+double Similarity(const Squeezer& squeezer, const std::vector<uint32_t>& row,
+                  const ClusterSummary& summary) {
+  double sim = -1.0;
+  squeezer.SimilarityBatch(row.data(), &summary, 1, &sim);
+  return sim;
+}
+
 TEST(ClusterSummaryTest, TracksSupports) {
+  ProfileCodec codec(2);
   ClusterSummary summary(2);
-  Profile p;
-  p.values = {"male", "tr_TR"};
-  summary.Add(p);
-  summary.Add(p);
-  p.values = {"female", "tr_TR"};
-  summary.Add(p);
+  summary.AddCodes(Codes(&codec, {"male", "tr_TR"}).data());
+  summary.AddCodes(Codes(&codec, {"male", "tr_TR"}).data());
+  summary.AddCodes(Codes(&codec, {"female", "tr_TR"}).data());
   EXPECT_EQ(summary.size(), 3u);
-  EXPECT_EQ(summary.Support(0, "male"), 2u);
-  EXPECT_EQ(summary.Support(0, "female"), 1u);
-  EXPECT_EQ(summary.Support(0, "other"), 0u);
+  EXPECT_EQ(summary.SupportByCode(0, codec.Code(0, "male")), 2u);
+  EXPECT_EQ(summary.SupportByCode(0, codec.Code(0, "female")), 1u);
+  EXPECT_EQ(summary.SupportByCode(0, codec.Code(0, "other")), 0u);
   EXPECT_EQ(summary.TotalSupport(1), 3u);
 }
 
 TEST(ClusterSummaryTest, MissingValuesSkipped) {
+  ProfileCodec codec(2);
   ClusterSummary summary(2);
-  Profile p;
-  p.values = {"male", ""};
-  summary.Add(p);
+  summary.AddCodes(Codes(&codec, {"male", ""}).data());
   EXPECT_EQ(summary.TotalSupport(0), 1u);
   EXPECT_EQ(summary.TotalSupport(1), 0u);
+  EXPECT_EQ(summary.SupportByCode(1, ProfileCodec::kMissingCode), 0u);
 }
 
 TEST(SqueezerTest, CreateValidates) {
   SqueezerConfig config;
   config.threshold = 1.5;
+  EXPECT_FALSE(Squeezer::Create(TestSchema(), config).ok());
+  config.threshold = std::numeric_limits<double>::quiet_NaN();
   EXPECT_FALSE(Squeezer::Create(TestSchema(), config).ok());
   config.threshold = 0.4;
   config.weights = {1.0};
@@ -73,33 +94,35 @@ TEST(SqueezerTest, CreateValidates) {
 
 TEST(SqueezerTest, SimilarityToMatchingClusterIsOne) {
   Squeezer squeezer = MakeSqueezer(0.4);
+  ProfileCodec codec(2);
   ClusterSummary summary(2);
-  Profile p;
-  p.values = {"male", "tr_TR"};
-  summary.Add(p);
-  summary.Add(p);
-  EXPECT_DOUBLE_EQ(squeezer.Similarity(p, summary), 1.0);
+  std::vector<uint32_t> row = Codes(&codec, {"male", "tr_TR"});
+  summary.AddCodes(row.data());
+  summary.AddCodes(row.data());
+  EXPECT_DOUBLE_EQ(Similarity(squeezer, row, summary), 1.0);
 }
 
 TEST(SqueezerTest, SimilarityToEmptyClusterIsZero) {
   Squeezer squeezer = MakeSqueezer(0.4);
+  ProfileCodec codec(2);
   ClusterSummary summary(2);
-  Profile p;
-  p.values = {"male", "tr_TR"};
-  EXPECT_DOUBLE_EQ(squeezer.Similarity(p, summary), 0.0);
+  EXPECT_DOUBLE_EQ(
+      Similarity(squeezer, Codes(&codec, {"male", "tr_TR"}), summary), 0.0);
 }
 
 TEST(SqueezerTest, SimilarityIsSupportFraction) {
   Squeezer squeezer = MakeSqueezer(0.4);
+  ProfileCodec codec(2);
   ClusterSummary summary(2);
-  Profile a;
-  a.values = {"male", "tr_TR"};
-  Profile b;
-  b.values = {"female", "tr_TR"};
-  summary.Add(a);
-  summary.Add(b);
+  std::vector<uint32_t> a = Codes(&codec, {"male", "tr_TR"});
+  std::vector<uint32_t> b = Codes(&codec, {"female", "tr_TR"});
+  summary.AddCodes(a.data());
+  summary.AddCodes(b.data());
   // For b: gender support 1/2, locale 2/2 -> (0.5*0.5 + 0.5*1.0) = 0.75.
-  EXPECT_DOUBLE_EQ(squeezer.Similarity(b, summary), 0.75);
+  EXPECT_DOUBLE_EQ(Similarity(squeezer, b, summary), 0.75);
+  // A value the cluster never saw contributes 0: locale 2/2 only.
+  EXPECT_DOUBLE_EQ(
+      Similarity(squeezer, Codes(&codec, {"other", "tr_TR"}), summary), 0.5);
 }
 
 TEST(SqueezerTest, SeparatesDistinctGroups) {

@@ -1,5 +1,6 @@
 #include "core/active_learner.h"
 
+#include <limits>
 #include <map>
 
 #include <gtest/gtest.h>
@@ -68,6 +69,8 @@ TEST(ActiveLearnerConfigTest, Validation) {
   EXPECT_FALSE(config.Validate().ok());
   config = {};
   config.confidence = 101.0;
+  EXPECT_FALSE(config.Validate().ok());
+  config.confidence = std::numeric_limits<double>::quiet_NaN();
   EXPECT_FALSE(config.Validate().ok());
   config = {};
   config.stable_rounds = 0;

@@ -1,5 +1,7 @@
 #include "core/friend_suggestion.h"
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 namespace sight {
@@ -64,6 +66,8 @@ TEST(SuggestFriendsTest, EmptyAssessmentGivesNoSuggestions) {
 TEST(SuggestFriendsTest, ValidatesConfig) {
   FriendSuggestionConfig config;
   config.ns_weight = 1.5;
+  EXPECT_FALSE(SuggestFriends(SampleAssessment(), config).ok());
+  config.ns_weight = std::numeric_limits<double>::quiet_NaN();
   EXPECT_FALSE(SuggestFriends(SampleAssessment(), config).ok());
 }
 

@@ -1,5 +1,7 @@
 #include "core/label_policy.h"
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 namespace sight {
@@ -117,6 +119,8 @@ TEST(SuggestPrivacySettingsTest, ValidatesInput) {
   AssessmentResult assessment = SampleAssessment();
   EXPECT_FALSE(
       SuggestPrivacySettings(assessment, visibility, 0, 1.5).ok());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(SuggestPrivacySettings(assessment, visibility, 0, nan).ok());
 }
 
 }  // namespace

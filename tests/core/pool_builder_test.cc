@@ -1,6 +1,7 @@
 #include "core/pool_builder.h"
 
 #include <algorithm>
+#include <limits>
 #include <optional>
 #include <set>
 
@@ -66,6 +67,11 @@ TEST(PoolBuilderTest, CreateValidates) {
   EXPECT_FALSE(PoolBuilder::Create(config).ok());
   config = {};
   config.beta = 1.5;
+  EXPECT_FALSE(PoolBuilder::Create(config).ok());
+  config.beta = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(PoolBuilder::Create(config).ok());
+  config = {};
+  config.ns_config.mutual_weight = std::numeric_limits<double>::quiet_NaN();
   EXPECT_FALSE(PoolBuilder::Create(config).ok());
   config = {};
   config.ns_config.saturation = -1.0;

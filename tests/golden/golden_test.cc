@@ -9,7 +9,10 @@
 //    crawl driven through RiskService::AssessSync: once with all three
 //    cross-tick carries on, once with all of them off (the
 //    rebuild-per-tick semantics).
-//  * The stdout of bench/headline_accuracy at its default arguments.
+//  * The stdout of bench/headline_accuracy and of every figure/table
+//    harness at its default arguments.
+//  * Every gain ratio and importance that Definition 6 mining returns
+//    for a few generated owners, doubles by their bit patterns.
 //  * The label files sight_cli writes for a generated dataset.
 //
 // A change that alters behaviour on purpose re-baselines the constants
@@ -30,10 +33,13 @@
 
 #include <gtest/gtest.h>
 
+#include "core/attribute_importance.h"
+#include "core/benefit.h"
 #include "service/risk_service.h"
 #include "sim/facebook_generator.h"
 #include "sim/owner_model.h"
 #include "sim/schema.h"
+#include "similarity/network_similarity.h"
 #include "util/random.h"
 
 namespace sight {
@@ -44,6 +50,25 @@ constexpr uint64_t kHeadlineDigest = 0x7391f7709a468af7;
 constexpr uint64_t kCrawlCarriedDigest = 0xb1b3be8226010243;
 constexpr uint64_t kCrawlRebuiltDigest = 0xd98b50d0299de47c;
 constexpr uint64_t kCliLabelsDigest = 0xf65d08f52d3d95be;
+constexpr uint64_t kImportanceDigest = 0x49740137f3c8c17e;
+
+struct HarnessDigest {
+  const char* name;
+  uint64_t digest;
+};
+constexpr HarnessDigest kReproDigests[] = {
+    {"fig4_nsg_distribution", 0x67bee2a41a023fec},
+    {"fig5_error_by_round", 0x59c7925816bf1a82},
+    {"fig6_stabilization", 0x8625b4eada951887},
+    {"fig7_risk_by_similarity", 0x26fdb722d060bcf6},
+    {"table1_attribute_importance", 0xcb6e36c75890ea32},
+    {"table2_benefit_importance", 0x5f5b45ba1ddba525},
+    {"table3_theta_weights", 0x6050a68a145d2521},
+    {"table4_visibility_gender", 0x89eaa2223720fe63},
+    {"table5_visibility_locale", 0x665e828729e33113},
+    {"ext_accuracy_by_nsg", 0xd387f764910598db},
+    {"ablation_design_choices", 0xdd335860c48a8491},
+};
 
 // FNV-1a, 64-bit.
 uint64_t Digest(const std::string& text) {
@@ -254,20 +279,107 @@ TEST(GoldenTest, CrawlWithCarriesOff) {
   EXPECT_EQ(digest, kCrawlRebuiltDigest) << "digest is now " << Hex(digest);
 }
 
-TEST(GoldenTest, HeadlineAccuracyStdout) {
-  FILE* pipe = popen(SIGHT_HEADLINE_ACCURACY_BIN, "r");
-  ASSERT_NE(pipe, nullptr);
+// Runs `command` and returns its stdout; `status` receives pclose's.
+std::string CaptureStdout(const std::string& command, int* status) {
+  *status = -1;
+  FILE* pipe = popen(command.c_str(), "r");
+  if (pipe == nullptr) return "";
   std::string out;
   char buf[4096];
   size_t got = 0;
   while ((got = std::fread(buf, 1, sizeof(buf), pipe)) > 0) {
     out.append(buf, got);
   }
-  ASSERT_EQ(pclose(pipe), 0);
+  *status = pclose(pipe);
+  return out;
+}
+
+TEST(GoldenTest, HeadlineAccuracyStdout) {
+  int status = -1;
+  std::string out = CaptureStdout(SIGHT_HEADLINE_ACCURACY_BIN, &status);
+  ASSERT_EQ(status, 0);
   uint64_t digest = Digest(out);
   EXPECT_EQ(digest, kHeadlineDigest)
       << "digest is now " << Hex(digest) << " for stdout:\n"
       << out;
+}
+
+TEST(GoldenTest, ReproStdout) {
+  for (const HarnessDigest& harness : kReproDigests) {
+    int status = -1;
+    std::string out = CaptureStdout(
+        std::string(SIGHT_BENCH_DIR) + "/" + harness.name, &status);
+    EXPECT_EQ(status, 0) << harness.name;
+    uint64_t digest = Digest(out);
+    EXPECT_EQ(digest, harness.digest)
+        << harness.name << " digest is now " << Hex(digest);
+  }
+}
+
+void AddImportances(const char* kind,
+                    const std::vector<AttributeImportance>& importances,
+                    Fields* f) {
+  for (const AttributeImportance& ai : importances) {
+    f->Add("kind", std::string(kind))
+        .Add("name", ai.name)
+        .Add("gain_ratio", ai.gain_ratio)
+        .Add("importance", ai.importance)
+        .EndRecord();
+  }
+}
+
+// Definition 6 mining over the labeled samples of three generated
+// owners. Each sample ends with a profile whose values are all missing
+// and one whose values no one else has.
+TEST(GoldenTest, ImportanceMiningBits) {
+  const sim::OwnerSpec specs[] = {{sim::Gender::kMale, sim::Locale::kTR},
+                                  {sim::Gender::kFemale, sim::Locale::kUS},
+                                  {sim::Gender::kMale, sim::Locale::kDE}};
+  sim::GeneratorConfig gen_config;
+  gen_config.num_strangers = 400;
+  auto generator = sim::FacebookGenerator::Create(gen_config).value();
+  auto ns = NetworkSimilarity::Create(NetworkSimilarityConfig{}).value();
+  Fields f;
+  for (size_t k = 0; k < std::size(specs); ++k) {
+    Rng gen_rng(20120403 + k);
+    sim::OwnerDataset ds = generator.Generate(specs[k], &gen_rng).value();
+    Rng attitude_rng(61 + k);
+    sim::OwnerAttitude attitude = sim::SampleOwnerAttitude(&attitude_rng);
+    auto oracle =
+        sim::OwnerModel::Create(attitude, &ds.profiles, &ds.visibility)
+            .value();
+    auto benefit = BenefitModel::Create(attitude.theta).value();
+
+    std::vector<UserId> labeled;
+    std::vector<RiskLabel> labels;
+    for (size_t i = k; i < ds.strangers.size(); i += 5) {
+      UserId s = ds.strangers[i];
+      labeled.push_back(s);
+      labels.push_back(oracle.TrueLabel(s, ns.Compute(ds.graph, ds.owner, s),
+                                        benefit.Compute(ds.visibility, s)));
+    }
+    const UserId all_missing = ds.profiles.user_id_bound() + 1;
+    const UserId exotic = all_missing + 1;
+    Profile exotic_profile;
+    for (size_t a = 0; a < ds.profiles.schema().num_attributes(); ++a) {
+      exotic_profile.values.push_back("golden-novel-" + std::to_string(a));
+    }
+    ASSERT_TRUE(ds.profiles.Set(exotic, std::move(exotic_profile)).ok());
+    labeled.push_back(all_missing);
+    labels.push_back(RiskLabel::kVeryRisky);
+    labeled.push_back(exotic);
+    labels.push_back(RiskLabel::kNotRisky);
+
+    auto attributes =
+        ProfileAttributeImportance(ds.profiles, labeled, labels);
+    auto items = BenefitItemImportance(ds.visibility, labeled, labels);
+    ASSERT_TRUE(attributes.ok());
+    ASSERT_TRUE(items.ok());
+    AddImportances("attribute", attributes.value(), &f);
+    AddImportances("item", items.value(), &f);
+  }
+  uint64_t digest = Digest(f.text());
+  EXPECT_EQ(digest, kImportanceDigest) << "digest is now " << Hex(digest);
 }
 
 std::string ReadFile(const std::string& path) {

@@ -101,31 +101,6 @@ TEST(EncodedProfileTableTest, RowsMatchProfiles) {
   }
 }
 
-TEST(EncodedProfileTableTest, BaseCodecKeepsSharedCodesAndExtends) {
-  ProfileTable table = ThreeAttributeTable();
-  ASSERT_TRUE(table.Set(1, Profile{{"male", "tr", "ankara"}}).ok());
-  ASSERT_TRUE(table.Set(2, Profile{{"female", "tr", "izmir"}}).ok());
-  ASSERT_TRUE(table.Set(3, Profile{{"male", "de", "berlin"}}).ok());
-
-  EncodedProfileTable pool = EncodedProfileTable::Build(table, {1, 2});
-  const ProfileCodec& base = pool.codec();
-  size_t base_hometowns = base.NumCodes(2);
-
-  // Re-encode a superset against the pool's dictionary: values the pool
-  // saw keep their pool codes, novel values ("de", "berlin") get fresh
-  // codes past the base range.
-  EncodedProfileTable all =
-      EncodedProfileTable::Build(table, {1, 2, 3}, &base);
-  EXPECT_EQ(all.code(0, 0), pool.code(0, 0));
-  EXPECT_EQ(all.code(1, 0), pool.code(1, 0));
-  EXPECT_EQ(all.code(0, 1), pool.code(0, 1));
-  EXPECT_EQ(all.code(2, 0), pool.code(0, 0));  // "male" shared with user 1
-  EXPECT_GE(all.code(2, 1), base.NumCodes(1));  // "de" is novel
-  EXPECT_GE(all.code(2, 2), base_hometowns);    // "berlin" is novel
-  // The base dictionary itself is untouched (it was copied).
-  EXPECT_EQ(base.Code(1, "de"), ProfileCodec::kUnknownValue);
-}
-
 TEST(ProfileCodecTest, InterningIsAppendOnlyAcrossGrowth) {
   // The invariance the whole carry design rests on: a code, once
   // assigned, never changes — no matter how much the dictionary grows

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "graph/profile_codec.h"
 #include "similarity/baselines.h"
 #include "similarity/network_similarity.h"
 #include "similarity/profile_similarity.h"
@@ -67,18 +68,21 @@ TEST_P(MetricProperty, NewMutualFriendNeverDecreasesNs) {
 
 TEST_P(MetricProperty, ProfileSimilarityAxioms) {
   sim::OwnerDataset ds = MakeDataset(GetParam() ^ 0x5555);
-  auto freqs = ValueFrequencyTable::Build(ds.profiles, ds.strangers);
+  EncodedProfileTable enc =
+      EncodedProfileTable::Build(ds.profiles, ds.strangers);
+  ValueFrequencyTable freqs = ValueFrequencyTable::BuildFromCodes(
+      enc.row(0), enc.num_rows(), enc.num_attributes());
   auto ps = ProfileSimilarity::Create(ds.profiles.schema()).value();
-  for (size_t i = 0; i + 1 < ds.strangers.size(); i += 9) {
-    UserId a = ds.strangers[i];
-    UserId b = ds.strangers[i + 1];
-    double sim = ps.Compute(ds.profiles, a, b, freqs);
+  for (size_t i = 0; i + 1 < enc.num_rows(); i += 9) {
+    const uint32_t* a = enc.row(i);
+    const uint32_t* b = enc.row(i + 1);
+    double sim = ps.Compute(a, b, freqs);
     EXPECT_GE(sim, 0.0);
     EXPECT_LE(sim, 1.0 + 1e-12);
     // Symmetry.
-    EXPECT_DOUBLE_EQ(sim, ps.Compute(ds.profiles, b, a, freqs));
+    EXPECT_DOUBLE_EQ(sim, ps.Compute(b, a, freqs));
     // Self-similarity dominates pair similarity.
-    double self_sim = ps.Compute(ds.profiles, a, a, freqs);
+    double self_sim = ps.Compute(a, a, freqs);
     EXPECT_GE(self_sim + 1e-12, sim);
   }
 }

@@ -56,6 +56,13 @@ TEST(GraphIoTest, MissingHeaderRejected) {
 TEST(GraphIoTest, BadCountsRejected) {
   std::stringstream buffer("sight-graph v1\nnot numbers\n");
   EXPECT_FALSE(LoadGraph(&buffer).ok());
+  // User counts that cannot fit a UserId are refused before any
+  // allocation.
+  for (const char* counts : {"18446744073709551615 0", "4294967296 89"}) {
+    std::stringstream huge(std::string("sight-graph v1\n") + counts + "\n");
+    EXPECT_EQ(LoadGraph(&huge).status().code(), StatusCode::kOutOfRange)
+        << counts;
+  }
 }
 
 TEST(GraphIoTest, EdgeOutOfRangeRejected) {

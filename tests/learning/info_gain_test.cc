@@ -1,6 +1,8 @@
 #include "learning/info_gain.h"
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -35,27 +37,32 @@ TEST(LabelEntropyTest, MatchesCounts) {
   EXPECT_DOUBLE_EQ(LabelEntropy({3, 3, 3}), 0.0);
 }
 
+// Attribute columns are dictionary codes (graph/profile_codec.h): only
+// their equality matters, so e.g. {1, 1, 2, 2} stands for a column like
+// {"m", "m", "f", "f"}.
+using Column = std::vector<uint32_t>;
+
 TEST(InformationGainTest, PerfectPredictorGainsFullEntropy) {
-  std::vector<std::string> attr = {"m", "m", "f", "f"};
+  Column attr = {1, 1, 2, 2};
   std::vector<int> labels = {3, 3, 1, 1};
   EXPECT_DOUBLE_EQ(InformationGain(attr, labels).value(), 1.0);
 }
 
 TEST(InformationGainTest, IrrelevantAttributeGainsNothing) {
-  std::vector<std::string> attr = {"m", "f", "m", "f"};
+  Column attr = {1, 2, 1, 2};
   std::vector<int> labels = {3, 3, 1, 1};
   EXPECT_DOUBLE_EQ(InformationGain(attr, labels).value(), 0.0);
 }
 
 TEST(InformationGainTest, ConstantAttributeGainsNothing) {
-  std::vector<std::string> attr = {"x", "x", "x", "x"};
+  Column attr = {4, 4, 4, 4};
   std::vector<int> labels = {3, 3, 1, 1};
   EXPECT_DOUBLE_EQ(InformationGain(attr, labels).value(), 0.0);
 }
 
 TEST(InformationGainTest, PartialPredictor) {
-  // "a" is pure, "b" is mixed.
-  std::vector<std::string> attr = {"a", "a", "b", "b"};
+  // Code 1 is pure, code 2 is mixed.
+  Column attr = {1, 1, 2, 2};
   std::vector<int> labels = {1, 1, 1, 2};
   double gain = InformationGain(attr, labels).value();
   EXPECT_GT(gain, 0.0);
@@ -63,33 +70,26 @@ TEST(InformationGainTest, PartialPredictor) {
 }
 
 TEST(InformationGainTest, RejectsBadInput) {
-  EXPECT_FALSE(
-      InformationGain(std::vector<std::string>{"a"}, {1, 2}).ok());
-  EXPECT_FALSE(InformationGain(std::vector<std::string>{}, {}).ok());
-  EXPECT_FALSE(InformationGain(std::vector<uint32_t>{}, {}).ok());
+  EXPECT_FALSE(InformationGain(Column{1}, {1, 2}).ok());
+  EXPECT_FALSE(InformationGain(Column{}, {}).ok());
 }
 
 TEST(SplitInformationTest, EntropyOfAttributeValues) {
-  EXPECT_DOUBLE_EQ(
-      SplitInformation(std::vector<std::string>{"a", "a", "b", "b"}).value(),
-      1.0);
-  EXPECT_DOUBLE_EQ(
-      SplitInformation(std::vector<std::string>{"a", "a"}).value(), 0.0);
-  EXPECT_FALSE(SplitInformation(std::vector<std::string>{}).ok());
-  EXPECT_DOUBLE_EQ(
-      SplitInformation(std::vector<uint32_t>{7, 7, 9, 9}).value(), 1.0);
-  EXPECT_FALSE(SplitInformation(std::vector<uint32_t>{}).ok());
+  EXPECT_DOUBLE_EQ(SplitInformation(Column{1, 1, 2, 2}).value(), 1.0);
+  EXPECT_DOUBLE_EQ(SplitInformation(Column{1, 1}).value(), 0.0);
+  EXPECT_DOUBLE_EQ(SplitInformation(Column{7, 7, 9, 9}).value(), 1.0);
+  EXPECT_FALSE(SplitInformation(Column{}).ok());
 }
 
 TEST(GainRatioTest, NormalizesBySplitInfo) {
-  std::vector<std::string> attr = {"m", "m", "f", "f"};
+  Column attr = {1, 1, 2, 2};
   std::vector<int> labels = {3, 3, 1, 1};
   // Gain 1 bit / split info 1 bit = 1.
   EXPECT_DOUBLE_EQ(GainRatio(attr, labels).value(), 1.0);
 }
 
 TEST(GainRatioTest, SingleValuedAttributeScoresZero) {
-  std::vector<std::string> attr = {"x", "x", "x"};
+  Column attr = {5, 5, 5};
   std::vector<int> labels = {1, 2, 3};
   EXPECT_DOUBLE_EQ(GainRatio(attr, labels).value(), 0.0);
 }
@@ -98,8 +98,8 @@ TEST(GainRatioTest, PenalizesHighArityAttributes) {
   // A unique-valued attribute perfectly "predicts" but has maximal split
   // info; gain ratio < 1 discourages it compared to a compact perfect
   // predictor.
-  std::vector<std::string> unique_attr = {"a", "b", "c", "d"};
-  std::vector<std::string> compact_attr = {"m", "m", "f", "f"};
+  Column unique_attr = {1, 2, 3, 4};
+  Column compact_attr = {1, 1, 2, 2};
   std::vector<int> labels = {1, 1, 3, 3};
   double unique_gr = GainRatio(unique_attr, labels).value();
   double compact_gr = GainRatio(compact_attr, labels).value();
@@ -107,10 +107,10 @@ TEST(GainRatioTest, PenalizesHighArityAttributes) {
 }
 
 TEST(CorrectedGainRatioTest, StrongLowArityPredictorSurvives) {
-  std::vector<std::string> attr;
+  Column attr;
   std::vector<int> labels;
   for (int i = 0; i < 40; ++i) {
-    attr.push_back(i % 2 == 0 ? "m" : "f");
+    attr.push_back(i % 2 == 0 ? 1 : 2);
     labels.push_back(i % 2 == 0 ? 3 : 1);
   }
   double corrected = CorrectedGainRatio(attr, labels).value();
@@ -120,10 +120,10 @@ TEST(CorrectedGainRatioTest, StrongLowArityPredictorSurvives) {
 TEST(CorrectedGainRatioTest, HighArityNoiseCollapsesToZero) {
   // A unique-valued attribute is a perfect "predictor" by accident; the
   // chance correction must wipe it out where the raw ratio does not.
-  std::vector<std::string> attr;
+  Column attr;
   std::vector<int> labels;
   for (int i = 0; i < 30; ++i) {
-    attr.push_back("name" + std::to_string(i));
+    attr.push_back(static_cast<uint32_t>(i + 1));
     labels.push_back(i % 3 + 1);
   }
   double raw = GainRatio(attr, labels).value();
@@ -137,24 +137,24 @@ TEST(CorrectedGainRatioTest, HighArityNoiseCollapsesToZero) {
 }
 
 TEST(CorrectedGainRatioTest, NeverNegative) {
-  std::vector<std::string> attr = {"a", "b", "a", "b"};
+  Column attr = {1, 2, 1, 2};
   std::vector<int> labels = {1, 1, 2, 2};  // attribute uninformative
   double corrected = CorrectedGainRatio(attr, labels).value();
   EXPECT_GE(corrected, 0.0);
 }
 
 TEST(CorrectedGainRatioTest, SingleValuedAttributeScoresZero) {
-  std::vector<std::string> attr = {"x", "x", "x"};
+  Column attr = {5, 5, 5};
   std::vector<int> labels = {1, 2, 3};
   EXPECT_DOUBLE_EQ(CorrectedGainRatio(attr, labels).value(), 0.0);
 }
 
 TEST(CorrectedGainRatioTest, ApproachesRawRatioWithLargeSamples) {
   // The chance term shrinks as 1/N, so for large N corrected ~ raw.
-  std::vector<std::string> attr;
+  Column attr;
   std::vector<int> labels;
   for (int i = 0; i < 4000; ++i) {
-    attr.push_back(i % 2 == 0 ? "m" : "f");
+    attr.push_back(i % 2 == 0 ? 1 : 2);
     labels.push_back(i % 2 == 0 ? 3 : 1);
   }
   double raw = GainRatio(attr, labels).value();
@@ -164,13 +164,13 @@ TEST(CorrectedGainRatioTest, ApproachesRawRatioWithLargeSamples) {
 
 TEST(GainRatioTest, GenderLikePatternScoresHigh) {
   // The paper's Table I scenario: owner labels all males as riskier.
-  std::vector<std::string> gender;
-  std::vector<std::string> lastname;
+  Column gender;
+  Column lastname;
   std::vector<int> labels;
   for (int i = 0; i < 20; ++i) {
     bool male = i % 2 == 0;
-    gender.push_back(male ? "male" : "female");
-    lastname.push_back("name" + std::to_string(i % 7));
+    gender.push_back(male ? 1 : 2);
+    lastname.push_back(static_cast<uint32_t>(i % 7 + 1));
     labels.push_back(male ? 3 : 1);
   }
   double gender_gr = GainRatio(gender, labels).value();

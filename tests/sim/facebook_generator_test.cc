@@ -1,6 +1,7 @@
 #include "sim/facebook_generator.h"
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <set>
 
@@ -49,6 +50,8 @@ TEST(GeneratorConfigTest, Validation) {
   EXPECT_FALSE(config.Validate().ok());
   config = {};
   config.intra_community_edge_prob = 1.5;
+  EXPECT_FALSE(config.Validate().ok());
+  config.intra_community_edge_prob = std::numeric_limits<double>::quiet_NaN();
   EXPECT_FALSE(config.Validate().ok());
   config = {};
   config.max_mutual_friends = 0;

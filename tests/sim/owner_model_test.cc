@@ -1,5 +1,6 @@
 #include "sim/owner_model.h"
 
+#include <limits>
 #include <map>
 
 #include <gtest/gtest.h>
@@ -41,6 +42,8 @@ TEST(OwnerModelTest, CreateValidates) {
   EXPECT_FALSE(OwnerModel::Create(a, &profiles).ok());
   a = NoNoiseAttitude();
   a.label_noise = 1.5;
+  EXPECT_FALSE(OwnerModel::Create(a, &profiles).ok());
+  a.label_noise = std::numeric_limits<double>::quiet_NaN();
   EXPECT_FALSE(OwnerModel::Create(a, &profiles).ok());
   EXPECT_TRUE(OwnerModel::Create(NoNoiseAttitude(), &profiles).ok());
 }

@@ -1,5 +1,6 @@
 #include "sim/twitter_generator.h"
 
+#include <limits>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -31,6 +32,8 @@ TEST(TwitterGeneratorTest, ConfigValidation) {
   EXPECT_FALSE(config.Validate().ok());
   config = {};
   config.verified_fraction = 1.5;
+  EXPECT_FALSE(config.Validate().ok());
+  config.verified_fraction = std::numeric_limits<double>::quiet_NaN();
   EXPECT_FALSE(config.Validate().ok());
   EXPECT_TRUE(TwitterGeneratorConfig{}.Validate().ok());
 }

@@ -1,5 +1,7 @@
 #include "similarity/network_similarity.h"
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "graph/social_graph.h"
@@ -37,6 +39,8 @@ TEST(NetworkSimilarityConfigTest, ValidatesRanges) {
   bad.mutual_weight = 1.5;
   EXPECT_FALSE(NetworkSimilarity::Create(bad).ok());
   bad.mutual_weight = -0.1;
+  EXPECT_FALSE(NetworkSimilarity::Create(bad).ok());
+  bad.mutual_weight = std::numeric_limits<double>::quiet_NaN();
   EXPECT_FALSE(NetworkSimilarity::Create(bad).ok());
   bad = {};
   bad.saturation = 0.0;

@@ -1,11 +1,39 @@
 #include "similarity/profile_similarity.h"
 
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "graph/profile.h"
+#include "graph/profile_codec.h"
 
 namespace sight {
 namespace {
+
+// A population encoded once, with frequencies built over its rows; row i
+// is users[i].
+struct EncodedPool {
+  EncodedProfileTable enc;
+  ValueFrequencyTable freqs;
+
+  double Frequency(AttributeId attr, const std::string& value) const {
+    return freqs.FrequencyByCode(attr, enc.codec().Code(attr, value));
+  }
+};
+
+EncodedPool Encode(const ProfileTable& table,
+                   const std::vector<UserId>& users) {
+  EncodedProfileTable enc = EncodedProfileTable::Build(table, users);
+  ValueFrequencyTable freqs = ValueFrequencyTable::BuildFromCodes(
+      enc.row(0), enc.num_rows(), enc.num_attributes());
+  return {std::move(enc), std::move(freqs)};
+}
+
+double Ps(const ProfileSimilarity& ps, const EncodedPool& pool, size_t a,
+          size_t b) {
+  return ps.Compute(pool.enc.row(a), pool.enc.row(b), pool.freqs);
+}
 
 ProfileSchema TestSchema() {
   return ProfileSchema::Create({"gender", "locale", "last_name"}).value();
@@ -28,13 +56,15 @@ ProfileTable TestPopulation() {
 
 TEST(ValueFrequencyTableTest, ComputesRelativeFrequencies) {
   ProfileTable table = TestPopulation();
-  auto freqs = ValueFrequencyTable::Build(table, {0, 1, 2, 3});
-  EXPECT_DOUBLE_EQ(freqs.Frequency(0, "male"), 0.75);
-  EXPECT_DOUBLE_EQ(freqs.Frequency(0, "female"), 0.25);
-  EXPECT_DOUBLE_EQ(freqs.Frequency(1, "tr_TR"), 0.5);
-  EXPECT_DOUBLE_EQ(freqs.Frequency(2, "Nowak"), 0.0);
-  EXPECT_EQ(freqs.Support(0), 4u);
-  EXPECT_EQ(freqs.NumDistinct(1), 2u);
+  EncodedPool pool = Encode(table, {0, 1, 2, 3});
+  EXPECT_DOUBLE_EQ(pool.Frequency(0, "male"), 0.75);
+  EXPECT_DOUBLE_EQ(pool.Frequency(0, "female"), 0.25);
+  EXPECT_DOUBLE_EQ(pool.Frequency(1, "tr_TR"), 0.5);
+  EXPECT_DOUBLE_EQ(pool.Frequency(2, "Nowak"), 0.0);
+  EXPECT_DOUBLE_EQ(pool.freqs.FrequencyByCode(2, ProfileCodec::kMissingCode),
+                   0.0);
+  EXPECT_EQ(pool.freqs.Support(0), 4u);
+  EXPECT_EQ(pool.freqs.NumDistinct(1), 2u);
 }
 
 TEST(ValueFrequencyTableTest, MissingValuesExcluded) {
@@ -44,42 +74,43 @@ TEST(ValueFrequencyTableTest, MissingValuesExcluded) {
   ASSERT_TRUE(table.Set(0, p).ok());
   p.values = {"female", "en_US", "Smith"};
   ASSERT_TRUE(table.Set(1, p).ok());
-  auto freqs = ValueFrequencyTable::Build(table, {0, 1});
-  EXPECT_EQ(freqs.Support(1), 1u);
-  EXPECT_DOUBLE_EQ(freqs.Frequency(1, "en_US"), 1.0);
+  EncodedPool pool = Encode(table, {0, 1});
+  EXPECT_EQ(pool.freqs.Support(1), 1u);
+  EXPECT_DOUBLE_EQ(pool.Frequency(1, "en_US"), 1.0);
 }
 
 TEST(ValueFrequencyTableTest, EmptyPopulation) {
   ProfileTable table = TestPopulation();
-  auto freqs = ValueFrequencyTable::Build(table, {});
-  EXPECT_DOUBLE_EQ(freqs.Frequency(0, "male"), 0.0);
-  EXPECT_EQ(freqs.Support(0), 0u);
+  EncodedPool pool = Encode(table, {});
+  EXPECT_DOUBLE_EQ(pool.Frequency(0, "male"), 0.0);
+  EXPECT_EQ(pool.freqs.Support(0), 0u);
+  EXPECT_EQ(pool.freqs.num_attributes(), 3u);
 }
 
 TEST(ProfileSimilarityTest, IdenticalProfilesScoreOne) {
   ProfileTable table = TestPopulation();
-  auto freqs = ValueFrequencyTable::Build(table, {0, 1, 2, 3});
+  EncodedPool pool = Encode(table, {0, 1, 2, 3});
   auto ps = ProfileSimilarity::Create(table.schema()).value();
-  EXPECT_DOUBLE_EQ(ps.Compute(table, 0, 1, freqs), 1.0);
+  EXPECT_DOUBLE_EQ(Ps(ps, pool, 0, 1), 1.0);
 }
 
 TEST(ProfileSimilarityTest, CompletelyDifferentRareValuesScoreLow) {
   ProfileTable table = TestPopulation();
-  auto freqs = ValueFrequencyTable::Build(table, {0, 1, 2, 3});
+  EncodedPool pool = Encode(table, {0, 1, 2, 3});
   auto ps = ProfileSimilarity::Create(table.schema()).value();
   // 1 (male/tr/Yilmaz) vs 3 (female/us/Smith): no identical attribute.
-  double sim = ps.Compute(table, 1, 3, freqs);
+  double sim = Ps(ps, pool, 1, 3);
   EXPECT_GT(sim, 0.0);  // frequency-based partial credit
   EXPECT_LT(sim, 0.5);
 }
 
 TEST(ProfileSimilarityTest, PartialMatchBetweenExtremes) {
   ProfileTable table = TestPopulation();
-  auto freqs = ValueFrequencyTable::Build(table, {0, 1, 2, 3});
+  EncodedPool pool = Encode(table, {0, 1, 2, 3});
   auto ps = ProfileSimilarity::Create(table.schema()).value();
-  double same = ps.Compute(table, 0, 1, freqs);
-  double share_gender = ps.Compute(table, 0, 2, freqs);  // only gender same
-  double nothing_same = ps.Compute(table, 0, 3, freqs);
+  double same = Ps(ps, pool, 0, 1);
+  double share_gender = Ps(ps, pool, 0, 2);  // only gender same
+  double nothing_same = Ps(ps, pool, 0, 3);
   EXPECT_GT(same, share_gender);
   EXPECT_GT(share_gender, nothing_same);
 }
@@ -98,16 +129,14 @@ TEST(ProfileSimilarityTest, DifferentCommonValuesBeatDifferentRareValues) {
     set(u, {u < 4 ? "male" : "female", "en_US",
             u < 6 ? "Name" + std::to_string(u) : "Shared"});
   }
-  auto freqs =
-      ValueFrequencyTable::Build(table, {0, 1, 2, 3, 4, 5, 6, 7});
+  EncodedPool pool = Encode(table, {0, 1, 2, 3, 4, 5, 6, 7});
   auto ps = ProfileSimilarity::Create(table.schema()).value();
   // Attribute similarity for male vs female = min(0.5, 0.5) = 0.5;
   // for two unique names = min(1/8, 1/8) = 0.125.
-  EXPECT_DOUBLE_EQ(freqs.Frequency(0, "male"), 0.5);
-  Profile a = table.Get(0);
-  Profile b = table.Get(4);
-  // a/b differ in gender (common) and name (rare), share locale.
-  double sim = ps.Compute(a, b, freqs);
+  EXPECT_DOUBLE_EQ(pool.Frequency(0, "male"), 0.5);
+  // Users 0 and 4 differ in gender (common) and name (rare), share
+  // locale.
+  double sim = Ps(ps, pool, 0, 4);
   double expected = (0.5 + 1.0 + 0.125) / 3.0;
   EXPECT_NEAR(sim, expected, 1e-12);
 }
@@ -120,18 +149,18 @@ TEST(ProfileSimilarityTest, MissingValuesContributeZero) {
   b.values = {"male", "en_US", "Smith"};
   ASSERT_TRUE(table.Set(0, a).ok());
   ASSERT_TRUE(table.Set(1, b).ok());
-  auto freqs = ValueFrequencyTable::Build(table, {0, 1});
+  EncodedPool pool = Encode(table, {0, 1});
   auto ps = ProfileSimilarity::Create(table.schema()).value();
   // locale contributes 0 (missing on a): (1 + 0 + 1) / 3.
-  EXPECT_NEAR(ps.Compute(table, 0, 1, freqs), 2.0 / 3.0, 1e-12);
+  EXPECT_NEAR(Ps(ps, pool, 0, 1), 2.0 / 3.0, 1e-12);
 }
 
 TEST(ProfileSimilarityTest, WeightsChangeContribution) {
   ProfileTable table = TestPopulation();
-  auto freqs = ValueFrequencyTable::Build(table, {0, 1, 2, 3});
+  EncodedPool pool = Encode(table, {0, 1, 2, 3});
   // All weight on gender.
   auto ps = ProfileSimilarity::Create(table.schema(), {1.0, 0.0, 0.0}).value();
-  EXPECT_DOUBLE_EQ(ps.Compute(table, 0, 2, freqs), 1.0);  // both male
+  EXPECT_DOUBLE_EQ(Ps(ps, pool, 0, 2), 1.0);  // both male
 }
 
 TEST(ProfileSimilarityTest, CreateValidatesWeights) {
@@ -158,10 +187,9 @@ TEST(ProfileSimilarityTest, EmptySchemaRejected) {
 
 TEST(ProfileSimilarityTest, SymmetricInProfiles) {
   ProfileTable table = TestPopulation();
-  auto freqs = ValueFrequencyTable::Build(table, {0, 1, 2, 3});
+  EncodedPool pool = Encode(table, {0, 1, 2, 3});
   auto ps = ProfileSimilarity::Create(table.schema()).value();
-  EXPECT_DOUBLE_EQ(ps.Compute(table, 1, 3, freqs),
-                   ps.Compute(table, 3, 1, freqs));
+  EXPECT_DOUBLE_EQ(Ps(ps, pool, 1, 3), Ps(ps, pool, 3, 1));
 }
 
 }  // namespace

@@ -71,7 +71,8 @@ TEST(PsKernelsTest, ComputeBatchMatchesScalarOnRawRows) {
   ProfileTable table = TestPopulation();
   EncodedProfileTable enc =
       EncodedProfileTable::Build(table, {0, 1, 2, 3, 4});
-  ValueFrequencyTable freqs = ValueFrequencyTable::Build(enc);
+  ValueFrequencyTable freqs = ValueFrequencyTable::BuildFromCodes(
+      enc.row(0), enc.num_rows(), enc.num_attributes());
   auto ps = ProfileSimilarity::Create(table.schema()).value();
   const size_t stride = enc.num_attributes();
 
@@ -157,7 +158,7 @@ SimilarityMatrix ReferenceFill(const EncodedProfileTable& enc,
   SimilarityMatrix out(enc.num_rows());
   for (size_t i = 0; i < enc.num_rows(); ++i) {
     for (size_t j = 0; j < i; ++j) {
-      out.Set(i, j, ps.Compute(enc, i, j, freqs));
+      out.Set(i, j, ps.Compute(enc.row(i), enc.row(j), freqs));
     }
   }
   return out;
@@ -178,7 +179,8 @@ TEST(PsKernelsTest, FillPairwiseMatchesScalarReference) {
   OwnerDataset ds = MakeDataset(311, 140);
   EncodedProfileTable enc =
       EncodedProfileTable::Build(ds.profiles, ds.strangers);
-  ValueFrequencyTable freqs = ValueFrequencyTable::Build(enc);
+  ValueFrequencyTable freqs = ValueFrequencyTable::BuildFromCodes(
+      enc.row(0), enc.num_rows(), enc.num_attributes());
   auto ps = ProfileSimilarity::Create(ds.profiles.schema()).value();
 
   SimilarityMatrix want = ReferenceFill(enc, ps, freqs);
@@ -198,7 +200,8 @@ TEST(PsKernelsTest, FillPairwiseMatchesUnderExplicitTileShapes) {
   OwnerDataset ds = MakeDataset(313, 37);
   EncodedProfileTable enc =
       EncodedProfileTable::Build(ds.profiles, ds.strangers);
-  ValueFrequencyTable freqs = ValueFrequencyTable::Build(enc);
+  ValueFrequencyTable freqs = ValueFrequencyTable::BuildFromCodes(
+      enc.row(0), enc.num_rows(), enc.num_attributes());
   auto ps = ProfileSimilarity::Create(ds.profiles.schema()).value();
 
   SimilarityMatrix want = ReferenceFill(enc, ps, freqs);
@@ -218,7 +221,8 @@ TEST(PsKernelsTest, FillPairwiseAcrossThreadsMatchesSerial) {
   OwnerDataset ds = MakeDataset(317, 120);
   EncodedProfileTable enc =
       EncodedProfileTable::Build(ds.profiles, ds.strangers);
-  ValueFrequencyTable freqs = ValueFrequencyTable::Build(enc);
+  ValueFrequencyTable freqs = ValueFrequencyTable::BuildFromCodes(
+      enc.row(0), enc.num_rows(), enc.num_attributes());
   auto ps = ProfileSimilarity::Create(ds.profiles.schema()).value();
 
   SimilarityMatrix serial(enc.num_rows());
@@ -237,7 +241,8 @@ TEST(PsKernelsTest, EmptyAndSingletonPools) {
   for (std::vector<UserId> users :
        {std::vector<UserId>{}, std::vector<UserId>{2}}) {
     EncodedProfileTable enc = EncodedProfileTable::Build(table, users);
-    ValueFrequencyTable freqs = ValueFrequencyTable::Build(enc);
+    ValueFrequencyTable freqs = ValueFrequencyTable::BuildFromCodes(
+        enc.row(0), enc.num_rows(), enc.num_attributes());
     SimilarityMatrix out(enc.num_rows());
     ps_kernels::FillStats stats =
         ps_kernels::FillPairwise(enc, ps, freqs, nullptr, &out);

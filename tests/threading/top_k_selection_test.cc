@@ -107,7 +107,8 @@ struct Pool {
   explicit Pool(size_t n, uint64_t seed)
       : table(RandomTable(n, seed)),
         enc(EncodedProfileTable::Build(table, Users(n))),
-        freqs(ValueFrequencyTable::Build(enc)),
+        freqs(ValueFrequencyTable::BuildFromCodes(enc.row(0), enc.num_rows(),
+                                                 enc.num_attributes())),
         ps(ProfileSimilarity::Create(table.schema()).value()) {}
 
   static std::vector<UserId> Users(size_t n) {

@@ -106,10 +106,6 @@ HOT_REBUILD_CTORS = {"ProfileCodec"}
 HOT_REBUILD_SANCTIONED = {
     "StrangerEncodeCache::Refresh",   # encode cold rebuild on epoch mismatch
     "PoolLearner::Create",            # CSR compaction of a newly built pool
-    "KModes::Cluster",                # string-path clustering encodes once
-    "ValueFrequencyTable::Build",     # frequency tables own a codec
-    "ValueFrequencyTable::BuildFromCodes",
-    "ProfileSimilarity::Create",      # similarity setup owns a codec
 }
 # ... and everything defined in the codec's own translation unit.
 HOT_REBUILD_SANCTIONED_FILES = {"graph/profile_codec.cc",
