@@ -3,9 +3,10 @@
 //   A. classifier: harmonic (paper) vs kNN vs majority;
 //   B. sampler: pool-random (paper) vs uncertainty;
 //   C. Squeezer threshold beta sweep (pool fragmentation vs effort);
-//   D. NS reconstruction: mutual-count weight sweep (what the density
-//      term adds) and comparison against plain-mutual-friend baselines;
-//   E. mined (paper Table I) vs uniform Squeezer attribute weights.
+//   D. alpha sweep (network similarity groups);
+//   E. mined (paper Table I) vs uniform Squeezer attribute weights;
+//   F. NS reconstruction: mutual-count weight sweep (what the density
+//      term adds; weight 1.0 is the plain mutual-friend measure).
 //
 // Reported per variant: held-out ground-truth accuracy, owner labels
 // spent, and pool count, averaged over a reduced owner set.

@@ -92,16 +92,11 @@ Result<PoolLearner> PoolLearner::Create(
     return Status::InvalidArgument("classifier and sampler are required");
   }
   // The learner graph is immutable from here on and the classifier solves
-  // on it every round: a matrix still being built is sparsified and
-  // compacted once, so those solves iterate neighbor lists instead of
-  // dense rows. A compacted one (ActiveLearner's streamed top-k build)
-  // already is the graph.
-  if (!weights.compacted()) {
-    if (config.sparsify_top_k > 0) {
-      weights.SparsifyTopK(config.sparsify_top_k);
-    }
-    weights.Compact();
-  }
+  // on it every round: a matrix still being built is compacted once, so
+  // those solves iterate neighbor lists instead of dense rows. A
+  // compacted one (ActiveLearner's streamed top-k build) already is the
+  // graph, and Compact() leaves it alone.
+  weights.Compact();
   PoolLearner learner(pool, std::move(weights),
                       std::move(display_similarity),
                       std::move(display_benefit), config, classifier,
@@ -110,7 +105,7 @@ Result<PoolLearner> PoolLearner::Create(
     for (size_t i = 0; i < learner.members_.size(); ++i) {
       auto it = known_labels->find(learner.members_[i]);
       if (it == known_labels->end()) continue;
-      if (it->second < kRiskLabelMin || it->second > kRiskLabelMax) {
+      if (!(it->second >= kRiskLabelMin && it->second <= kRiskLabelMax)) {
         return Status::OutOfRange(
             StrFormat("known label %f for stranger %u outside [%d, %d]",
                       it->second, learner.members_[i], kRiskLabelMin,
@@ -160,50 +155,20 @@ PoolLearner::PoolLearner(const StrangerPool& pool, SimilarityMatrix weights,
       predictions_(pool.members.size(), 0.0) {}
 
 Status PoolLearner::Repredict() {
-  // Every Repredict appends one step to the canonical solve chain; both
-  // modes below compute exactly that chain's latest iterate, so flipping
-  // warm_start never changes a prediction (DESIGN.md §12).
-  chain_sizes_.push_back(labeled_.size());
-  std::vector<double> next;
-  if (config_.warm_start) {
-    if (!state_created_) {
-      solve_state_ = classifier_->MakeState();
-      state_created_ = true;
-      if (solve_state_ != nullptr && !seed_f_.empty()) {
-        solve_state_->SeedSolution(seed_f_);
-      }
-    }
-    SIGHT_ASSIGN_OR_RETURN(
-        next, classifier_->PredictWithState(weights_, labeled_,
-                                            solve_state_.get(),
-                                            &last_solve_));
-  } else {
-    // Cold path: replay the whole chain from scratch through a throwaway
-    // state. Stateless classifiers (MakeState() == nullptr) have no
-    // chain — a single predict is already the cold solve.
-    std::unique_ptr<ClassifierState> replay = classifier_->MakeState();
-    if (replay == nullptr) {
-      SIGHT_ASSIGN_OR_RETURN(
-          next, classifier_->PredictWithState(weights_, labeled_, nullptr,
-                                              &last_solve_));
-    } else {
-      if (!seed_f_.empty()) replay->SeedSolution(seed_f_);
-      for (size_t step_size : chain_sizes_) {
-        LabeledSet prefix;
-        prefix.indices.assign(labeled_.indices.begin(),
-                              labeled_.indices.begin() +
-                                  static_cast<ptrdiff_t>(step_size));
-        prefix.values.assign(labeled_.values.begin(),
-                             labeled_.values.begin() +
-                                 static_cast<ptrdiff_t>(step_size));
-        SIGHT_ASSIGN_OR_RETURN(
-            next, classifier_->PredictWithState(weights_, prefix,
-                                                replay.get(),
-                                                &last_solve_));
-      }
+  // One step of the solve chain: the state is created on the first call
+  // (seeded with the cross-tick vector, if any) and carried across every
+  // later one, so each round solves only its newest labeled set.
+  if (!state_created_) {
+    solve_state_ = classifier_->MakeState();
+    state_created_ = true;
+    if (solve_state_ != nullptr && !seed_f_.empty()) {
+      solve_state_->SeedSolution(std::move(seed_f_));
     }
   }
-  predictions_ = std::move(next);
+  SIGHT_ASSIGN_OR_RETURN(
+      predictions_, classifier_->PredictWithState(weights_, labeled_,
+                                                  solve_state_.get(),
+                                                  &last_solve_));
   has_predictions_ = true;
   return Status::OK();
 }
@@ -504,10 +469,10 @@ Result<ActiveLearner> ActiveLearner::Create(
                              &*selections[p]);
   }, pf);
 
-  // Per-pool learner setup (top-k merge or sparsification, CSR
-  // compaction, label seeding) is independent across pools; statuses are
-  // surfaced in pool order afterwards. Carried learners only rebaseline
-  // their per-tick counters.
+  // Per-pool learner setup (top-k merge or CSR compaction, label
+  // seeding) is independent across pools; statuses are surfaced in pool
+  // order afterwards. Carried learners only rebaseline their per-tick
+  // counters.
   std::vector<std::optional<Result<PoolLearner>>> created(num_pools);
   ParallelFor(config.thread_pool, num_pools, [&](size_t p) {
     if (carried[p].has_value()) {

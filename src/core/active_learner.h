@@ -70,15 +70,11 @@ struct ActiveLearnerConfig {
   /// Hard safety bound per pool.
   size_t max_rounds = 64;
   /// Keep only the top-k profile-similarity edges per pool member when
-  /// building the classifier graph; 0 = dense.
+  /// building the classifier graph; 0 = dense. ActiveLearner::Create
+  /// applies it while it builds each pool's graph (the pairs stream into
+  /// a TopKSelection, never into a dense triangle); PoolLearner::Create
+  /// takes the graph it is given as is.
   size_t sparsify_top_k = 0;
-  /// Carry the classifier's solve state across rounds so each re-solve
-  /// starts from the previous round's converged scores (warm start)
-  /// instead of replaying the label history from scratch. Predictions
-  /// are bitwise-identical either way — see DESIGN.md §12 — so this is
-  /// purely a per-round cost knob; false forces the cold replay (used by
-  /// the equivalence tests and the round_solve bench).
-  bool warm_start = true;
   /// When false (default) the Definition-5 stabilization scan stops at
   /// the first still-unlabeled member that moved >= tolerance, so
   /// RoundRecord::unstabilized is 0 or 1 on unstable rounds. fig6-style
@@ -173,10 +169,9 @@ class PoolLearner {
   /// flow): stranger id -> numeric label value.
   using KnownLabels = std::unordered_map<UserId, double>;
 
-  /// `weights` still in its building state is top-k sparsified (per
-  /// config.sparsify_top_k) and compacted here; a compacted one — what
-  /// ActiveLearner's streamed top-k build hands over — is the classifier
-  /// graph as is.
+  /// `weights` is the classifier graph: one still in its building state
+  /// is compacted here, and a compacted one — what ActiveLearner's
+  /// streamed top-k build hands over — is used as is.
   /// `display_similarity` / `display_benefit` are parallel to
   /// `pool.members` and are surfaced to the oracle with each query.
   /// Members found in `known_labels` start out owner-labeled, so the
@@ -264,16 +259,14 @@ class PoolLearner {
   std::vector<double> predictions_;
   bool has_predictions_ = false;
 
-  // Incremental solve bookkeeping. `chain_sizes_` records the labeled-set
-  // size at every Repredict() — the canonical solve chain. Warm mode
-  // carries `solve_state_` across rounds and solves the latest step only;
-  // cold mode (warm_start == false) replays every chain step from a
-  // fresh state, which is bitwise-identical by construction (DESIGN.md
-  // §12). `seed_f_` is the optional cross-tick starting vector; both
-  // modes apply it, keeping them comparable.
+  // The solve chain: every Repredict() solves the current labeled set
+  // once, continuing from `solve_state_`, so round r's predictions are the
+  // r-th iterate of one warm chain — bitwise what a fresh state replaying
+  // every earlier labeled set would reach (DESIGN.md §12). `seed_f_` is
+  // the optional cross-tick starting vector; the first Repredict() moves
+  // it into the new state.
   std::unique_ptr<ClassifierState> solve_state_;
   bool state_created_ = false;
-  std::vector<size_t> chain_sizes_;
   std::vector<double> seed_f_;
   SolveStats last_solve_;
 

@@ -5,7 +5,7 @@
 namespace sight {
 
 Result<RiskLabel> RiskLabelFromInt(int value) {
-  if (value < kRiskLabelMin || value > kRiskLabelMax) {
+  if (!(value >= kRiskLabelMin && value <= kRiskLabelMax)) {
     return Status::OutOfRange(
         StrFormat("risk label %d outside [%d, %d]", value, kRiskLabelMin,
                   kRiskLabelMax));

@@ -41,12 +41,17 @@ Result<sim::OwnerDataset> LoadOwnerDataset(const std::string& dir) {
   SIGHT_ASSIGN_OR_RETURN(
       dataset.graph,
       LoadGraphFromFile((fs::path(dir) / "graph.txt").string()));
+  // Profile and visibility rows must name users of the graph, so neither
+  // table allocates past it.
+  const auto num_users = static_cast<UserId>(dataset.graph.NumUsers());
   SIGHT_ASSIGN_OR_RETURN(
       dataset.profiles,
-      LoadProfilesFromFile((fs::path(dir) / "profiles.csv").string()));
+      LoadProfilesFromFile((fs::path(dir) / "profiles.csv").string(),
+                           num_users));
   SIGHT_ASSIGN_OR_RETURN(
       dataset.visibility,
-      LoadVisibilityFromFile((fs::path(dir) / "visibility.csv").string()));
+      LoadVisibilityFromFile((fs::path(dir) / "visibility.csv").string(),
+                             num_users));
 
   std::ifstream meta((fs::path(dir) / "meta.txt").string());
   if (!meta) return Status::NotFound("missing meta.txt");

@@ -25,6 +25,8 @@ Status SaveOwnerDataset(const sim::OwnerDataset& dataset,
                         const std::string& dir);
 
 /// Loads a dataset; friends/strangers are recomputed from the graph.
+/// Every profile and visibility row must name a user of the graph
+/// (OutOfRange otherwise).
 [[nodiscard]]
 Result<sim::OwnerDataset> LoadOwnerDataset(const std::string& dir);
 

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/risk_label.h"
+#include "io/user_id.h"
 #include "util/csv.h"
 #include "util/string_util.h"
 
@@ -47,21 +48,19 @@ Result<PoolLearner::KnownLabels> LoadKnownLabels(std::istream* in) {
           "labels row %zu has %zu fields, expected 2",
           reader.records_read(), record.size()));
     }
+    // Only the id type bounds a stranger here: ImportLabels rejects
+    // users the owner's graph does not have.
+    SIGHT_ASSIGN_OR_RETURN(UserId stranger,
+                           ParseUserId(record[0], kInvalidUser));
     char* end = nullptr;
-    unsigned long long stranger = std::strtoull(record[0].c_str(), &end, 10);
-    if (record[0].empty() || end == nullptr || *end != '\0' ||
-        stranger >= kInvalidUser) {
-      return Status::InvalidArgument(
-          StrFormat("bad stranger id '%s'", record[0].c_str()));
-    }
     long value = std::strtol(record[1].c_str(), &end, 10);
     if (record[1].empty() || end == nullptr || *end != '\0' ||
-        value < kRiskLabelMin || value > kRiskLabelMax) {
+        !(value >= kRiskLabelMin && value <= kRiskLabelMax)) {
       return Status::OutOfRange(
           StrFormat("bad label '%s' (must be %d..%d)", record[1].c_str(),
                     kRiskLabelMin, kRiskLabelMax));
     }
-    labels[static_cast<UserId>(stranger)] = static_cast<double>(value);
+    labels[stranger] = static_cast<double>(value);
   }
   SIGHT_RETURN_IF_ERROR(reader.status());
   return labels;

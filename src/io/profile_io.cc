@@ -1,34 +1,12 @@
 #include "io/profile_io.h"
 
-#include <cstdlib>
 #include <fstream>
 
+#include "io/user_id.h"
 #include "util/csv.h"
 #include "util/string_util.h"
 
 namespace sight::io {
-namespace {
-
-// Parses a non-negative integer user id; rejects junk.
-Result<UserId> ParseUserId(const std::string& field) {
-  if (field.empty()) {
-    return Status::InvalidArgument("empty user_id field");
-  }
-  char* end = nullptr;
-  unsigned long long value = std::strtoull(field.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') {
-    return Status::InvalidArgument(
-        StrFormat("bad user_id '%s'", field.c_str()));
-  }
-  if (value >= kInvalidUser) {
-    return Status::OutOfRange(
-        StrFormat("user_id %llu too large", value));
-  }
-  return static_cast<UserId>(value);
-}
-
-}  // namespace
-
 Status SaveProfiles(const ProfileTable& profiles, std::ostream* out) {
   if (out == nullptr) return Status::InvalidArgument("output is required");
   std::vector<std::string> header = {"user_id"};
@@ -48,7 +26,7 @@ Status SaveProfiles(const ProfileTable& profiles, std::ostream* out) {
   return Status::OK();
 }
 
-Result<ProfileTable> LoadProfiles(std::istream* in) {
+Result<ProfileTable> LoadProfiles(std::istream* in, UserId user_id_bound) {
   if (in == nullptr) return Status::InvalidArgument("input is required");
   CsvReader reader(in);
   std::vector<std::string> record;
@@ -72,7 +50,8 @@ Result<ProfileTable> LoadProfiles(std::istream* in) {
           "profile row %zu has %zu fields, expected %zu",
           reader.records_read(), record.size(), attr_names.size() + 1));
     }
-    SIGHT_ASSIGN_OR_RETURN(UserId user, ParseUserId(record[0]));
+    SIGHT_ASSIGN_OR_RETURN(UserId user,
+                           ParseUserId(record[0], user_id_bound));
     Profile profile;
     profile.values.assign(record.begin() + 1, record.end());
     SIGHT_RETURN_IF_ERROR(table.Set(user, std::move(profile)));
@@ -90,12 +69,13 @@ Status SaveProfilesToFile(const ProfileTable& profiles,
   return SaveProfiles(profiles, &out);
 }
 
-Result<ProfileTable> LoadProfilesFromFile(const std::string& path) {
+Result<ProfileTable> LoadProfilesFromFile(const std::string& path,
+                                          UserId user_id_bound) {
   std::ifstream in(path);
   if (!in) {
     return Status::NotFound(StrFormat("cannot open '%s'", path.c_str()));
   }
-  return LoadProfiles(&in);
+  return LoadProfiles(&in, user_id_bound);
 }
 
 }  // namespace sight::io

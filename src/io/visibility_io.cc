@@ -1,8 +1,8 @@
 #include "io/visibility_io.h"
 
-#include <cstdlib>
 #include <fstream>
 
+#include "io/user_id.h"
 #include "util/csv.h"
 #include "util/string_util.h"
 
@@ -29,7 +29,8 @@ Status SaveVisibility(const VisibilityTable& visibility,
   return Status::OK();
 }
 
-Result<VisibilityTable> LoadVisibility(std::istream* in) {
+Result<VisibilityTable> LoadVisibility(std::istream* in,
+                                       UserId user_id_bound) {
   if (in == nullptr) return Status::InvalidArgument("input is required");
   CsvReader reader(in);
   std::vector<std::string> record;
@@ -56,21 +57,15 @@ Result<VisibilityTable> LoadVisibility(std::istream* in) {
           "visibility row %zu has %zu fields, expected %zu",
           reader.records_read(), record.size(), kNumProfileItems + 1));
     }
-    char* end = nullptr;
-    unsigned long long user = std::strtoull(record[0].c_str(), &end, 10);
-    if (record[0].empty() || end == nullptr || *end != '\0' ||
-        user >= kInvalidUser) {
-      return Status::InvalidArgument(
-          StrFormat("bad user_id '%s'", record[0].c_str()));
-    }
+    SIGHT_ASSIGN_OR_RETURN(UserId user,
+                           ParseUserId(record[0], user_id_bound));
     for (size_t i = 0; i < kNumProfileItems; ++i) {
       const std::string& cell = record[i + 1];
       if (cell != "0" && cell != "1") {
         return Status::InvalidArgument(StrFormat(
             "visibility cell '%s' must be 0 or 1", cell.c_str()));
       }
-      table.SetVisible(static_cast<UserId>(user), column_items[i],
-                       cell == "1");
+      table.SetVisible(user, column_items[i], cell == "1");
     }
   }
   SIGHT_RETURN_IF_ERROR(reader.status());
@@ -86,12 +81,13 @@ Status SaveVisibilityToFile(const VisibilityTable& visibility,
   return SaveVisibility(visibility, user_id_bound, &out);
 }
 
-Result<VisibilityTable> LoadVisibilityFromFile(const std::string& path) {
+Result<VisibilityTable> LoadVisibilityFromFile(const std::string& path,
+                                               UserId user_id_bound) {
   std::ifstream in(path);
   if (!in) {
     return Status::NotFound(StrFormat("cannot open '%s'", path.c_str()));
   }
-  return LoadVisibility(&in);
+  return LoadVisibility(&in, user_id_bound);
 }
 
 }  // namespace sight::io

@@ -3,9 +3,12 @@
 // Classifiers in the risk pipeline see a weighted similarity graph over a
 // pool's instances plus a few labeled instances, and output a continuous
 // score per instance (real-valued risk in [label_min, label_max], rounded
-// to a discrete label by the caller). This matches how the paper plugs
-// Zhu's harmonic-function method in and lets baselines (kNN, majority)
-// swap in for the ablation bench.
+// to a discrete label by the caller). The graph is compacted
+// (SimilarityMatrix::Compact): PoolLearner compacts each pool's graph once
+// and solves on it every round, and the harmonic solvers reject a graph in
+// any other state. This matches how the paper plugs Zhu's
+// harmonic-function method in and lets baselines (kNN, majority) swap in
+// for the ablation bench.
 
 #ifndef SIGHT_LEARNING_CLASSIFIER_H_
 #define SIGHT_LEARNING_CLASSIFIER_H_
@@ -70,7 +73,8 @@ class GraphClassifier {
 
   /// Returns one score per instance (size weights.size()). Labeled
   /// instances keep their given value in the output. Errors when the
-  /// labeled set is empty or references out-of-range indices.
+  /// labeled set is empty or references out-of-range indices, and (for
+  /// the harmonic solvers) when `weights` is not compacted.
   [[nodiscard]]
   virtual Result<std::vector<double>> Predict(
       const SimilarityMatrix& weights, const LabeledSet& labeled) const = 0;

@@ -11,29 +11,6 @@
 namespace sight {
 namespace {
 
-// Row-indexed (index, weight) adjacency over a similarity matrix. Borrows
-// the matrix's compact view when one was materialized (the learner hot
-// path: PoolLearner compacts once and solves every round); otherwise
-// builds a private view with a single O(n^2) pass — still one pass total
-// instead of one dense scan per solver sweep.
-class NeighborView {
- public:
-  explicit NeighborView(const SimilarityMatrix& w) : matrix_(&w) {
-    if (!w.compacted()) w.BuildCsr(&offsets_, &neighbors_);
-  }
-
-  std::span<const Neighbor> Row(size_t i) const {
-    if (matrix_->compacted()) return matrix_->Neighbors(i);
-    return std::span<const Neighbor>(neighbors_.data() + offsets_[i],
-                                     offsets_[i + 1] - offsets_[i]);
-  }
-
- private:
-  const SimilarityMatrix* matrix_;
-  std::vector<size_t> offsets_;
-  std::vector<Neighbor> neighbors_;
-};
-
 // The new labeled set must extend the state's fingerprint append-only:
 // same indices with bit-identical values as a prefix. Anything else means
 // the caller is reusing state across unrelated solves, where a warm start
@@ -107,6 +84,10 @@ std::unique_ptr<ClassifierState> HarmonicFunctionClassifier::MakeState()
 Result<std::vector<double>> HarmonicFunctionClassifier::Solve(
     const SimilarityMatrix& weights, const LabeledSet& labeled,
     HarmonicSolveState* state, SolveStats* stats) const {
+  if (!weights.compacted()) {
+    return Status::InvalidArgument(
+        "harmonic solves need a compacted graph; call Compact() first");
+  }
   size_t n = weights.size();
   SIGHT_RETURN_IF_ERROR(internal::ValidateLabeledSet(n, labeled));
 
@@ -169,7 +150,6 @@ std::vector<double> HarmonicFunctionClassifier::SolveGaussSeidel(
     const SimilarityMatrix& w, const std::vector<bool>& is_labeled,
     std::vector<double> f, double label_mean, SolveStats* stats) const {
   size_t n = w.size();
-  NeighborView adj(w);
   std::vector<size_t> unlabeled;
   for (size_t i = 0; i < n; ++i) {
     if (!is_labeled[i]) unlabeled.push_back(i);
@@ -177,7 +157,7 @@ std::vector<double> HarmonicFunctionClassifier::SolveGaussSeidel(
   std::vector<double> row_sums(n, 0.0);
   for (size_t u : unlabeled) {
     double sum = 0.0;
-    for (const Neighbor& nb : adj.Row(u)) sum += nb.weight;
+    for (const Neighbor& nb : w.Neighbors(u)) sum += nb.weight;
     row_sums[u] = sum;
     // Isolated nodes take the mean of the current labels. On a cold
     // start f[u] is already the mean, so this only moves values when a
@@ -193,7 +173,7 @@ std::vector<double> HarmonicFunctionClassifier::SolveGaussSeidel(
     for (size_t u : unlabeled) {
       if (row_sums[u] <= 0.0) continue;  // isolated: stays at label mean
       double acc = 0.0;
-      for (const Neighbor& nb : adj.Row(u)) acc += nb.weight * f[nb.index];
+      for (const Neighbor& nb : w.Neighbors(u)) acc += nb.weight * f[nb.index];
       double next = acc / row_sums[u];
       max_delta = std::max(max_delta, std::fabs(next - f[u]));
       f[u] = next;
@@ -212,7 +192,6 @@ std::vector<double> HarmonicFunctionClassifier::SolveConjugateGradient(
   stats->iterations = 0;
   stats->residual = 0.0;
   size_t n = w.size();
-  NeighborView adj(w);
   std::vector<size_t> unlabeled;
   // Position of node v in the unlabeled block, or SIZE_MAX for labeled
   // nodes, so the sparse matvec can map neighbor indices in O(1).
@@ -237,7 +216,7 @@ std::vector<double> HarmonicFunctionClassifier::SolveConjugateGradient(
   std::vector<double> b(m, kRidge * label_mean);
   for (size_t a = 0; a < m; ++a) {
     size_t u = unlabeled[a];
-    for (const Neighbor& nb : adj.Row(u)) {
+    for (const Neighbor& nb : w.Neighbors(u)) {
       diag[a] += nb.weight;
       if (position[nb.index] == kLabeled) b[a] += nb.weight * f[nb.index];
     }
@@ -247,7 +226,7 @@ std::vector<double> HarmonicFunctionClassifier::SolveConjugateGradient(
     for (size_t a = 0; a < m; ++a) {
       double acc = diag[a] * x[a];
       size_t u = unlabeled[a];
-      for (const Neighbor& nb : adj.Row(u)) {
+      for (const Neighbor& nb : w.Neighbors(u)) {
         size_t c = position[nb.index];
         if (c != kLabeled) acc -= nb.weight * x[c];
       }

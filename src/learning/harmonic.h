@@ -14,10 +14,10 @@
 //
 // Two solvers: Gauss-Seidel label propagation (default; monotone, simple)
 // and conjugate gradient on the Laplacian system (faster convergence on
-// poorly mixing graphs). Both iterate per-row neighbor lists (the
-// SimilarityMatrix compact view, built on the fly when the caller has not
-// compacted), so a sweep costs O(edges) rather than O(n^2). Isolated
-// unlabeled components fall back to the mean of the given labels.
+// poorly mixing graphs). Both iterate the per-row neighbor lists of a
+// compacted SimilarityMatrix, so a sweep costs O(edges) rather than
+// O(n^2); a graph still in its building state is an InvalidArgument.
+// Isolated unlabeled components fall back to the mean of the given labels.
 
 #ifndef SIGHT_LEARNING_HARMONIC_H_
 #define SIGHT_LEARNING_HARMONIC_H_

@@ -68,8 +68,8 @@ ConfusionMatrix::ConfusionMatrix(int label_min, int label_max)
       counts_(num_labels_ * num_labels_, 0) {}
 
 Status ConfusionMatrix::Add(int truth, int prediction) {
-  if (truth < label_min_ || truth > label_max_ || prediction < label_min_ ||
-      prediction > label_max_) {
+  if (!(truth >= label_min_ && truth <= label_max_ &&
+        prediction >= label_min_ && prediction <= label_max_)) {
     return Status::OutOfRange(
         StrFormat("labels (%d, %d) outside range [%d, %d]", truth, prediction,
                   label_min_, label_max_));
@@ -80,8 +80,8 @@ Status ConfusionMatrix::Add(int truth, int prediction) {
 }
 
 size_t ConfusionMatrix::Count(int truth, int prediction) const {
-  if (truth < label_min_ || truth > label_max_ || prediction < label_min_ ||
-      prediction > label_max_) {
+  if (!(truth >= label_min_ && truth <= label_max_ &&
+        prediction >= label_min_ && prediction <= label_max_)) {
     return 0;
   }
   return counts_[IndexOf(truth) * num_labels_ + IndexOf(prediction)];

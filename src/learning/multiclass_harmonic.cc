@@ -32,8 +32,8 @@ MulticlassHarmonicClassifier::ClassScores(const SimilarityMatrix& weights,
   for (size_t i = 0; i < labeled.size(); ++i) {
     double v = labeled.values[i];
     double rounded = std::round(v);
-    if (std::fabs(v - rounded) > 1e-9 || rounded < config_.label_min ||
-        rounded > config_.label_max) {
+    if (!(std::fabs(v - rounded) <= 1e-9 && rounded >= config_.label_min &&
+          rounded <= config_.label_max)) {
       return Status::InvalidArgument(StrFormat(
           "labeled value %f is not an integer label in [%d, %d]", v,
           config_.label_min, config_.label_max));

@@ -117,7 +117,9 @@ void SimilarityMatrix::Compact() {
   if (compacted_) return;
   BuildCsr(&row_offsets_, &neighbors_);
   compacted_ = true;
-  data_ = {};
+  // Move-assign an empty vector: `data_ = {}` assigns from an empty
+  // initializer list, which keeps the triangle's capacity allocated.
+  data_ = std::vector<double>();
 }
 
 std::span<const Neighbor> SimilarityMatrix::Neighbors(size_t i) const {

@@ -83,16 +83,15 @@ class SimilarityMatrix {
   /// Row i of the CSR. Compacted state only.
   std::span<const Neighbor> Neighbors(size_t i) const;
 
-  /// Writes the CSR arrays of the current contents into the outputs
-  /// (the layout Compact() keeps: `offsets` has n + 1 entries, row i of
-  /// `neighbors` is [offsets[i], offsets[i+1]) sorted by index). Lets a
-  /// reader of a const matrix in the building state build its own view
-  /// with a single O(n^2) pass. Building state only.
-  void BuildCsr(std::vector<size_t>* offsets,
-                std::vector<Neighbor>* neighbors) const;
-
  private:
   friend class TopKSelection;
+
+  /// Writes the CSR arrays of the current contents into the outputs
+  /// (the layout Compact() keeps: `offsets` has n + 1 entries, row i of
+  /// `neighbors` is [offsets[i], offsets[i+1]) sorted by index), with a
+  /// single O(n^2) pass. Building state only.
+  void BuildCsr(std::vector<size_t>* offsets,
+                std::vector<Neighbor>* neighbors) const;
 
   /// A compacted matrix over CSR arrays in Compact()'s layout.
   static SimilarityMatrix FromCsr(size_t n, std::vector<size_t> offsets,

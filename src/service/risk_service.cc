@@ -268,7 +268,7 @@ Status RiskService::ImportLabelsLocked(OwnerState* state,
   // Validate everything before mutating any state.
   std::vector<UserId> to_discover;
   for (const auto& [stranger, value] : labels) {
-    if (value < kRiskLabelMin || value > kRiskLabelMax) {
+    if (!(value >= kRiskLabelMin && value <= kRiskLabelMax)) {
       return Status::OutOfRange(
           StrFormat("label %f for stranger %u outside [%d, %d]", value,
                     stranger, kRiskLabelMin, kRiskLabelMax));

@@ -271,15 +271,19 @@ TEST(PoolLearnerTest, FirstRoundHasNoRmse) {
 
 TEST(PoolLearnerTest, SparsifiedGraphStillLearns) {
   LearnerParts parts;
-  parts.config.sparsify_top_k = 2;
   std::vector<UserId> members;
   std::map<UserId, RiskLabel> labels;
   for (UserId u = 0; u < 20; ++u) {
     members.push_back(u);
     labels[u] = RiskLabel::kRisky;
   }
+  // PoolLearner takes the graph it is given; the top-k cut happens where
+  // the graph is built.
+  SimilarityMatrix weights = UniformWeights(20);
+  weights.SparsifyTopK(2);
+  ASSERT_LT(weights.NumEdges(), 20u * 19u / 2u);
   auto learner = PoolLearner::Create(
-                     MakePool(members), UniformWeights(20),
+                     MakePool(members), std::move(weights),
                      std::vector<double>(20, 0.1),
                      std::vector<double>(20, 0.1), parts.config,
                      &parts.classifier, &parts.sampler)
@@ -343,13 +347,18 @@ TEST(PoolLearnerTest, FullySeededPoolFinishesWithoutQueries) {
 
 TEST(PoolLearnerTest, SeedOutsideLabelRangeRejected) {
   LearnerParts parts;
-  PoolLearner::KnownLabels known;
-  known[10] = 5.0;
   StrangerPool pool = MakePool({10});
-  EXPECT_FALSE(PoolLearner::Create(pool, UniformWeights(1), {0.0}, {0.0},
-                                   parts.config, &parts.classifier,
-                                   &parts.sampler, &known)
-                   .ok());
+  for (double value : {5.0, std::numeric_limits<double>::quiet_NaN()}) {
+    PoolLearner::KnownLabels known;
+    known[10] = value;
+    EXPECT_EQ(PoolLearner::Create(pool, UniformWeights(1), {0.0}, {0.0},
+                                  parts.config, &parts.classifier,
+                                  &parts.sampler, &known)
+                  .status()
+                  .code(),
+              StatusCode::kOutOfRange)
+        << value;
+  }
 }
 
 TEST(ActiveLearnerTest, CreateValidatesBenefitsShape) {

@@ -19,7 +19,8 @@ HarmonicFunctionClassifier Make(HarmonicSolver solver) {
   return HarmonicFunctionClassifier::Create(config).value();
 }
 
-// Deterministic pseudo-random weights (no global RNG in tests).
+// Deterministic pseudo-random weights (no global RNG in tests),
+// compacted as the solvers require.
 SimilarityMatrix RandomGraph(size_t n, uint64_t seed, double density) {
   SimilarityMatrix m(n);
   uint64_t state = seed;
@@ -32,6 +33,7 @@ SimilarityMatrix RandomGraph(size_t n, uint64_t seed, double density) {
       if (next_unit() < density) m.Set(i, j, 0.1 + next_unit());
     }
   }
+  m.Compact();
   return m;
 }
 
@@ -71,7 +73,6 @@ TEST_P(HarmonicStateTest, WarmChainMatchesColdReplayBitwise) {
   HarmonicFunctionClassifier classifier = Make(GetParam());
   const size_t n = 60;
   SimilarityMatrix w = RandomGraph(n, 11, 0.2);
-  w.Compact();
   std::vector<LabeledSet> chain = LabelChain(n, {4, 7, 10, 13});
 
   // Warm: one state carried across all steps.

@@ -238,9 +238,11 @@ class CyclicOracle : public LabelOracle {
 
 // Runs the production ActiveLearner over `strategy` pools and replays the
 // same pools on matrices from the naive string PS; expects identical
-// queries and bitwise-identical predictions.
+// queries and bitwise-identical predictions. With top_k > 0 the learner
+// streams each pool's pairs into its top-k graph, and the string side
+// cuts its full matrix with SparsifyTopK before compacting it.
 void ExpectLearnerMatchesStringPath(const OwnerDataset& ds,
-                                    PoolStrategy strategy) {
+                                    PoolStrategy strategy, size_t top_k) {
   PoolBuilderConfig pool_config;
   pool_config.strategy = strategy;
   auto builder = PoolBuilder::Create(pool_config).value();
@@ -251,6 +253,7 @@ void ExpectLearnerMatchesStringPath(const OwnerDataset& ds,
       HarmonicFunctionClassifier::Create(HarmonicConfig{}).value();
   RandomSampler sampler;
   ActiveLearnerConfig config;
+  config.sparsify_top_k = top_k;
 
   // Encoded path: the production ActiveLearner (its matrix fill runs on
   // the dictionary-encoded view).
@@ -271,6 +274,8 @@ void ExpectLearnerMatchesStringPath(const OwnerDataset& ds,
   auto ps = ProfileSimilarity::Create(ds.profiles.schema()).value();
   std::vector<StrangerAssessment> string_strangers;
   size_t string_queries = 0;
+  size_t largest_pool = 0;
+  bool cut_dropped_edges = false;
   Rng string_rng(331);
   for (size_t p = 0; p < pools.pools.size(); ++p) {
     const StrangerPool& pool = pools.pools[p];
@@ -287,6 +292,13 @@ void ExpectLearnerMatchesStringPath(const OwnerDataset& ds,
       sims[i] = pools.network_similarities[pos];
       bens[i] = benefits[pos];
     }
+    largest_pool = std::max(largest_pool, n);
+    if (top_k > 0) {
+      size_t dense_edges = weights.NumEdges();
+      weights.SparsifyTopK(top_k);
+      cut_dropped_edges |= weights.NumEdges() < dense_edges;
+    }
+    weights.Compact();
     auto pool_learner =
         PoolLearner::Create(pool, std::move(weights), std::move(sims),
                             std::move(bens), config, &classifier, &sampler)
@@ -315,6 +327,16 @@ void ExpectLearnerMatchesStringPath(const OwnerDataset& ds,
     EXPECT_EQ(a.predicted_label, b.predicted_label);
     EXPECT_EQ(a.owner_labeled, b.owner_labeled);
   }
+  if (top_k > 0) {
+    // Not vacuous: some pool is large enough for the cut to matter (and
+    // it did drop edges), and some score comes from a solve rather than
+    // an owner label.
+    EXPECT_GT(largest_pool, top_k + 1);
+    EXPECT_TRUE(cut_dropped_edges);
+    EXPECT_TRUE(std::any_of(
+        string_strangers.begin(), string_strangers.end(),
+        [](const StrangerAssessment& sa) { return !sa.owner_labeled; }));
+  }
 }
 
 TEST(EncodedEquivalenceTest, LearnerPredictionsMatchStringPath) {
@@ -326,8 +348,12 @@ TEST(EncodedEquivalenceTest, LearnerPredictionsMatchStringPath) {
        {PoolStrategy::kNetworkAndProfile, PoolStrategy::kNetworkOnly}) {
     SCOPED_TRACE(strategy == PoolStrategy::kNetworkOnly ? "NSG-only pools"
                                                         : "NSG x Squeezer");
-    ExpectLearnerMatchesStringPath(ds, strategy);
+    ExpectLearnerMatchesStringPath(ds, strategy, 0);
   }
+  // Top-8 graphs: ActiveLearner streams the NSG-only pools through its
+  // cross-pool stripe scheduler into compacted top-k graphs.
+  SCOPED_TRACE("NSG-only pools, top-8");
+  ExpectLearnerMatchesStringPath(ds, PoolStrategy::kNetworkOnly, 8);
 }
 
 }  // namespace

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "graph/profile_codec.h"
-#include "similarity/baselines.h"
 #include "similarity/network_similarity.h"
 #include "similarity/profile_similarity.h"
 #include "sim/facebook_generator.h"
@@ -84,24 +83,6 @@ TEST_P(MetricProperty, ProfileSimilarityAxioms) {
     // Self-similarity dominates pair similarity.
     double self_sim = ps.Compute(a, a, freqs);
     EXPECT_GE(self_sim + 1e-12, sim);
-  }
-}
-
-TEST_P(MetricProperty, BaselinesBoundedAndSymmetric) {
-  sim::OwnerDataset ds = MakeDataset(GetParam() ^ 0x7777);
-  for (size_t i = 0; i < ds.strangers.size(); i += 11) {
-    UserId s = ds.strangers[i];
-    double jaccard = JaccardSimilarity(ds.graph, ds.owner, s);
-    EXPECT_GE(jaccard, 0.0);
-    EXPECT_LE(jaccard, 1.0);
-    EXPECT_DOUBLE_EQ(jaccard, JaccardSimilarity(ds.graph, s, ds.owner));
-    double overlap = OverlapCoefficient(ds.graph, ds.owner, s);
-    EXPECT_GE(overlap, jaccard - 1e-12);  // overlap >= jaccard always
-    EXPECT_LE(overlap, 1.0);
-    double cosine = CosineNeighborSimilarity(ds.graph, ds.owner, s);
-    EXPECT_GE(cosine, 0.0);
-    EXPECT_LE(cosine, 1.0);
-    EXPECT_GE(AdamicAdarScore(ds.graph, ds.owner, s), 0.0);
   }
 }
 

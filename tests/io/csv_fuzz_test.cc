@@ -82,7 +82,7 @@ TEST_P(CsvFuzzTest, ProfileTableRoundTripWithHostileValues) {
   }
   std::stringstream buffer;
   ASSERT_TRUE(SaveProfiles(table, &buffer).ok());
-  auto loaded = LoadProfiles(&buffer);
+  auto loaded = LoadProfiles(&buffer, kInvalidUser);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_EQ(loaded->num_profiles(), table.num_profiles());
   for (size_t u = 0; u < num_users; ++u) {

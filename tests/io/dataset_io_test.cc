@@ -96,5 +96,32 @@ TEST(DatasetIoTest, OwnerOutOfRangeRejected) {
   EXPECT_EQ(LoadOwnerDataset(dir).status().code(), StatusCode::kOutOfRange);
 }
 
+// Appends `row` as one more line of the CSV file at `path`.
+void AppendRow(const std::string& path, const std::string& row) {
+  std::ofstream out(path, std::ios::app);
+  out << row << "\n";
+}
+
+TEST(DatasetIoTest, ProfileRowBeyondTheGraphRejected) {
+  sim::OwnerDataset original = MakeDataset(6);
+  std::string dir = TempDirFor("profile_range");
+  ASSERT_TRUE(SaveOwnerDataset(original, dir).ok());
+  std::string row = std::to_string(original.graph.NumUsers());
+  for (size_t a = 0; a < original.profiles.schema().num_attributes(); ++a) {
+    row += ",x";
+  }
+  AppendRow(dir + "/profiles.csv", row);
+  EXPECT_EQ(LoadOwnerDataset(dir).status().code(), StatusCode::kOutOfRange);
+}
+
+TEST(DatasetIoTest, VisibilityRowBeyondTheGraphRejected) {
+  sim::OwnerDataset original = MakeDataset(7);
+  std::string dir = TempDirFor("visibility_range");
+  ASSERT_TRUE(SaveOwnerDataset(original, dir).ok());
+  AppendRow(dir + "/visibility.csv",
+            std::to_string(original.graph.NumUsers()) + ",1,0,0,0,0,0,0");
+  EXPECT_EQ(LoadOwnerDataset(dir).status().code(), StatusCode::kOutOfRange);
+}
+
 }  // namespace
 }  // namespace sight::io

@@ -56,6 +56,16 @@ TEST(LabelsIoTest, RejectsMalformedRows) {
   EXPECT_FALSE(LoadKnownLabels(&buffer).ok());
   std::stringstream buffer2("stranger,label\n1,2,3\n");
   EXPECT_FALSE(LoadKnownLabels(&buffer2).ok());
+  // Only plain digits name a stranger: no sign (strtoull would wrap the
+  // first to user 1 and the second to user 4294967294), no leading blank.
+  for (const char* id : {"-18446744073709551615", "-18446744069414584322",
+                         "+7", " 7"}) {
+    std::stringstream malformed(std::string("stranger,label\n") + id +
+                                ",2\n");
+    EXPECT_EQ(LoadKnownLabels(&malformed).status().code(),
+              StatusCode::kInvalidArgument)
+        << "'" << id << "'";
+  }
 }
 
 TEST(LabelsIoTest, FileRoundTrip) {

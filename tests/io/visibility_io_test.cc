@@ -7,6 +7,9 @@
 namespace sight::io {
 namespace {
 
+// The user count the loads below are bounded by.
+constexpr UserId kNumUsers = 5;
+
 VisibilityTable SampleVisibility() {
   VisibilityTable v;
   v.SetVisible(1, ProfileItem::kPhoto);
@@ -18,10 +21,10 @@ VisibilityTable SampleVisibility() {
 TEST(VisibilityIoTest, RoundTrip) {
   VisibilityTable original = SampleVisibility();
   std::stringstream buffer;
-  ASSERT_TRUE(SaveVisibility(original, 5, &buffer).ok());
-  auto loaded = LoadVisibility(&buffer);
+  ASSERT_TRUE(SaveVisibility(original, kNumUsers, &buffer).ok());
+  auto loaded = LoadVisibility(&buffer, kNumUsers);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
-  for (UserId u = 0; u < 5; ++u) {
+  for (UserId u = 0; u < kNumUsers; ++u) {
     EXPECT_EQ(loaded->Mask(u), original.Mask(u)) << "user " << u;
   }
 }
@@ -29,13 +32,13 @@ TEST(VisibilityIoTest, RoundTrip) {
 TEST(VisibilityIoTest, AllHiddenUsersOmittedButDefaultHidden) {
   VisibilityTable original = SampleVisibility();
   std::stringstream buffer;
-  ASSERT_TRUE(SaveVisibility(original, 5, &buffer).ok());
+  ASSERT_TRUE(SaveVisibility(original, kNumUsers, &buffer).ok());
   std::string text = buffer.str();
   // Only two data rows (users 1 and 3).
   size_t lines = static_cast<size_t>(
       std::count(text.begin(), text.end(), '\n'));
   EXPECT_EQ(lines, 3u);  // header + 2 rows
-  auto loaded = LoadVisibility(&buffer);
+  auto loaded = LoadVisibility(&buffer, kNumUsers);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded->VisibleCount(0), 0u);
   EXPECT_EQ(loaded->VisibleCount(2), 0u);
@@ -45,7 +48,7 @@ TEST(VisibilityIoTest, PermutedHeaderAccepted) {
   std::stringstream buffer(
       "user_id,photo,wall,friend,location,education,work,hometown\n"
       "0,1,0,0,0,0,0,0\n");
-  auto loaded = LoadVisibility(&buffer);
+  auto loaded = LoadVisibility(&buffer, kNumUsers);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_TRUE(loaded->IsVisible(0, ProfileItem::kPhoto));
   EXPECT_FALSE(loaded->IsVisible(0, ProfileItem::kWall));
@@ -54,33 +57,47 @@ TEST(VisibilityIoTest, PermutedHeaderAccepted) {
 TEST(VisibilityIoTest, UnknownItemNameRejected) {
   std::stringstream buffer(
       "user_id,selfies,wall,friend,location,education,work,hometown\n");
-  EXPECT_FALSE(LoadVisibility(&buffer).ok());
+  EXPECT_FALSE(LoadVisibility(&buffer, kNumUsers).ok());
 }
 
 TEST(VisibilityIoTest, NonBinaryCellRejected) {
   std::stringstream buffer(
       "user_id,wall,photo,friend,location,education,work,hometown\n"
       "0,2,0,0,0,0,0,0\n");
-  EXPECT_FALSE(LoadVisibility(&buffer).ok());
+  EXPECT_FALSE(LoadVisibility(&buffer, kNumUsers).ok());
 }
 
 TEST(VisibilityIoTest, WrongColumnCountRejected) {
   std::stringstream buffer("user_id,wall,photo\n0,1,1\n");
-  EXPECT_FALSE(LoadVisibility(&buffer).ok());
+  EXPECT_FALSE(LoadVisibility(&buffer, kNumUsers).ok());
 }
 
 TEST(VisibilityIoTest, BadUserIdRejected) {
-  std::stringstream buffer(
-      "user_id,wall,photo,friend,location,education,work,hometown\n"
-      "x,1,0,0,0,0,0,0\n");
-  EXPECT_FALSE(LoadVisibility(&buffer).ok());
+  const std::string header =
+      "user_id,wall,photo,friend,location,education,work,hometown\n";
+  std::stringstream buffer(header + "x,1,0,0,0,0,0,0\n");
+  EXPECT_FALSE(LoadVisibility(&buffer, kNumUsers).ok());
+  // Only plain digits name a user: no sign (strtoull would wrap this one
+  // to user 1), no leading blank.
+  for (const char* id : {"-18446744073709551615", "+4", " 4"}) {
+    std::stringstream malformed(header + id + ",1,0,0,0,0,0,0\n");
+    EXPECT_EQ(LoadVisibility(&malformed, kNumUsers).status().code(),
+              StatusCode::kInvalidArgument)
+        << "'" << id << "'";
+  }
+  // The bound itself is past the last user.
+  std::stringstream at_bound(header + "5,1,0,0,0,0,0,0\n");
+  EXPECT_EQ(LoadVisibility(&at_bound, kNumUsers).status().code(),
+            StatusCode::kOutOfRange);
+  std::stringstream below_bound(header + "4,1,0,0,0,0,0,0\n");
+  EXPECT_TRUE(LoadVisibility(&below_bound, kNumUsers).ok());
 }
 
 TEST(VisibilityIoTest, FileRoundTrip) {
   VisibilityTable original = SampleVisibility();
   std::string path = ::testing::TempDir() + "/sight_visibility_io_test.csv";
-  ASSERT_TRUE(SaveVisibilityToFile(original, 5, path).ok());
-  auto loaded = LoadVisibilityFromFile(path);
+  ASSERT_TRUE(SaveVisibilityToFile(original, kNumUsers, path).ok());
+  auto loaded = LoadVisibilityFromFile(path, kNumUsers);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded->Mask(1), original.Mask(1));
 }

@@ -30,12 +30,14 @@ TEST(HarmonicCreateTest, ValidatesConfig) {
 
 TEST_P(HarmonicSolverTest, EmptyLabeledSetRejected) {
   SimilarityMatrix w(3);
+  w.Compact();
   LabeledSet labeled;
   EXPECT_FALSE(classifier().Predict(w, labeled).ok());
 }
 
 TEST_P(HarmonicSolverTest, OutOfRangeIndexRejected) {
   SimilarityMatrix w(3);
+  w.Compact();
   LabeledSet labeled;
   labeled.Add(7, 2.0);
   EXPECT_EQ(classifier().Predict(w, labeled).status().code(),
@@ -44,16 +46,33 @@ TEST_P(HarmonicSolverTest, OutOfRangeIndexRejected) {
 
 TEST_P(HarmonicSolverTest, DuplicateIndexRejected) {
   SimilarityMatrix w(3);
+  w.Compact();
   LabeledSet labeled;
   labeled.Add(0, 1.0);
   labeled.Add(0, 2.0);
   EXPECT_FALSE(classifier().Predict(w, labeled).ok());
 }
 
+TEST_P(HarmonicSolverTest, UncompactedGraphRejected) {
+  // The solvers iterate the CSR rows of a compacted graph; a matrix still
+  // in its building state is refused before any solve.
+  SimilarityMatrix w(3);
+  w.Set(0, 1, 1.0);
+  w.Set(1, 2, 1.0);
+  LabeledSet labeled;
+  labeled.Add(0, 1.0);
+  labeled.Add(2, 3.0);
+  EXPECT_EQ(classifier().Predict(w, labeled).status().code(),
+            StatusCode::kInvalidArgument);
+  w.Compact();
+  EXPECT_TRUE(classifier().Predict(w, labeled).ok());
+}
+
 TEST_P(HarmonicSolverTest, LabeledNodesKeepTheirValues) {
   SimilarityMatrix w(3);
   w.Set(0, 1, 1.0);
   w.Set(1, 2, 1.0);
+  w.Compact();
   LabeledSet labeled;
   labeled.Add(0, 1.0);
   labeled.Add(2, 3.0);
@@ -67,6 +86,7 @@ TEST_P(HarmonicSolverTest, ChainInterpolates) {
   SimilarityMatrix w(3);
   w.Set(0, 1, 1.0);
   w.Set(1, 2, 1.0);
+  w.Compact();
   LabeledSet labeled;
   labeled.Add(0, 1.0);
   labeled.Add(2, 3.0);
@@ -79,6 +99,7 @@ TEST_P(HarmonicSolverTest, LongChainLinearInterpolation) {
   const size_t n = 5;
   SimilarityMatrix w(n);
   for (size_t i = 0; i + 1 < n; ++i) w.Set(i, i + 1, 1.0);
+  w.Compact();
   LabeledSet labeled;
   labeled.Add(0, 1.0);
   labeled.Add(4, 3.0);
@@ -94,6 +115,7 @@ TEST_P(HarmonicSolverTest, WeightedNeighborsPullHarder) {
   SimilarityMatrix w(3);
   w.Set(2, 0, 3.0);
   w.Set(2, 1, 1.0);
+  w.Compact();
   LabeledSet labeled;
   labeled.Add(0, 1.0);
   labeled.Add(1, 3.0);
@@ -104,6 +126,7 @@ TEST_P(HarmonicSolverTest, WeightedNeighborsPullHarder) {
 TEST_P(HarmonicSolverTest, IsolatedUnlabeledNodeFallsBackToMean) {
   SimilarityMatrix w(3);
   w.Set(0, 1, 1.0);  // node 2 isolated
+  w.Compact();
   LabeledSet labeled;
   labeled.Add(0, 1.0);
   labeled.Add(1, 3.0);
@@ -120,6 +143,7 @@ TEST_P(HarmonicSolverTest, PredictionsStayWithinLabelRange) {
   w.Set(3, 4, 0.2);
   w.Set(4, 5, 0.8);
   w.Set(1, 5, 0.4);
+  w.Compact();
   LabeledSet labeled;
   labeled.Add(0, 1.0);
   labeled.Add(1, 3.0);
@@ -133,6 +157,7 @@ TEST_P(HarmonicSolverTest, PredictionsStayWithinLabelRange) {
 TEST_P(HarmonicSolverTest, AllNodesLabeledReturnsLabels) {
   SimilarityMatrix w(2);
   w.Set(0, 1, 1.0);
+  w.Compact();
   LabeledSet labeled;
   labeled.Add(0, 1.0);
   labeled.Add(1, 2.0);
@@ -153,6 +178,7 @@ TEST_P(HarmonicSolverTest, TwoCommunitiesSeparate) {
     for (size_t j = i + 1; j < 8; ++j) w.Set(i, j, 1.0);
   }
   w.Set(3, 4, 0.05);  // weak bridge
+  w.Compact();
   LabeledSet labeled;
   labeled.Add(0, 1.0);
   labeled.Add(7, 3.0);
@@ -193,6 +219,7 @@ TEST(HarmonicAutoTest, AutoMatchesBothSolversAcrossThreshold) {
         if (next_unit() < 0.1) w.Set(i, j, 0.2 + next_unit());
       }
     }
+    w.Compact();
     LabeledSet labeled;
     labeled.Add(0, 1.0);
     labeled.Add(n / 2, 2.0);
@@ -220,6 +247,7 @@ TEST(HarmonicAgreementTest, SolversAgreeOnRandomGraph) {
       if (next_unit() < 0.4) w.Set(i, j, 0.1 + next_unit());
     }
   }
+  w.Compact();
   LabeledSet labeled;
   labeled.Add(0, 1.0);
   labeled.Add(5, 2.0);
@@ -240,6 +268,7 @@ TEST(HarmonicEdgeTest, SingleIterationStaysWithinLabelRange) {
   auto classifier = HarmonicFunctionClassifier::Create(config).value();
   SimilarityMatrix w(5);
   for (size_t i = 0; i + 1 < 5; ++i) w.Set(i, i + 1, 1.0);
+  w.Compact();
   LabeledSet labeled;
   labeled.Add(0, 1.0);
   labeled.Add(4, 3.0);
@@ -254,6 +283,7 @@ TEST(HarmonicEdgeTest, SingleNodePool) {
   auto classifier =
       HarmonicFunctionClassifier::Create(HarmonicConfig{}).value();
   SimilarityMatrix w(1);
+  w.Compact();
   LabeledSet labeled;
   labeled.Add(0, 2.0);
   auto f = classifier.Predict(w, labeled).value();
@@ -265,6 +295,7 @@ TEST(HarmonicEdgeTest, ZeroWeightedGraphFallsBackToMeanEverywhere) {
   auto classifier =
       HarmonicFunctionClassifier::Create(HarmonicConfig{}).value();
   SimilarityMatrix w(4);  // no edges at all
+  w.Compact();
   LabeledSet labeled;
   labeled.Add(0, 1.0);
   labeled.Add(1, 3.0);

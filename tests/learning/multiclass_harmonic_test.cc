@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "learning/similarity_matrix.h"
 
 namespace sight {
@@ -26,12 +28,17 @@ TEST(MulticlassHarmonicTest, RejectsNonIntegerLabels) {
   auto classifier = Make(true);
   SimilarityMatrix w(3);
   w.Set(0, 1, 1.0);
+  w.Compact();
   LabeledSet labeled;
   labeled.Add(0, 1.5);
   EXPECT_FALSE(classifier.Predict(w, labeled).ok());
   LabeledSet out_of_range;
   out_of_range.Add(0, 5.0);
   EXPECT_FALSE(classifier.Predict(w, out_of_range).ok());
+  LabeledSet nan_label;
+  nan_label.Add(0, std::nan(""));
+  EXPECT_EQ(classifier.Predict(w, nan_label).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(MulticlassHarmonicTest, LabeledNodesKeepExactValues) {
@@ -39,6 +46,7 @@ TEST(MulticlassHarmonicTest, LabeledNodesKeepExactValues) {
   SimilarityMatrix w(3);
   w.Set(0, 2, 1.0);
   w.Set(1, 2, 1.0);
+  w.Compact();
   LabeledSet labeled;
   labeled.Add(0, 1.0);
   labeled.Add(1, 3.0);
@@ -52,6 +60,7 @@ TEST(MulticlassHarmonicTest, BalancedNeighborsGiveMiddleScore) {
   SimilarityMatrix w(3);
   w.Set(0, 2, 1.0);
   w.Set(1, 2, 1.0);
+  w.Compact();
   LabeledSet labeled;
   labeled.Add(0, 1.0);
   labeled.Add(1, 3.0);
@@ -67,6 +76,7 @@ TEST(MulticlassHarmonicTest, ScoresStayWithinLabelRange) {
   w.Set(2, 3, 0.7);
   w.Set(3, 4, 0.2);
   w.Set(4, 5, 0.8);
+  w.Compact();
   LabeledSet labeled;
   labeled.Add(0, 1.0);
   labeled.Add(1, 2.0);
@@ -89,6 +99,7 @@ TEST(MulticlassHarmonicTest, AgreesWithOrdinalHarmonicOnTwoClasses) {
 
   SimilarityMatrix w(5);
   for (size_t i = 0; i + 1 < 5; ++i) w.Set(i, i + 1, 1.0);
+  w.Compact();
   LabeledSet labeled;
   labeled.Add(0, 1.0);
   labeled.Add(4, 3.0);
@@ -112,6 +123,7 @@ TEST(MulticlassHarmonicTest, CmnCorrectsClassImbalance) {
   w.Set(5, 2, 0.3);
   w.Set(5, 3, 0.3);
   w.Set(5, 4, 0.3);
+  w.Compact();
   LabeledSet labeled;
   labeled.Add(0, 1.0);
   labeled.Add(1, 1.0);
@@ -133,6 +145,7 @@ TEST(MulticlassHarmonicTest, ClassScoresSumToOneUnderCmnPriors) {
   // all unlabeled nodes equals 1 in expectation). Check aggregate.
   SimilarityMatrix w(5);
   for (size_t i = 0; i + 1 < 5; ++i) w.Set(i, i + 1, 0.7);
+  w.Compact();
   LabeledSet labeled;
   labeled.Add(0, 1.0);
   labeled.Add(4, 2.0);

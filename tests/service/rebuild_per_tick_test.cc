@@ -5,6 +5,7 @@
 // re-seeded into the rebuilt pools — the oracle is never asked about the
 // same stranger twice.
 
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -260,6 +261,15 @@ TEST(RebuildPerTickTest, ImportLabelsValidatesAtomically) {
   bad[ds.strangers[0]] = 2.0;
   bad[ds.strangers[1]] = 9.0;  // out of range
   EXPECT_FALSE(service->ImportLabels(ds.owner, bad).ok());
+  EXPECT_EQ(service->NumKnownLabels(ds.owner).value(), 0u);
+  EXPECT_EQ(service->NumStrangers(ds.owner).value(), 0u);
+
+  // NaN fails every comparison, so only a NaN-safe range test rejects it.
+  PoolLearner::KnownLabels nan_label;
+  nan_label[ds.strangers[0]] = 2.0;
+  nan_label[ds.strangers[1]] = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(service->ImportLabels(ds.owner, nan_label).code(),
+            StatusCode::kOutOfRange);
   EXPECT_EQ(service->NumKnownLabels(ds.owner).value(), 0u);
   EXPECT_EQ(service->NumStrangers(ds.owner).value(), 0u);
 

@@ -1,6 +1,7 @@
 #include "service/risk_service.h"
 
 #include <condition_variable>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -372,6 +373,34 @@ TEST(RiskServiceTest, SubmitAssessWithoutOracleFails) {
   EXPECT_TRUE(service->Submit(std::move(mutate)).ok());
   ASSERT_TRUE(service->Flush().ok());
   EXPECT_EQ(service->NumStrangers(ds.owner).value(), 1u);
+}
+
+TEST(RiskServiceTest, NanImportedLabelIsRejectedNotStored) {
+  sim::OwnerDataset ds = MakeDataset(16, 80);
+  sim::OwnerModel oracle = MakeOracle(ds, 29);
+  auto service = RiskService::Create(ServiceConfig()).value();
+  ASSERT_TRUE(service->RegisterOwner(Registration(ds, &oracle, 31)).ok());
+
+  // A stored NaN label would break every later solve of its pool (the
+  // solve state's append-only check compares label values, and NaN never
+  // equals itself), so the import must fail and store nothing.
+  OwnerEvent poisoned;
+  poisoned.owner = ds.owner;
+  poisoned.discovered = ds.strangers;
+  poisoned.imported_labels[ds.strangers[0]] =
+      std::numeric_limits<double>::quiet_NaN();
+  ASSERT_TRUE(service->Submit(std::move(poisoned)).ok());
+  auto rejected = service->WaitFor(ds.owner, 1).value();
+  EXPECT_EQ(rejected->status.code(), StatusCode::kOutOfRange)
+      << rejected->status;
+  EXPECT_EQ(service->NumKnownLabels(ds.owner).value(), 0u);
+
+  OwnerEvent assess;
+  assess.owner = ds.owner;
+  ASSERT_TRUE(service->Submit(std::move(assess)).ok());
+  auto next = service->WaitFor(ds.owner, 2).value();
+  EXPECT_TRUE(next->status.ok()) << next->status;
+  EXPECT_EQ(next->report.assessment.strangers.size(), ds.strangers.size());
 }
 
 TEST(RiskServiceTest, CarriedLearnersSkipStablePools) {

@@ -121,6 +121,7 @@ TEST(ThreadingDeterminismTest, MulticlassClassScoresMatchSerial) {
       if (next_unit() < 0.3) w.Set(i, j, 0.1 + next_unit());
     }
   }
+  w.Compact();
   LabeledSet labeled;
   labeled.Add(0, 1.0);
   labeled.Add(10, 2.0);

@@ -108,6 +108,22 @@ def main():
               "  auto enc = EncodedProfileTable::Build(profiles, members);\n"
               "}\n", "no-hot-rebuild")
 
+    lint_case("x < lo || x > hi interval test", "core/foo.cc",
+              "Status F(double v) {\n"
+              "  if (v < kMin || v > kMax) return Status::OutOfRange(\"v\");\n"
+              "  return Status::OK();\n"
+              "}\n", "nan-interval")
+    lint_case("x > hi || x < lo interval test (either order)", "core/foo.cc",
+              "Status F(const Labels& labels) {\n"
+              "  for (const auto& [user, value] : labels) {\n"
+              "    if (value >= kMax ||\n"
+              "        value <= kMin) {\n"
+              "      return Status::OutOfRange(\"v\");\n"
+              "    }\n"
+              "  }\n"
+              "  return Status::OK();\n"
+              "}\n", "nan-interval")
+
     # --- multiline + commented-out hardening -----------------------------
     lint_case("multiline RiskEngine::Create is caught", "core/foo.cc",
               "void F() {\n"
@@ -168,6 +184,18 @@ def main():
         expect("undecodable file exits 2 (tool error, not findings)",
                proc.returncode == 2 and "cannot lint" in proc.stderr,
                f"rc={proc.returncode}\n{proc.stdout}{proc.stderr}")
+
+    lint_case("NaN-safe interval test is clean", "core/foo.cc",
+              "Status F(double v) {\n"
+              "  if (!(v >= kMin && v <= kMax)) {\n"
+              "    return Status::OutOfRange(\"v\");\n"
+              "  }\n"
+              "  return Status::OK();\n"
+              "}\n", None)
+    lint_case("bounds on different operands are clean", "core/foo.cc",
+              "bool F(size_t i, size_t j, size_t n) {\n"
+              "  return i < first || j > last || n == 0;\n"
+              "}\n", None)
 
     # --- clean idioms must NOT be flagged --------------------------------
     lint_case("[[nodiscard]] declaration is clean", "core/foo.h",

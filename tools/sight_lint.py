@@ -28,6 +28,10 @@ Enforces the Sight library conventions documented in DESIGN.md §10:
                      helper, never to service code. (First-line textual
                      guard; tools/sight_analyzer.py enforces the same
                      invariant semantically over the whole call graph.)
+  nan-interval       No `x < lo || x > hi` interval test in src/ (either
+                     order, `<=`/`>=` too): every comparison with NaN is
+                     false, so that form lets a NaN through. Write the
+                     NaN-safe `!(x >= lo && x <= hi)` instead.
   no-sleep-in-tests  No `std::this_thread::sleep_for/sleep_until` in
                      tests/ — sleeping for "long enough" is the classic
                      flake; wait on the condition instead (WaitFor,
@@ -302,6 +306,30 @@ def check_hot_rebuild(rel, lines, violations):
             " StrangerEncodeCache (DESIGN.md §14)"))
 
 
+def interval_re(first, second):
+    """`x <first> lo || x <second> hi` on one expression x (an identifier
+    with member accesses or subscripts), `=` allowed after either
+    operator; shifts and `->` are not comparisons."""
+    operand = r"(?<![\w.>\]])(?P<x>[A-Za-z_]\w*(?:(?:\.|->)\w+|\[\w+\])*)"
+    return re.compile(
+        operand + r"\s*" + first + r"=?(?![<>=])[^|;{}]*?\|\|"
+        r"\s*(?P=x)\s*" + second + r"=?(?![<>=])")
+
+
+NAN_INTERVAL_RES = (interval_re("<", ">"), interval_re(">", "<"))
+
+
+def check_nan_interval(rel, lines, violations):
+    text = "\n".join(lines)
+    for pattern in NAN_INTERVAL_RES:
+        for m in pattern.finditer(text):
+            x = m.group("x")
+            violations.append(Violation(
+                rel, text.count("\n", 0, m.start()) + 1, "nan-interval",
+                f"'{x}' is range-checked as `< lo || > hi`, which a NaN"
+                f" passes — write `!({x} >= lo && {x} <= hi)`"))
+
+
 def check_sleep_in_tests(rel, lines, violations):
     for line_no in multiline_matches(
             lines, r"std\s*::\s*this_thread\s*::\s*sleep_(?:for|until)\b"):
@@ -321,6 +349,7 @@ RULES = {
     "no-raw-thread": check_thread,
     "no-direct-engine": check_direct_engine,
     "no-hot-rebuild": check_hot_rebuild,
+    "nan-interval": check_nan_interval,
 }
 
 # Rules applied to the tests/ tree (tests legitimately use raw stdio,
