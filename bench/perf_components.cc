@@ -104,7 +104,8 @@ void BM_PsKernelComputeBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_PsKernelComputeBatch)->Arg(400)->Arg(2000);
 
-// The full tiled pairwise driver (what ActiveLearner::Create runs).
+// One dense pool's classifier graph as ActiveLearner::Create asks for
+// it: the tiled pairwise fill plus the compaction (BuildGraphs).
 void BM_PsKernelTiledFill(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
   sim::OwnerDataset ds = MakeDataset(n);
@@ -113,15 +114,19 @@ void BM_PsKernelTiledFill(benchmark::State& state) {
   ValueFrequencyTable freqs = ValueFrequencyTable::BuildFromCodes(
       enc.row(0), enc.num_rows(), enc.num_attributes());
   auto ps = ProfileSimilarity::Create(ds.profiles.schema()).value();
-  ps_kernels::FillStats stats;
+  const std::vector<ps_kernels::PoolRows> pools = {
+      {enc.row(0), enc.num_rows(), &freqs}};
   for (auto _ : state) {
-    SimilarityMatrix m(enc.num_rows());
-    stats = ps_kernels::FillPairwise(enc, ps, freqs, nullptr, &m);
-    benchmark::DoNotOptimize(m);
+    std::vector<SimilarityMatrix> graphs = ps_kernels::BuildGraphs(
+        pools, enc.num_attributes(), ps, /*top_k=*/0, nullptr);
+    benchmark::DoNotOptimize(graphs);
   }
-  state.SetLabel(std::string(ps_kernels::DispatchName(stats.dispatch)) +
-                 " tile " + std::to_string(stats.tile.rows) + "x" +
-                 std::to_string(stats.tile.cols));
+  const ps_kernels::TileShape shape =
+      ps_kernels::DefaultTileShape(enc.num_attributes());
+  state.SetLabel(
+      std::string(ps_kernels::DispatchName(ps_kernels::ActiveDispatch())) +
+      " tile " + std::to_string(shape.rows) + "x" +
+      std::to_string(shape.cols));
   state.SetItemsProcessed(
       state.iterations() *
       static_cast<int64_t>(enc.num_rows() * (enc.num_rows() - 1) / 2));

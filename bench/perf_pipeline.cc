@@ -32,9 +32,10 @@
 //
 // The topk_build section times a pool's top-8 classifier graph built
 // two ways — tiled fill into the triangle, SparsifyTopK, Compact versus
-// the streamed build that never allocates the triangle — with the peak
-// heap bytes of each (this binary counts every allocation), and FATALs
-// unless both CSRs agree in every offset, index and weight bit.
+// the streamed build (ps_kernels::BuildGraphs with top_k = 8) that never
+// allocates the triangle — with the peak heap bytes of each (this binary
+// counts every allocation), and FATALs unless both CSRs agree in every
+// offset, index and weight bit.
 //
 // Usage: perf_pipeline [--max-n=8000] [--out=BENCH_pipeline.json]
 // Env:   SIGHT_BENCH_THREADS=2,4,8 overrides the threaded point counts.
@@ -498,17 +499,25 @@ SimilarityMatrix FillMatrixEncoded(const EncodedProfileTable& enc,
   return m;
 }
 
-// The current ActiveLearner construction kernel: batched one-vs-many PS
-// over cache-sized tiles, ParallelFor partitioned by tile.
+// The triangle fill of ActiveLearner::Create's dense graph build
+// (ps_kernels::BuildGraphs before it compacts): batched one-vs-many PS
+// over cache-sized tiles of the default shape, one ParallelFor work item
+// per tile.
 SimilarityMatrix FillMatrixTiled(const EncodedProfileTable& enc,
                                  const ProfileSimilarity& ps,
                                  const ValueFrequencyTable& freqs,
-                                 ThreadPool* tp,
-                                 ps_kernels::FillStats* stats) {
-  SimilarityMatrix m(enc.num_rows());
-  ps_kernels::FillStats s =
-      ps_kernels::FillPairwise(enc, ps, freqs, tp, &m);
-  if (stats != nullptr) *stats = s;
+                                 ThreadPool* tp, bool* ran_parallel) {
+  const size_t n = enc.num_rows();
+  SimilarityMatrix m(n);
+  const std::vector<ps_kernels::PairTile> tiles = ps_kernels::MakeTiles(
+      n, ps_kernels::DefaultTileShape(enc.num_attributes()));
+  ParallelForOptions pf;
+  pf.total_work = n * (n - 1) / 2;
+  bool parallel = ParallelFor(tp, tiles.size(), [&](size_t t) {
+    ps_kernels::FillTile(enc.row(0), n, enc.num_attributes(), ps, freqs,
+                         tiles[t], &m);
+  }, pf);
+  if (ran_parallel != nullptr) *ran_parallel = parallel;
   return m;
 }
 
@@ -554,7 +563,6 @@ BuildRow RunBuildStudy(size_t n, const std::vector<size_t>& thread_counts) {
   // spurious ratio around 1.0.
   SimilarityMatrix encoded(0);
   SimilarityMatrix tiled(0);
-  ps_kernels::FillStats tiled_stats;
   std::vector<std::unique_ptr<ThreadPool>> pools;
   std::vector<SimilarityMatrix> threaded;
   row.threaded.resize(thread_counts.size());
@@ -577,23 +585,23 @@ BuildRow RunBuildStudy(size_t n, const std::vector<size_t>& thread_counts) {
           encoded = FillMatrixEncoded(*enc, ps, *freqs, nullptr, nullptr);
         }));
     row.tiled_ms = std::min(row.tiled_ms, TimeMsBestOf(1, [&] {
-      tiled = FillMatrixTiled(*enc, ps, *freqs, nullptr, &tiled_stats);
+      tiled = FillMatrixTiled(*enc, ps, *freqs, nullptr, nullptr);
     }));
     for (size_t t = 0; t < pools.size(); ++t) {
       BuildThreadPoint& point = row.threaded[t];
       point.ms = std::min(point.ms, TimeMsBestOf(1, [&] {
-        ps_kernels::FillStats stats;
-        threaded[t] =
-            FillMatrixTiled(*enc, ps, *freqs, pools[t].get(), &stats);
-        point.parallel = stats.parallel;
+        threaded[t] = FillMatrixTiled(*enc, ps, *freqs, pools[t].get(),
+                                      &point.parallel);
       }));
     }
   }
   row.encoded_speedup = row.string_serial_ms / row.encoded_serial_ms;
   row.tiled_speedup = row.encoded_serial_ms / row.tiled_ms;
-  row.tile_rows = tiled_stats.tile.rows;
-  row.tile_cols = tiled_stats.tile.cols;
-  row.dispatch = ps_kernels::DispatchName(tiled_stats.dispatch);
+  const ps_kernels::TileShape shape =
+      ps_kernels::DefaultTileShape(enc->num_attributes());
+  row.tile_rows = shape.rows;
+  row.tile_cols = shape.cols;
+  row.dispatch = ps_kernels::DispatchName(ps_kernels::ActiveDispatch());
   row.hardware_concurrency = std::thread::hardware_concurrency();
   row.bitwise_equal = MatricesBitwiseEqual(reference, encoded) &&
                       MatricesBitwiseEqual(reference, tiled);
@@ -690,15 +698,17 @@ TopKBuildRow RunTopKBuildStudy(size_t n) {
   SimilarityMatrix streamed(0);
   std::tie(row.dense_ms, row.dense_peak_bytes) =
       TimeAndPeakBytes(RepsFor(n), &dense, [&] {
-        SimilarityMatrix m(enc.num_rows());
-        ps_kernels::FillPairwise(enc, ps, freqs, nullptr, &m);
+        SimilarityMatrix m = FillMatrixTiled(enc, ps, freqs, nullptr, nullptr);
         m.SparsifyTopK(kTopK);
         m.Compact();
         return m;
       });
   std::tie(row.streamed_ms, row.streamed_peak_bytes) =
       TimeAndPeakBytes(RepsFor(n), &streamed, [&] {
-        return ps_kernels::SelectPairwiseTopK(enc, ps, freqs, kTopK, nullptr);
+        std::vector<SimilarityMatrix> graphs = ps_kernels::BuildGraphs(
+            {ps_kernels::PoolRows{enc.row(0), enc.num_rows(), &freqs}},
+            enc.num_attributes(), ps, kTopK, nullptr);
+        return std::move(graphs.front());
       });
   row.edges = streamed.NumEdges();
   row.speedup = row.dense_ms / row.streamed_ms;

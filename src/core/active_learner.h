@@ -71,20 +71,20 @@ struct ActiveLearnerConfig {
   size_t max_rounds = 64;
   /// Keep only the top-k profile-similarity edges per pool member when
   /// building the classifier graph; 0 = dense. ActiveLearner::Create
-  /// applies it while it builds each pool's graph (the pairs stream into
-  /// a TopKSelection, never into a dense triangle); PoolLearner::Create
-  /// takes the graph it is given as is.
+  /// passes it to ps_kernels::BuildGraphs, which streams each pool's
+  /// pairs into its top-k graph without a dense triangle;
+  /// PoolLearner::Create takes the graph it is given as is.
   size_t sparsify_top_k = 0;
   /// When false (default) the Definition-5 stabilization scan stops at
   /// the first still-unlabeled member that moved >= tolerance, so
   /// RoundRecord::unstabilized is 0 or 1 on unstable rounds. fig6-style
   /// consumers that need the exact count set this to true.
   bool count_all_unstabilized = false;
-  /// Optional worker pool (non-owning; must outlive the learner) for the
-  /// O(n^2) similarity-matrix construction and the independent per-pool
-  /// learner setup in ActiveLearner::Create. The learning rounds
-  /// themselves stay serial, and predictions are identical with any pool
-  /// (including none).
+  /// Optional worker pool (non-owning; must outlive the learner) for
+  /// ActiveLearner::Create's graph build: every pool's O(n^2)
+  /// similarity fill and its compaction (ps_kernels::BuildGraphs). The
+  /// learning rounds themselves stay serial, and predictions are
+  /// identical with any pool (including none).
   ThreadPool* thread_pool = nullptr;
 
   [[nodiscard]] Status Validate() const;
@@ -169,9 +169,9 @@ class PoolLearner {
   /// flow): stranger id -> numeric label value.
   using KnownLabels = std::unordered_map<UserId, double>;
 
-  /// `weights` is the classifier graph: one still in its building state
-  /// is compacted here, and a compacted one — what ActiveLearner's
-  /// streamed top-k build hands over — is used as is.
+  /// `weights` is the classifier graph, compacted (what
+  /// ps_kernels::BuildGraphs returns); one still in its building state is
+  /// InvalidArgument, as it is for the harmonic solvers.
   /// `display_similarity` / `display_benefit` are parallel to
   /// `pool.members` and are surfaced to the oracle with each query.
   /// Members found in `known_labels` start out owner-labeled, so the
@@ -319,10 +319,14 @@ struct AssessmentResult {
   }
 };
 
-/// Orchestrates PoolLearners over a PoolSet.
+/// Orchestrates PoolLearners over a PoolSet: one learner per pool, in
+/// pool order, each on the graph ps_kernels::BuildGraphs built for it.
 class ActiveLearner {
  public:
-  /// `display_benefits` is parallel to `pools.strangers`.
+  /// `display_benefits` and `pools.network_similarities` are parallel to
+  /// `pools.strangers`, which lists each stranger once; every pool member
+  /// is one of them, in exactly one pool. A pool set that breaks this is
+  /// InvalidArgument.
   /// `classifier` and `sampler` must outlive the learner. Strangers found
   /// in `known_labels` (optional) start out labeled in their pools;
   /// strangers found in `prior_scores` (optional) seed each pool's first
@@ -358,8 +362,8 @@ class ActiveLearner {
   ActiveLearner() = default;
 
   size_t pools_carried_ = 0;
+  // One per pool, in pool order: learners_[p] serves pools.pools[p].
   std::vector<PoolLearner> learners_;
-  std::vector<size_t> pool_of_learner_;
   // Parallel to the PoolSet's stranger list.
   std::vector<UserId> strangers_;
   std::vector<double> network_similarities_;

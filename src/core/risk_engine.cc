@@ -2,6 +2,7 @@
 
 #include "graph/algorithms.h"
 #include "util/logging.h"
+#include "util/string_util.h"
 
 namespace sight {
 
@@ -121,6 +122,22 @@ Result<RiskReport> RiskEngine::AssessImpl(
     std::vector<UserId> strangers, LabelOracle* oracle, Rng* rng,
     const PoolLearner::KnownLabels* known_labels,
     const PoolLearner::KnownLabels* prior_scores, AssessCarry* carry) const {
+  // Every stranger is a user of the graph other than the owner, listed
+  // once; anything else is rejected before the oracle hears a question.
+  std::vector<bool> listed(graph.NumUsers(), false);
+  for (UserId stranger : strangers) {
+    if (!graph.HasUser(stranger) || stranger == owner) {
+      return Status::InvalidArgument(StrFormat(
+          "stranger %u is not a user of the graph other than the owner",
+          stranger));
+    }
+    if (listed[stranger]) {
+      return Status::InvalidArgument(
+          StrFormat("stranger %u is listed twice", stranger));
+    }
+    listed[stranger] = true;
+  }
+
   RiskReport report;
   // One path for every call: the stages always run on an AssessCarry.
   // Without the caller's, they run on fresh caches that die with the

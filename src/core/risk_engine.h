@@ -156,6 +156,8 @@ class RiskEngine {
                                  Rng* rng) const;
 
   /// Variant over an explicit stranger set (incremental-crawler flow).
+  /// Each stranger must be a user of `graph` other than `owner`, listed
+  /// once; otherwise the call is InvalidArgument and asks nothing.
   /// Strangers in `known_labels` (optional) start out owner-labeled; the
   /// oracle is only queried for the rest. Strangers in `prior_scores`
   /// (optional) seed the pools' first solves with the previous tick's

@@ -4,11 +4,11 @@
 // pool's instances plus a few labeled instances, and output a continuous
 // score per instance (real-valued risk in [label_min, label_max], rounded
 // to a discrete label by the caller). The graph is compacted
-// (SimilarityMatrix::Compact): PoolLearner compacts each pool's graph once
-// and solves on it every round, and the harmonic solvers reject a graph in
-// any other state. This matches how the paper plugs Zhu's
-// harmonic-function method in and lets baselines (kNN, majority) swap in
-// for the ablation bench.
+// (SimilarityMatrix::Compact): ps_kernels::BuildGraphs builds each pool's
+// graph compacted, PoolLearner solves on it every round, and both
+// PoolLearner and the harmonic solvers reject a graph in any other state.
+// This matches how the paper plugs Zhu's harmonic-function method in and
+// lets baselines (kNN, majority) swap in for the ablation bench.
 
 #ifndef SIGHT_LEARNING_CLASSIFIER_H_
 #define SIGHT_LEARNING_CLASSIFIER_H_

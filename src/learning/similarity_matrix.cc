@@ -36,19 +36,6 @@ double SimilarityMatrix::Get(size_t i, size_t j) const {
   return it != row.end() && it->index == j ? it->weight : 0.0;
 }
 
-double SimilarityMatrix::RowSum(size_t i) const {
-  if (compacted_) {
-    double sum = 0.0;
-    for (const Neighbor& nb : Neighbors(i)) sum += nb.weight;
-    return sum;
-  }
-  double sum = 0.0;
-  for (size_t j = 0; j < n_; ++j) {
-    if (j != i) sum += Get(i, j);
-  }
-  return sum;
-}
-
 void SimilarityMatrix::SparsifyTopK(size_t k) {
   SIGHT_CHECK(!compacted_);
   if (n_ < 2) return;

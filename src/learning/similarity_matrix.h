@@ -61,9 +61,6 @@ class SimilarityMatrix {
   /// pairs without a positive edge.
   double Get(size_t i, size_t j) const;
 
-  /// Sum of row i (node degree in the weighted graph).
-  double RowSum(size_t i) const;
-
   /// Keeps, for every node, only its k strongest incident edges (an edge
   /// survives if it is in the top-k of either endpoint; see
   /// learning/top_k_selection.h for the tie rule). k = 0 clears all.

@@ -1,7 +1,10 @@
 #include "similarity/ps_kernels.h"
 
 #include <algorithm>
+#include <optional>
+#include <utility>
 
+#include "graph/profile_codec.h"
 #include "learning/top_k_selection.h"
 #include "util/logging.h"
 
@@ -250,15 +253,6 @@ std::vector<PairTile> MakeTiles(size_t n, TileShape shape) {
   return tiles;
 }
 
-size_t TilePairCount(const PairTile& tile) {
-  size_t pairs = 0;
-  for (size_t i = tile.row_begin; i < tile.row_end; ++i) {
-    const size_t j1 = std::min(tile.col_end, i);
-    if (j1 > tile.col_begin) pairs += j1 - tile.col_begin;
-  }
-  return pairs;
-}
-
 void ComputeBatch(const uint32_t* a, const uint32_t* b, size_t stride,
                   size_t count, const ProfileSimilarity& ps,
                   const ValueFrequencyTable& freqs, double* out) {
@@ -312,32 +306,6 @@ void FillTile(const uint32_t* rows, size_t num_rows, size_t num_attributes,
             });
 }
 
-void FillTile(const EncodedProfileTable& enc, const ProfileSimilarity& ps,
-              const ValueFrequencyTable& freqs, const PairTile& tile,
-              SimilarityMatrix* out) {
-  FillTile(enc.row(0), enc.num_rows(), enc.num_attributes(), ps, freqs, tile,
-           out);
-}
-
-FillStats FillPairwise(const EncodedProfileTable& enc,
-                       const ProfileSimilarity& ps,
-                       const ValueFrequencyTable& freqs, ThreadPool* pool,
-                       SimilarityMatrix* out, TileShape shape) {
-  SIGHT_CHECK(out != nullptr && out->size() == enc.num_rows());
-  FillStats stats;
-  stats.tile = ShapeOrDefault(shape, enc.num_attributes());
-  stats.dispatch = ActiveDispatch();
-  const size_t n = enc.num_rows();
-  std::vector<PairTile> tiles = MakeTiles(n, stats.tile);
-  stats.tiles = tiles.size();
-  ParallelForOptions options;
-  options.total_work = n > 1 ? n * (n - 1) / 2 : 0;
-  stats.parallel = ParallelFor(
-      pool, tiles.size(),
-      [&](size_t t) { FillTile(enc, ps, freqs, tiles[t], out); }, options);
-  return stats;
-}
-
 std::vector<size_t> StripeStarts(size_t n, TileShape shape) {
   SIGHT_CHECK(shape.cols > 0);
   std::vector<size_t> starts;
@@ -361,24 +329,63 @@ void SelectStripe(const uint32_t* rows, size_t num_rows,
             });
 }
 
-SimilarityMatrix SelectPairwiseTopK(const EncodedProfileTable& enc,
-                                    const ProfileSimilarity& ps,
-                                    const ValueFrequencyTable& freqs,
-                                    size_t k, ThreadPool* pool,
-                                    TileShape shape) {
-  const size_t n = enc.num_rows();
-  TopKSelection selection(
-      n, k, StripeStarts(n, ShapeOrDefault(shape, enc.num_attributes())));
+std::vector<SimilarityMatrix> BuildGraphs(const std::vector<PoolRows>& pools,
+                                          size_t num_attributes,
+                                          const ProfileSimilarity& ps,
+                                          size_t top_k, ThreadPool* pool,
+                                          TileShape shape) {
+  shape = ShapeOrDefault(shape, num_attributes);
+  const size_t num_pools = pools.size();
+  // A dense pool's work items are its tiles, written into its triangle;
+  // a streamed pool's are its column stripes, each owning its share of
+  // the pool's selection state. Distinct items cover disjoint pairs, so
+  // they run without synchronization.
+  std::vector<SimilarityMatrix> graphs;
+  graphs.reserve(num_pools);
+  std::vector<std::optional<TopKSelection>> selections(num_pools);
+  std::vector<std::pair<size_t, PairTile>> tiles;
+  std::vector<std::pair<size_t, size_t>> stripes;
+  size_t total_pairs = 0;
+  for (size_t p = 0; p < num_pools; ++p) {
+    const size_t n = pools[p].num_rows;
+    if (n > 1) total_pairs += n * (n - 1) / 2;
+    if (top_k > 0) {
+      graphs.emplace_back(0);
+      selections[p].emplace(n, top_k, StripeStarts(n, shape));
+      for (size_t s = 0; s < selections[p]->num_stripes(); ++s) {
+        stripes.emplace_back(p, s);
+      }
+      continue;
+    }
+    graphs.emplace_back(n);
+    for (const PairTile& tile : MakeTiles(n, shape)) {
+      tiles.emplace_back(p, tile);
+    }
+  }
+
   ParallelForOptions options;
-  options.total_work = n > 1 ? n * (n - 1) / 2 : 0;
-  ParallelFor(
-      pool, selection.num_stripes(),
-      [&](size_t s) {
-        SelectStripe(enc.row(0), n, enc.num_attributes(), ps, freqs, s,
-                     &selection);
-      },
-      options);
-  return selection.Finish();
+  options.total_work = total_pairs;
+  ParallelFor(pool, tiles.size() + stripes.size(), [&](size_t t) {
+    if (t < tiles.size()) {
+      const auto& [p, tile] = tiles[t];
+      FillTile(pools[p].rows, pools[p].num_rows, num_attributes, ps,
+               *pools[p].freqs, tile, &graphs[p]);
+      return;
+    }
+    const auto& [p, s] = stripes[t - tiles.size()];
+    SelectStripe(pools[p].rows, pools[p].num_rows, num_attributes, ps,
+                 *pools[p].freqs, s, &*selections[p]);
+  }, options);
+
+  // The top-k merge or the CSR compaction is independent across pools.
+  ParallelFor(pool, num_pools, [&](size_t p) {
+    if (top_k > 0) {
+      graphs[p] = selections[p]->Finish();
+    } else {
+      graphs[p].Compact();
+    }
+  });
+  return graphs;
 }
 
 }  // namespace ps_kernels

@@ -56,6 +56,12 @@ SimilarityMatrix UniformWeights(size_t n, double w = 0.8) {
   return m;
 }
 
+// The classifier graph as PoolLearner::Create takes it: compacted.
+SimilarityMatrix Compacted(SimilarityMatrix m) {
+  m.Compact();
+  return m;
+}
+
 struct LearnerParts {
   HarmonicFunctionClassifier classifier =
       HarmonicFunctionClassifier::Create(HarmonicConfig{}).value();
@@ -97,26 +103,41 @@ TEST(ActiveLearnerConfigTest, StabilizationToleranceMatchesConfidence) {
 TEST(PoolLearnerTest, CreateValidatesShapes) {
   LearnerParts parts;
   StrangerPool pool = MakePool({10, 11, 12});
-  EXPECT_FALSE(PoolLearner::Create(MakePool({}), SimilarityMatrix(0), {}, {},
+  EXPECT_FALSE(PoolLearner::Create(MakePool({}),
+                                   Compacted(SimilarityMatrix(0)), {}, {},
                                    parts.config, &parts.classifier,
                                    &parts.sampler)
                    .ok());
-  EXPECT_FALSE(PoolLearner::Create(pool, SimilarityMatrix(2), {0, 0, 0},
-                                   {0, 0, 0}, parts.config, &parts.classifier,
-                                   &parts.sampler)
+  EXPECT_FALSE(PoolLearner::Create(pool, Compacted(SimilarityMatrix(2)),
+                                   {0, 0, 0}, {0, 0, 0}, parts.config,
+                                   &parts.classifier, &parts.sampler)
                    .ok());
-  EXPECT_FALSE(PoolLearner::Create(pool, SimilarityMatrix(3), {0, 0},
-                                   {0, 0, 0}, parts.config, &parts.classifier,
-                                   &parts.sampler)
+  EXPECT_FALSE(PoolLearner::Create(pool, Compacted(SimilarityMatrix(3)),
+                                   {0, 0}, {0, 0, 0}, parts.config,
+                                   &parts.classifier, &parts.sampler)
                    .ok());
-  EXPECT_FALSE(PoolLearner::Create(pool, SimilarityMatrix(3), {0, 0, 0},
-                                   {0, 0, 0}, parts.config, nullptr,
-                                   &parts.sampler)
+  EXPECT_FALSE(PoolLearner::Create(pool, Compacted(SimilarityMatrix(3)),
+                                   {0, 0, 0}, {0, 0, 0}, parts.config,
+                                   nullptr, &parts.sampler)
                    .ok());
-  EXPECT_TRUE(PoolLearner::Create(pool, SimilarityMatrix(3), {0, 0, 0},
-                                  {0, 0, 0}, parts.config, &parts.classifier,
-                                  &parts.sampler)
+  EXPECT_TRUE(PoolLearner::Create(pool, Compacted(SimilarityMatrix(3)),
+                                  {0, 0, 0}, {0, 0, 0}, parts.config,
+                                  &parts.classifier, &parts.sampler)
                   .ok());
+}
+
+// The graph a PoolLearner solves on is compacted where it is built
+// (ps_kernels::BuildGraphs); one still in its building state is an
+// error, as it is for the harmonic solvers.
+TEST(PoolLearnerTest, BuildingStateGraphRejected) {
+  LearnerParts parts;
+  StrangerPool pool = MakePool({10, 11, 12});
+  EXPECT_EQ(PoolLearner::Create(pool, UniformWeights(3), {0, 0, 0}, {0, 0, 0},
+                                parts.config, &parts.classifier,
+                                &parts.sampler)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(PoolLearnerTest, TinyPoolExhaustsInOneRound) {
@@ -124,8 +145,9 @@ TEST(PoolLearnerTest, TinyPoolExhaustsInOneRound) {
   parts.config.labels_per_round = 3;
   StrangerPool pool = MakePool({10, 11});
   auto learner =
-      PoolLearner::Create(pool, UniformWeights(2), {0.1, 0.2}, {0.3, 0.4},
-                          parts.config, &parts.classifier, &parts.sampler)
+      PoolLearner::Create(pool, Compacted(UniformWeights(2)), {0.1, 0.2},
+                          {0.3, 0.4}, parts.config, &parts.classifier,
+                          &parts.sampler)
           .value();
   MapOracle oracle({{10, RiskLabel::kNotRisky}, {11, RiskLabel::kVeryRisky}});
   Rng rng(1);
@@ -145,7 +167,7 @@ TEST(PoolLearnerTest, RunAfterFinishedIsError) {
   LearnerParts parts;
   StrangerPool pool = MakePool({10});
   auto learner =
-      PoolLearner::Create(pool, UniformWeights(1), {0.0}, {0.0},
+      PoolLearner::Create(pool, Compacted(UniformWeights(1)), {0.0}, {0.0},
                           parts.config, &parts.classifier, &parts.sampler)
           .value();
   MapOracle oracle({});
@@ -168,7 +190,7 @@ TEST(PoolLearnerTest, HomogeneousPoolConvergesQuickly) {
     labels[u] = RiskLabel::kRisky;
   }
   auto learner = PoolLearner::Create(
-                     MakePool(members), UniformWeights(30),
+                     MakePool(members), Compacted(UniformWeights(30)),
                      std::vector<double>(30, 0.1),
                      std::vector<double>(30, 0.2), parts.config,
                      &parts.classifier, &parts.sampler)
@@ -201,7 +223,7 @@ TEST(PoolLearnerTest, ConfidenceHundredLabelsEverything) {
     labels[u] = RiskLabel::kRisky;
   }
   auto learner = PoolLearner::Create(
-                     MakePool(members), UniformWeights(9),
+                     MakePool(members), Compacted(UniformWeights(9)),
                      std::vector<double>(9, 0.0), std::vector<double>(9, 0.0),
                      parts.config, &parts.classifier, &parts.sampler)
                      .value();
@@ -216,8 +238,9 @@ TEST(PoolLearnerTest, OracleSeesDisplayValues) {
   LearnerParts parts;
   StrangerPool pool = MakePool({42});
   auto learner =
-      PoolLearner::Create(pool, UniformWeights(1), {0.37}, {0.73},
-                          parts.config, &parts.classifier, &parts.sampler)
+      PoolLearner::Create(pool, Compacted(UniformWeights(1)), {0.37},
+                          {0.73}, parts.config, &parts.classifier,
+                          &parts.sampler)
           .value();
   MapOracle oracle({});
   Rng rng(5);
@@ -240,7 +263,7 @@ TEST(PoolLearnerTest, MaxRoundsBoundsNonConvergingPool) {
     labels[u] = u % 2 == 0 ? RiskLabel::kNotRisky : RiskLabel::kVeryRisky;
   }
   auto learner = PoolLearner::Create(
-                     MakePool(members), SimilarityMatrix(40),
+                     MakePool(members), Compacted(SimilarityMatrix(40)),
                      std::vector<double>(40, 0.0),
                      std::vector<double>(40, 0.0), parts.config,
                      &parts.classifier, &parts.sampler)
@@ -256,7 +279,7 @@ TEST(PoolLearnerTest, FirstRoundHasNoRmse) {
   LearnerParts parts;
   std::vector<UserId> members = {0, 1, 2, 3, 4, 5};
   auto learner = PoolLearner::Create(
-                     MakePool(members), UniformWeights(6),
+                     MakePool(members), Compacted(UniformWeights(6)),
                      std::vector<double>(6, 0.0), std::vector<double>(6, 0.0),
                      parts.config, &parts.classifier, &parts.sampler)
                      .value();
@@ -281,6 +304,7 @@ TEST(PoolLearnerTest, SparsifiedGraphStillLearns) {
   // the graph is built.
   SimilarityMatrix weights = UniformWeights(20);
   weights.SparsifyTopK(2);
+  weights.Compact();
   ASSERT_LT(weights.NumEdges(), 20u * 19u / 2u);
   auto learner = PoolLearner::Create(
                      MakePool(members), std::move(weights),
@@ -303,7 +327,7 @@ TEST(PoolLearnerTest, SeededLabelsAreNeverReQueried) {
   known[12] = 1.0;
   StrangerPool pool = MakePool({10, 11, 12, 13});
   auto learner =
-      PoolLearner::Create(pool, UniformWeights(4),
+      PoolLearner::Create(pool, Compacted(UniformWeights(4)),
                           std::vector<double>(4, 0.0),
                           std::vector<double>(4, 0.0), parts.config,
                           &parts.classifier, &parts.sampler, &known)
@@ -330,7 +354,7 @@ TEST(PoolLearnerTest, FullySeededPoolFinishesWithoutQueries) {
   known[11] = 2.0;
   StrangerPool pool = MakePool({10, 11});
   auto learner =
-      PoolLearner::Create(pool, UniformWeights(2),
+      PoolLearner::Create(pool, Compacted(UniformWeights(2)),
                           std::vector<double>(2, 0.0),
                           std::vector<double>(2, 0.0), parts.config,
                           &parts.classifier, &parts.sampler, &known)
@@ -351,8 +375,8 @@ TEST(PoolLearnerTest, SeedOutsideLabelRangeRejected) {
   for (double value : {5.0, std::numeric_limits<double>::quiet_NaN()}) {
     PoolLearner::KnownLabels known;
     known[10] = value;
-    EXPECT_EQ(PoolLearner::Create(pool, UniformWeights(1), {0.0}, {0.0},
-                                  parts.config, &parts.classifier,
+    EXPECT_EQ(PoolLearner::Create(pool, Compacted(UniformWeights(1)), {0.0},
+                                  {0.0}, parts.config, &parts.classifier,
                                   &parts.sampler, &known)
                   .status()
                   .code(),
@@ -370,6 +394,44 @@ TEST(ActiveLearnerTest, CreateValidatesBenefitsShape) {
   EXPECT_FALSE(ActiveLearner::Create(pools, profiles, {0.5}, parts.config,
                                      &parts.classifier, &parts.sampler)
                    .ok());
+}
+
+// A pool set whose NS vector is not parallel to its strangers, or that
+// lists a stranger twice or puts a member in two pools, is rejected
+// before any graph is built.
+TEST(ActiveLearnerTest, CreateValidatesThePoolSet) {
+  ProfileTable profiles(ProfileSchema::Create({"g"}).value());
+  for (UserId u = 0; u < 4; ++u) {
+    Profile p;
+    p.values = {"x"};
+    ASSERT_TRUE(profiles.Set(u, p).ok());
+  }
+  PoolSet valid;
+  valid.strangers = {0, 1, 2, 3};
+  valid.network_similarities = {0.1, 0.1, 0.1, 0.1};
+  valid.pools = {MakePool({0, 1}), MakePool({2, 3})};
+  LearnerParts parts;
+  auto create = [&](const PoolSet& pools) {
+    return ActiveLearner::Create(pools, profiles, std::vector<double>(4, 0.0),
+                                 parts.config, &parts.classifier,
+                                 &parts.sampler)
+        .status()
+        .code();
+  };
+  EXPECT_EQ(create(valid), StatusCode::kOk);
+
+  PoolSet short_ns = valid;
+  short_ns.network_similarities = {0.1};
+  EXPECT_EQ(create(short_ns), StatusCode::kInvalidArgument);
+
+  PoolSet repeated = valid;
+  repeated.strangers = {0, 1, 2, 2};
+  repeated.pools = {MakePool({0, 1}), MakePool({2})};
+  EXPECT_EQ(create(repeated), StatusCode::kInvalidArgument);
+
+  PoolSet two_pools = valid;
+  two_pools.pools = {MakePool({0, 1}), MakePool({1, 2, 3})};
+  EXPECT_EQ(create(two_pools), StatusCode::kInvalidArgument);
 }
 
 TEST(ActiveLearnerTest, RunsAllPoolsAndAggregates) {

@@ -2,6 +2,7 @@
 
 #include <map>
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -253,6 +254,36 @@ TEST(RiskEngineTest, UnknownOwnerFails) {
                    .AssessOwner(world.graph, world.profiles, world.visibility,
                                 9999, &oracle, &rng)
                    .ok());
+}
+
+// The stranger list of an explicit assessment must name graph users
+// other than the owner, each once; any other list is InvalidArgument
+// before the owner is asked anything.
+TEST(RiskEngineTest, MalformedStrangerListsAreRejectedBeforeAnyQuery) {
+  World world;
+  auto engine = RiskEngine::Create(RiskEngineConfig{}).value();
+  auto all = TwoHopStrangers(world.graph, world.owner).value();
+  ASSERT_GE(all.size(), 2u);
+  std::vector<UserId> duplicated = all;
+  duplicated.push_back(all[1]);
+  std::vector<UserId> with_owner = all;
+  with_owner.push_back(world.owner);
+  std::vector<UserId> with_unknown = all;
+  with_unknown.push_back(static_cast<UserId>(world.graph.NumUsers()));
+  for (const std::vector<UserId>& strangers :
+       {duplicated, with_owner, with_unknown}) {
+    SimilarityOracle oracle;
+    Rng rng(29);
+    EXPECT_EQ(engine
+                  .AssessStrangers(world.graph, world.profiles,
+                                   world.visibility, world.owner, strangers,
+                                   &oracle, &rng)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << "stranger " << strangers.back();
+    EXPECT_EQ(oracle.queries(), 0u) << "stranger " << strangers.back();
+  }
 }
 
 TEST(RiskEngineTest, NullOracleFails) {

@@ -1,13 +1,15 @@
 // The batched/tiled kernels must be bitwise drop-ins for the per-pair
 // scalar PS: every dispatch variant's lanes, every tail length, every
-// tile geometry, and the parallel driver have to reproduce
+// tile geometry, and the threaded graph build have to reproduce
 // ProfileSimilarity::Compute exactly — including kMissingCode and
 // kUnknownValue lanes and codes outside the frequency dictionary.
 
 #include "similarity/ps_kernels.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -128,9 +130,7 @@ TEST(PsKernelsTest, TilesPartitionTheTriangleExactly) {
       std::vector<ps_kernels::PairTile> tiles =
           ps_kernels::MakeTiles(n, shape);
       std::vector<int> covered(n * n, 0);
-      size_t pair_count_sum = 0;
       for (const ps_kernels::PairTile& tile : tiles) {
-        pair_count_sum += ps_kernels::TilePairCount(tile);
         for (size_t i = tile.row_begin; i < tile.row_end; ++i) {
           for (size_t j = tile.col_begin;
                j < std::min(tile.col_end, i); ++j) {
@@ -138,13 +138,11 @@ TEST(PsKernelsTest, TilesPartitionTheTriangleExactly) {
           }
         }
       }
-      size_t expected = n > 1 ? n * (n - 1) / 2 : 0;
-      EXPECT_EQ(pair_count_sum, expected)
-          << "n " << n << " shape " << shape.rows << "x" << shape.cols;
       for (size_t i = 0; i < n; ++i) {
         for (size_t j = 0; j < n; ++j) {
           EXPECT_EQ(covered[i * n + j], j < i ? 1 : 0)
-              << "pair (" << i << ", " << j << ") n " << n;
+              << "pair (" << i << ", " << j << ") n " << n << " shape "
+              << shape.rows << "x" << shape.cols;
         }
       }
     }
@@ -164,8 +162,12 @@ SimilarityMatrix ReferenceFill(const EncodedProfileTable& enc,
   return out;
 }
 
+// Every weight of `got`, a compacted graph, against the building-state
+// reference: a pair with no CSR edge reads 0, which is what the
+// reference holds for it.
 void ExpectBitwiseEqual(const SimilarityMatrix& got,
                         const SimilarityMatrix& want) {
+  ASSERT_TRUE(got.compacted());
   ASSERT_EQ(got.size(), want.size());
   for (size_t i = 0; i < got.size(); ++i) {
     for (size_t j = 0; j < i; ++j) {
@@ -175,7 +177,19 @@ void ExpectBitwiseEqual(const SimilarityMatrix& got,
   }
 }
 
-TEST(PsKernelsTest, FillPairwiseMatchesScalarReference) {
+// One dense pool through BuildGraphs.
+SimilarityMatrix BuildOne(const EncodedProfileTable& enc,
+                          const ProfileSimilarity& ps,
+                          const ValueFrequencyTable& freqs, ThreadPool* pool,
+                          ps_kernels::TileShape shape = {}) {
+  std::vector<SimilarityMatrix> graphs = ps_kernels::BuildGraphs(
+      {ps_kernels::PoolRows{enc.row(0), enc.num_rows(), &freqs}},
+      enc.num_attributes(), ps, /*top_k=*/0, pool, shape);
+  EXPECT_EQ(graphs.size(), 1u);
+  return std::move(graphs.front());
+}
+
+TEST(PsKernelsTest, BuildGraphsMatchesScalarReference) {
   OwnerDataset ds = MakeDataset(311, 140);
   EncodedProfileTable enc =
       EncodedProfileTable::Build(ds.profiles, ds.strangers);
@@ -183,20 +197,14 @@ TEST(PsKernelsTest, FillPairwiseMatchesScalarReference) {
       enc.row(0), enc.num_rows(), enc.num_attributes());
   auto ps = ProfileSimilarity::Create(ds.profiles.schema()).value();
 
-  SimilarityMatrix want = ReferenceFill(enc, ps, freqs);
-  SimilarityMatrix got(enc.num_rows());
-  ps_kernels::FillStats stats =
-      ps_kernels::FillPairwise(enc, ps, freqs, nullptr, &got);
-  EXPECT_EQ(stats.dispatch, ps_kernels::ActiveDispatch());
-  EXPECT_GT(stats.tiles, 0u);
-  EXPECT_FALSE(stats.parallel);  // no pool given
-  ExpectBitwiseEqual(got, want);
+  ExpectBitwiseEqual(BuildOne(enc, ps, freqs, nullptr),
+                     ReferenceFill(enc, ps, freqs));
 }
 
 // Degenerate tile geometries hit every boundary case: single-pair
 // tiles, shapes that straddle the diagonal, and row blocks that do not
 // divide the pool size.
-TEST(PsKernelsTest, FillPairwiseMatchesUnderExplicitTileShapes) {
+TEST(PsKernelsTest, BuildGraphsMatchesUnderExplicitTileShapes) {
   OwnerDataset ds = MakeDataset(313, 37);
   EncodedProfileTable enc =
       EncodedProfileTable::Build(ds.profiles, ds.strangers);
@@ -208,16 +216,11 @@ TEST(PsKernelsTest, FillPairwiseMatchesUnderExplicitTileShapes) {
   for (ps_kernels::TileShape shape :
        {ps_kernels::TileShape{1, 1}, ps_kernels::TileShape{4, 5},
         ps_kernels::TileShape{3, 8}, ps_kernels::TileShape{64, 512}}) {
-    SimilarityMatrix got(enc.num_rows());
-    ps_kernels::FillStats stats =
-        ps_kernels::FillPairwise(enc, ps, freqs, nullptr, &got, shape);
-    EXPECT_EQ(stats.tile.rows, shape.rows);
-    EXPECT_EQ(stats.tile.cols, shape.cols);
-    ExpectBitwiseEqual(got, want);
+    ExpectBitwiseEqual(BuildOne(enc, ps, freqs, nullptr, shape), want);
   }
 }
 
-TEST(PsKernelsTest, FillPairwiseAcrossThreadsMatchesSerial) {
+TEST(PsKernelsTest, BuildGraphsAcrossThreadsMatchesScalarReference) {
   OwnerDataset ds = MakeDataset(317, 120);
   EncodedProfileTable enc =
       EncodedProfileTable::Build(ds.profiles, ds.strangers);
@@ -225,14 +228,10 @@ TEST(PsKernelsTest, FillPairwiseAcrossThreadsMatchesSerial) {
       enc.row(0), enc.num_rows(), enc.num_attributes());
   auto ps = ProfileSimilarity::Create(ds.profiles.schema()).value();
 
-  SimilarityMatrix serial(enc.num_rows());
-  ps_kernels::FillPairwise(enc, ps, freqs, nullptr, &serial,
-                           ps_kernels::TileShape{8, 16});
   ThreadPool pool(4);
-  SimilarityMatrix threaded(enc.num_rows());
-  ps_kernels::FillPairwise(enc, ps, freqs, &pool, &threaded,
-                           ps_kernels::TileShape{8, 16});
-  ExpectBitwiseEqual(threaded, serial);
+  ExpectBitwiseEqual(
+      BuildOne(enc, ps, freqs, &pool, ps_kernels::TileShape{8, 16}),
+      ReferenceFill(enc, ps, freqs));
 }
 
 TEST(PsKernelsTest, EmptyAndSingletonPools) {
@@ -243,10 +242,10 @@ TEST(PsKernelsTest, EmptyAndSingletonPools) {
     EncodedProfileTable enc = EncodedProfileTable::Build(table, users);
     ValueFrequencyTable freqs = ValueFrequencyTable::BuildFromCodes(
         enc.row(0), enc.num_rows(), enc.num_attributes());
-    SimilarityMatrix out(enc.num_rows());
-    ps_kernels::FillStats stats =
-        ps_kernels::FillPairwise(enc, ps, freqs, nullptr, &out);
-    EXPECT_EQ(stats.tiles, 0u) << users.size() << " users";
+    SimilarityMatrix graph = BuildOne(enc, ps, freqs, nullptr);
+    EXPECT_TRUE(graph.compacted()) << users.size() << " users";
+    EXPECT_EQ(graph.size(), users.size());
+    EXPECT_EQ(graph.NumEdges(), 0u) << users.size() << " users";
   }
 }
 

@@ -6,8 +6,9 @@
 // pool or 1/2/4-thread pools, the streamed CSR must equal the reference
 // SparsifyTopK + Compact in row offsets, neighbor indices and weight
 // bits. SimilarityMatrix::SparsifyTopK, the other feeder of the same
-// rule, must too. Labeled `threading` so the TSan leg runs the threaded
-// builds.
+// rule, must too. A last case builds pools of mixed sizes in one
+// BuildGraphs call, dense and top-k, against each pool's reference.
+// Labeled `threading` so the TSan leg runs the threaded builds.
 
 #include <algorithm>
 #include <bit>
@@ -117,6 +118,22 @@ struct Pool {
     return users;
   }
 
+  ps_kernels::PoolRows Rows() const {
+    return {enc.row(0), enc.num_rows(), &freqs};
+  }
+
+  // The dense triangle, one ProfileSimilarity::Compute per pair: no
+  // tiled kernel is shared with the builds it is the reference for.
+  SimilarityMatrix ReferenceFill() const {
+    SimilarityMatrix dense(enc.num_rows());
+    for (size_t i = 0; i < enc.num_rows(); ++i) {
+      for (size_t j = 0; j < i; ++j) {
+        dense.Set(i, j, ps.Compute(enc.row(i), enc.row(j), freqs));
+      }
+    }
+    return dense;
+  }
+
   ProfileTable table;
   EncodedProfileTable enc;
   ValueFrequencyTable freqs;
@@ -129,8 +146,7 @@ size_t CheckPool(const Pool& pool, const std::vector<size_t>& ks,
                  const std::vector<ps_kernels::TileShape>& shapes,
                  const std::vector<ThreadPool*>& thread_pools) {
   const size_t n = pool.enc.num_rows();
-  SimilarityMatrix dense(n);
-  ps_kernels::FillPairwise(pool.enc, pool.ps, pool.freqs, nullptr, &dense);
+  SimilarityMatrix dense = pool.ReferenceFill();
   size_t builds = 0;
   for (size_t k : ks) {
     SimilarityMatrix reference = dense;
@@ -151,9 +167,11 @@ size_t CheckPool(const Pool& pool, const std::vector<size_t>& ks,
             " shape=" + std::to_string(shape.rows) + "x" +
             std::to_string(shape.cols) + " threads=" +
             std::to_string(threads == nullptr ? 0 : threads->num_threads());
-        SimilarityMatrix streamed = ps_kernels::SelectPairwiseTopK(
-            pool.enc, pool.ps, pool.freqs, k, threads, shape);
-        ExpectSameCsr(streamed, reference, label);
+        std::vector<SimilarityMatrix> streamed =
+            ps_kernels::BuildGraphs({pool.Rows()}, pool.enc.num_attributes(),
+                                    pool.ps, k, threads, shape);
+        EXPECT_EQ(streamed.size(), 1u) << label;
+        ExpectSameCsr(streamed.at(0), reference, label);
         ++builds;
       }
     }
@@ -210,6 +228,47 @@ TEST_F(TopKSelectionTest, NarrowStripesAndLargeKMatchBitwise) {
   Pool pool(300, 4242);
   CheckPool(pool, {1, 3, 8, 299, 300, 1000},
             {ps_kernels::TileShape{16, 24}}, AllPools());
+}
+
+// The cross-pool schedule: pools of mixed sizes — empty, 1 and 2
+// members, around the default row and column tile edges, and past a
+// single column stripe — built in one BuildGraphs call, dense and
+// top-8, serially and on 1, 2 and 4 threads. Every pool's graph must be
+// bitwise its own per-pool reference, whatever work items the other
+// pools add.
+TEST_F(TopKSelectionTest, MixedPoolsInOneBuildMatchPerPoolReferences) {
+  const ps_kernels::TileShape shape = ps_kernels::DefaultTileShape(4);
+  std::vector<std::unique_ptr<Pool>> pools;
+  std::vector<ps_kernels::PoolRows> rows;
+  for (size_t n : {size_t{0}, size_t{1}, size_t{2}, shape.rows - 1,
+                   shape.rows, shape.rows + 1, shape.cols - 1, shape.cols,
+                   shape.cols + 37}) {
+    pools.push_back(std::make_unique<Pool>(n, 9000 + n));
+    rows.push_back(pools.back()->Rows());
+  }
+  for (size_t k : {size_t{0}, size_t{8}}) {
+    std::vector<SimilarityMatrix> references;
+    for (const std::unique_ptr<Pool>& pool : pools) {
+      SimilarityMatrix reference = pool->ReferenceFill();
+      if (k > 0) ReferenceSparsifyTopK(&reference, k);
+      reference.Compact();
+      references.push_back(std::move(reference));
+    }
+    for (ThreadPool* threads : AllPools()) {
+      std::vector<SimilarityMatrix> graphs = ps_kernels::BuildGraphs(
+          rows, /*num_attributes=*/4, pools.front()->ps, k, threads);
+      ASSERT_EQ(graphs.size(), pools.size());
+      for (size_t p = 0; p < pools.size(); ++p) {
+        ExpectSameCsr(
+            graphs[p], references[p],
+            "pool " + std::to_string(p) + " n=" +
+                std::to_string(pools[p]->enc.num_rows()) +
+                " k=" + std::to_string(k) + " threads=" +
+                std::to_string(threads == nullptr ? 0
+                                                  : threads->num_threads()));
+      }
+    }
+  }
 }
 
 }  // namespace

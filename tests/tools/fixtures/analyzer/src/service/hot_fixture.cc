@@ -1,7 +1,8 @@
 // Seeded violations for the hot-path-rebuild rule: a miniature
 // RiskService whose drain path reaches EncodedProfileTable::Build,
-// SimilarityMatrix::Compact, and ProfileCodec construction outside the
-// sanctioned cold-rebuild fallbacks. Never compiled; driven by
+// SimilarityMatrix::Compact (directly, and through a namespace-qualified
+// free function), and ProfileCodec construction outside the sanctioned
+// cold-rebuild fallbacks. Never compiled; driven by
 // tests/tools/sight_analyzer_test.py.
 
 #include <cstddef>
@@ -29,10 +30,24 @@ class StrangerEncodeCache {
   void Refresh() { EncodedProfileTable::Build(); }
 };
 
+namespace kernels {
+
+// BAD: matrix recompaction in a free function the serving path reaches
+// as kernels::Helper().
+void Helper() {
+  SimilarityMatrix graph;
+  graph.Compact();
+}
+
+}  // namespace kernels
+
 class RiskService {
  public:
   // Entry point: the analyzer walks the call graph from here.
-  void DrainShard() { RebuildEverything(); }
+  void DrainShard() {
+    RebuildEverything();
+    kernels::Helper();
+  }
 
  private:
   void RebuildEverything() {

@@ -128,9 +128,11 @@ def main():
     check_rule_case(
         "hot-path", "src/service/hot_fixture.cc", "hot-path-rebuild",
         must_flag=["EncodedProfileTable::Build", "Compact()",
-                   "ProfileCodec construction"],
+                   "ProfileCodec construction",
+                   "graph.Compact() is reachable from the serving path "
+                   "(RiskService::DrainShard -> Helper)"],
         must_not_flag=["Refresh", "OfflineRebuild"],
-        min_findings=4)
+        min_findings=5)
 
     check_rule_case(
         "status", "src/core/status_fixture.cc", "status-discipline",

@@ -124,6 +124,14 @@ def main():
               "  return Status::OK();\n"
               "}\n", "nan-interval")
 
+    lint_case("upward include is flagged", "graph/foo.cc",
+              '#include "util/status.h"\n'
+              '#include "core/risk_engine.h"\n', "layering")
+    lint_case("same-layer include is flagged", "learning/foo.cc",
+              '#include "clustering/squeezer.h"\n', "layering")
+    lint_case("a module outside the layers is flagged", "extras/foo.cc",
+              '#include "util/status.h"\n', "layering")
+
     # --- multiline + commented-out hardening -----------------------------
     lint_case("multiline RiskEngine::Create is caught", "core/foo.cc",
               "void F() {\n"
@@ -241,6 +249,14 @@ def main():
               "       const std::vector<UserId>& members) {\n"
               "  auto enc = EncodedProfileTable::Build(profiles, members);\n"
               "}\n", None)
+    lint_case("own-module and downward includes are clean", "core/foo.cc",
+              '#include "core/nsg.h"\n'
+              '#include "similarity/ps_kernels.h"\n'
+              '#include "util/status.h"\n'
+              "#include <vector>\n", None)
+    lint_case("commented-out upward include is clean", "graph/foo.cc",
+              '// #include "core/risk_engine.h"\n'
+              'const char* k = "#include \\"io/labels_io.h\\"";\n', None)
     lint_case("comments and strings are ignored", "core/foo.cc",
               "// try to throw std::cout at a std::thread\n"
               'const char* k = "throw try std::cerr";\n', None)

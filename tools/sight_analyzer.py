@@ -105,7 +105,7 @@ HOT_REBUILD_CTORS = {"ProfileCodec"}
 # cold fallbacks and the codec/matrix machinery itself (DESIGN.md §14/§15).
 HOT_REBUILD_SANCTIONED = {
     "StrangerEncodeCache::Refresh",   # encode cold rebuild on epoch mismatch
-    "PoolLearner::Create",            # CSR compaction of a newly built pool
+    "BuildGraphs",                    # ps_kernels: compacts new pool graphs
 }
 # ... and everything defined in the codec's own translation unit.
 HOT_REBUILD_SANCTIONED_FILES = {"graph/profile_codec.cc",
@@ -635,6 +635,7 @@ class Model:
         self.methods_by_name = {}   # bare name -> set(qualname)
         self.status_names = {}      # name -> True (all status) / False
         self.status_quals = set()   # qualnames returning Status/Result
+        self.classes = set()        # classes with a method definition
         self.suppressions = {}      # rel_path -> {line: set(rules)}
         self.files = set()
 
@@ -649,6 +650,8 @@ class Model:
             self.functions.append(fn)
             self.by_qual.setdefault(fn.qualname, []).append(fn)
             self.methods_by_name.setdefault(fn.name, set()).add(fn.qualname)
+            if fn.cls:
+                self.classes.add(fn.cls)
         for d in list(decls) + list(funcs):
             is_status = d.returns_status()
             if d.name in self.status_names:
@@ -666,6 +669,10 @@ class Model:
             q = f"{call.qual}::{call.name}"
             if q in self.by_qual:
                 out.add(q)
+            elif call.qual not in self.classes and call.name in self.by_qual:
+                # A namespace qualifier (ps_kernels::FillTile): free
+                # functions are keyed by their bare name.
+                out.add(call.name)
             return out
         if call.receiver is not None:
             return set(self.methods_by_name.get(call.name, ()))

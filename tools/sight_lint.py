@@ -32,6 +32,13 @@ Enforces the Sight library conventions documented in DESIGN.md §10:
                      order, `<=`/`>=` too): every comparison with NaN is
                      false, so that form lets a NaN through. Write the
                      NaN-safe `!(x >= lo && x <= hi)` instead.
+  layering           A src/ file includes only its own module and modules
+                     of lower layers. Layers, lowest first: util; graph;
+                     learning, clustering; similarity; core; sim, service;
+                     io. Two modules of one layer may not include each
+                     other, so dependencies point one way (ROADMAP aim 2).
+                     A new src/ module is placed in LAYERS before it can
+                     include anything.
   no-sleep-in-tests  No `std::this_thread::sleep_for/sleep_until` in
                      tests/ — sleeping for "long enough" is the classic
                      flake; wait on the condition instead (WaitFor,
@@ -68,6 +75,24 @@ ALLOWLIST = {
     "no-hot-rebuild": set(),
 }
 
+# src/ modules by layer, lowest first (rule layering, DESIGN.md §10).
+LAYERS = [
+    {"util"},
+    {"graph"},
+    {"learning", "clustering"},
+    {"similarity"},
+    {"core"},
+    {"sim", "service"},
+    {"io"},
+]
+LAYER_OF = {module: rank for rank, layer in enumerate(LAYERS)
+            for module in layer}
+
+# A quoted include's module: the first component of the header name.
+INCLUDE_RE = re.compile(r'\s*#\s*include\s*"([^"/]+)/')
+# A line up to the opening quote of an #include's header name.
+INCLUDE_PREFIX_RE = re.compile(r"\s*#\s*include\s*")
+
 # Function declarations returning Status or Result<T>. Mirrors the shape of
 # every declaration in the codebase: optional specifiers, the return type,
 # then the function name and an opening paren on the same line.
@@ -103,7 +128,8 @@ class Violation:
 
 def strip_comments_and_strings(text):
     """Blanks out comments and string/char literal contents, preserving
-    line structure so reported line numbers stay accurate."""
+    line structure so reported line numbers stay accurate. The header
+    name of an `#include "..."` is not a string literal and is kept."""
     out = []
     i, n = 0, len(text)
     state = "code"  # code | line_comment | block_comment | string | char
@@ -122,6 +148,13 @@ def strip_comments_and_strings(text):
                 i += 2
                 continue
             if c == '"':
+                line_start = text.rfind("\n", 0, i) + 1
+                close = text.find('"', i + 1)
+                if INCLUDE_PREFIX_RE.fullmatch(text, line_start, i) and \
+                        close != -1 and "\n" not in text[i:close]:
+                    out.append(text[i:close + 1])
+                    i = close + 1
+                    continue
                 state = "string"
                 out.append(c)
                 i += 1
@@ -330,6 +363,29 @@ def check_nan_interval(rel, lines, violations):
                 f" passes — write `!({x} >= lo && {x} <= hi)`"))
 
 
+def check_layering(rel, lines, violations):
+    module = rel.split("/", 1)[0] if "/" in rel else None
+    if module is None:
+        return
+    for idx, line in enumerate(lines):
+        m = INCLUDE_RE.match(line)
+        if not m or m.group(1) == module:
+            continue
+        target = m.group(1)
+        if module not in LAYER_OF:
+            violations.append(Violation(
+                rel, idx + 1, "layering",
+                f"module '{module}' has no layer — place it in LAYERS"
+                " (tools/sight_lint.py) before it includes other modules"))
+        elif target in LAYER_OF and LAYER_OF[target] >= LAYER_OF[module]:
+            violations.append(Violation(
+                rel, idx + 1, "layering",
+                f"'{module}' includes '{target}', which is not in a lower"
+                " layer — dependencies point one way: util → graph →"
+                " learning/clustering → similarity → core → sim/service"
+                " → io (DESIGN.md §10)"))
+
+
 def check_sleep_in_tests(rel, lines, violations):
     for line_no in multiline_matches(
             lines, r"std\s*::\s*this_thread\s*::\s*sleep_(?:for|until)\b"):
@@ -350,6 +406,7 @@ RULES = {
     "no-direct-engine": check_direct_engine,
     "no-hot-rebuild": check_hot_rebuild,
     "nan-interval": check_nan_interval,
+    "layering": check_layering,
 }
 
 # Rules applied to the tests/ tree (tests legitimately use raw stdio,
