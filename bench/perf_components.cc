@@ -105,20 +105,19 @@ void BM_PsKernelComputeBatch(benchmark::State& state) {
 BENCHMARK(BM_PsKernelComputeBatch)->Arg(400)->Arg(2000);
 
 // One dense pool's classifier graph as ActiveLearner::Create asks for
-// it: the tiled pairwise fill plus the compaction (BuildGraphs).
+// it: the pool's value frequencies, the tiled pairwise fill and the
+// compaction (BuildGraphs).
 void BM_PsKernelTiledFill(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
   sim::OwnerDataset ds = MakeDataset(n);
   EncodedProfileTable enc =
       EncodedProfileTable::Build(ds.profiles, ds.strangers);
-  ValueFrequencyTable freqs = ValueFrequencyTable::BuildFromCodes(
-      enc.row(0), enc.num_rows(), enc.num_attributes());
   auto ps = ProfileSimilarity::Create(ds.profiles.schema()).value();
   const std::vector<ps_kernels::PoolRows> pools = {
-      {enc.row(0), enc.num_rows(), &freqs}};
+      {enc.row(0), enc.num_rows()}};
   for (auto _ : state) {
-    std::vector<SimilarityMatrix> graphs = ps_kernels::BuildGraphs(
-        pools, enc.num_attributes(), ps, /*top_k=*/0, nullptr);
+    std::vector<SimilarityMatrix> graphs =
+        ps_kernels::BuildGraphs(pools, ps, /*top_k=*/0, nullptr);
     benchmark::DoNotOptimize(graphs);
   }
   const ps_kernels::TileShape shape =
@@ -133,16 +132,16 @@ void BM_PsKernelTiledFill(benchmark::State& state) {
 }
 BENCHMARK(BM_PsKernelTiledFill)->Arg(400)->Arg(2000);
 
-// Erdos-Renyi-style weighted graph shared by the harmonic benches.
-SimilarityMatrix MakeRandomGraph(size_t n) {
+// Erdos-Renyi-style weighted triangle shared by the harmonic benches.
+SimilarityTriangle MakeRandomTriangle(size_t n) {
   Rng rng(42);
-  SimilarityMatrix m(n);
+  SimilarityTriangle t(n);
   for (size_t i = 0; i < n; ++i) {
     for (size_t j = i + 1; j < n; ++j) {
-      if (rng.Bernoulli(0.2)) m.Set(i, j, rng.UniformDouble(0.1, 1.0));
+      if (rng.Bernoulli(0.2)) t.Set(i, j, rng.UniformDouble(0.1, 1.0));
     }
   }
-  return m;
+  return t;
 }
 
 LabeledSet MakeLabels(size_t n) {
@@ -153,12 +152,11 @@ LabeledSet MakeLabels(size_t n) {
   return labeled;
 }
 
-// Dense random pool, compacted once as PoolLearner does: the timed loop
-// is the solve alone.
+// Dense random pool's graph, built before the timed loop: the loop is
+// the solve alone.
 void BM_HarmonicPredict(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
-  SimilarityMatrix m = MakeRandomGraph(n);
-  m.Compact();
+  SimilarityMatrix m = MakeRandomTriangle(n).Compact();
   LabeledSet labeled = MakeLabels(n);
   HarmonicConfig gs_config;
   auto classifier = HarmonicFunctionClassifier::Create(gs_config).value();
@@ -172,8 +170,7 @@ BENCHMARK(BM_HarmonicPredict)->Arg(100)->Arg(400)->Arg(2000);
 
 void BM_HarmonicPredictCg(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
-  SimilarityMatrix m = MakeRandomGraph(n);
-  m.Compact();
+  SimilarityMatrix m = MakeRandomTriangle(n).Compact();
   LabeledSet labeled = MakeLabels(n);
   HarmonicConfig config;
   config.solver = HarmonicSolver::kConjugateGradient;
@@ -186,13 +183,11 @@ void BM_HarmonicPredictCg(benchmark::State& state) {
 }
 BENCHMARK(BM_HarmonicPredictCg)->Arg(100)->Arg(400)->Arg(2000);
 
-// Top-k-sparsified pool with a pre-built compact view — the shape the
-// ActiveLearner rounds actually solve on after PoolLearner::Create.
+// Top-k-sparsified pool's graph — the shape the ActiveLearner rounds
+// actually solve on with sparsify_top_k set.
 void BM_HarmonicPredictSparsified(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
-  SimilarityMatrix m = MakeRandomGraph(n);
-  m.SparsifyTopK(8);
-  m.Compact();
+  SimilarityMatrix m = MakeRandomTriangle(n).SparsifyTopK(8);
   LabeledSet labeled = MakeLabels(n);
   HarmonicConfig config;
   config.solver = HarmonicSolver::kGaussSeidel;
@@ -207,9 +202,7 @@ BENCHMARK(BM_HarmonicPredictSparsified)->Arg(400)->Arg(2000)->Arg(8000);
 
 void BM_HarmonicPredictCgSparsified(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
-  SimilarityMatrix m = MakeRandomGraph(n);
-  m.SparsifyTopK(8);
-  m.Compact();
+  SimilarityMatrix m = MakeRandomTriangle(n).SparsifyTopK(8);
   LabeledSet labeled = MakeLabels(n);
   HarmonicConfig config;
   config.solver = HarmonicSolver::kConjugateGradient;
@@ -243,9 +236,7 @@ std::vector<LabeledSet> MakeLabelChain(size_t n) {
 // round pays only its own incremental solve.
 void BM_HarmonicWarmChain(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
-  SimilarityMatrix m = MakeRandomGraph(n);
-  m.SparsifyTopK(8);
-  m.Compact();
+  SimilarityMatrix m = MakeRandomTriangle(n).SparsifyTopK(8);
   std::vector<LabeledSet> chain = MakeLabelChain(n);
   auto classifier =
       HarmonicFunctionClassifier::Create(HarmonicConfig{}).value();
@@ -267,9 +258,7 @@ BENCHMARK(BM_HarmonicWarmChain)->Arg(400)->Arg(2000);
 // re-solving history each round.
 void BM_HarmonicColdReplayChain(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
-  SimilarityMatrix m = MakeRandomGraph(n);
-  m.SparsifyTopK(8);
-  m.Compact();
+  SimilarityMatrix m = MakeRandomTriangle(n).SparsifyTopK(8);
   std::vector<LabeledSet> chain = MakeLabelChain(n);
   auto classifier =
       HarmonicFunctionClassifier::Create(HarmonicConfig{}).value();
@@ -288,13 +277,13 @@ void BM_HarmonicColdReplayChain(benchmark::State& state) {
 }
 BENCHMARK(BM_HarmonicColdReplayChain)->Arg(400)->Arg(2000);
 
-// Full CSR rebuild from the packed store (the BuildCsr linear walk).
+// Full CSR build from the packed store (SimilarityTriangle::Compact's
+// linear walk), on a fresh copy of the triangle each iteration.
 void BM_SimilarityCompact(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
-  SimilarityMatrix base = MakeRandomGraph(n);
+  const SimilarityTriangle base = MakeRandomTriangle(n);
   for (auto _ : state) {
-    SimilarityMatrix m = base;
-    m.Compact();
+    SimilarityMatrix m = SimilarityTriangle(base).Compact();
     benchmark::DoNotOptimize(m);
   }
   state.SetItemsProcessed(state.iterations() *

@@ -31,7 +31,7 @@
 // interpretable.
 //
 // The topk_build section times a pool's top-8 classifier graph built
-// two ways — tiled fill into the triangle, SparsifyTopK, Compact versus
+// two ways — tiled fill into the triangle, then its SparsifyTopK, versus
 // the streamed build (ps_kernels::BuildGraphs with top_k = 8) that never
 // allocates the triangle — with the peak heap bytes of each (this binary
 // counts every allocation), and FATALs unless both CSRs agree in every
@@ -133,15 +133,26 @@ double TimeMsBestOf(int reps, const std::function<void()>& fn) {
 
 int RepsFor(size_t n) { return n <= 400 ? 5 : n <= 2000 ? 3 : 1; }
 
-SimilarityMatrix MakeRandomGraph(size_t n) {
+SimilarityTriangle MakeRandomTriangle(size_t n) {
   Rng rng(42);
-  SimilarityMatrix m(n);
+  SimilarityTriangle t(n);
   for (size_t i = 0; i < n; ++i) {
     for (size_t j = i + 1; j < n; ++j) {
-      if (rng.Bernoulli(0.2)) m.Set(i, j, rng.UniformDouble(0.1, 1.0));
+      if (rng.Bernoulli(0.2)) t.Set(i, j, rng.UniformDouble(0.1, 1.0));
     }
   }
-  return m;
+  return t;
+}
+
+// Zeroes every entry of `t` that its top-k graph drops, so the triangle
+// holds exactly the edges the solver sees.
+void KeepTopK(SimilarityTriangle* t, size_t k) {
+  const SimilarityMatrix kept = t->SparsifyTopK(k);
+  for (size_t i = 0; i < t->size(); ++i) {
+    for (size_t j = 0; j < i; ++j) {
+      if (kept.Get(i, j) == 0.0) t->Set(i, j, 0.0);
+    }
+  }
 }
 
 LabeledSet MakeLabels(size_t n) {
@@ -155,7 +166,7 @@ LabeledSet MakeLabels(size_t n) {
 // The seed implementation of the Gauss-Seidel solve, kept verbatim as
 // the benchmark baseline: every sweep scans the full dense row of each
 // unlabeled node (O(n^2) per sweep) instead of its neighbor list.
-std::vector<double> ReferenceDensePredict(const SimilarityMatrix& w,
+std::vector<double> ReferenceDensePredict(const SimilarityTriangle& w,
                                           const LabeledSet& labeled,
                                           const HarmonicConfig& config) {
   size_t n = w.size();
@@ -217,19 +228,20 @@ HarmonicRow RunHarmonicStudy(size_t n, bool sparsify) {
   row.n = n;
   row.graph = sparsify ? "topk8" : "dense";
 
-  SimilarityMatrix m = MakeRandomGraph(n);
-  if (sparsify) m.SparsifyTopK(kTopK);
+  SimilarityTriangle t = MakeRandomTriangle(n);
+  if (sparsify) KeepTopK(&t, kTopK);
   LabeledSet labeled = MakeLabels(n);
-  // The dense reference reads an uncompacted copy: a compacted matrix
-  // answers Get() by binary search, which would skew its timing.
-  std::optional<SimilarityMatrix> uncompacted;
-  if (n <= kMaxDenseReference) uncompacted = m;
+  // The dense reference reads a copy of the triangle: the graph answers
+  // Get() by binary search, which would skew its timing.
+  std::optional<SimilarityTriangle> dense;
+  if (n <= kMaxDenseReference) dense = t;
 
   HarmonicConfig config;
   config.solver = HarmonicSolver::kGaussSeidel;
   auto classifier = HarmonicFunctionClassifier::Create(config).value();
 
-  row.compact_ms = TimeMsBestOf(1, [&] { m.Compact(); });
+  SimilarityMatrix m;
+  row.compact_ms = TimeMsBestOf(1, [&] { m = std::move(t).Compact(); });
   row.edges = m.NumEdges();
 
   std::vector<double> csr_f;
@@ -237,10 +249,10 @@ HarmonicRow RunHarmonicStudy(size_t n, bool sparsify) {
     csr_f = classifier.Predict(m, labeled).value();
   });
 
-  if (uncompacted.has_value()) {
+  if (dense.has_value()) {
     std::vector<double> ref_f;
     row.reference_dense_ms = TimeMsBestOf(std::min(RepsFor(n), 2), [&] {
-      ref_f = ReferenceDensePredict(*uncompacted, labeled, config);
+      ref_f = ReferenceDensePredict(*dense, labeled, config);
     });
     row.speedup = *row.reference_dense_ms / row.csr_solve_ms;
     row.bitwise_equal = std::equal(csr_f.begin(), csr_f.end(), ref_f.begin());
@@ -287,9 +299,12 @@ struct RoundSolveRow {
 };
 
 std::vector<RoundSolveRow> RunRoundSolveStudy(size_t n, bool sparsify) {
-  SimilarityMatrix m = MakeRandomGraph(n);
-  if (sparsify) m.SparsifyTopK(kTopK);
-  m.Compact();
+  // The triangle dies before the rounds run, as in BuildGraphs.
+  SimilarityMatrix m;
+  {
+    SimilarityTriangle t = MakeRandomTriangle(n);
+    m = sparsify ? t.SparsifyTopK(kTopK) : std::move(t).Compact();
+  }
 
   // Production solver configuration (kAuto resolves per chain step).
   auto classifier =
@@ -397,7 +412,7 @@ struct BuildRow {
   double tiled_speedup = 0.0;  // encoded_serial_ms / tiled_ms
   size_t tile_rows = 0;
   size_t tile_cols = 0;
-  std::string dispatch;  // "scalar" / "sse2" / "avx2"
+  std::string dispatch;  // "scalar" / "avx2"
   unsigned hardware_concurrency = 0;
   std::vector<BuildThreadPoint> threaded;  // tiled path across a pool
   bool bitwise_equal = true;
@@ -446,15 +461,15 @@ StringFrequencies BuildStringFrequencies(const ProfileTable& table,
 // tiled fills are gated against: every pair compares std::string
 // attribute values and resolves frequencies through a by-value hash
 // lookup.
-SimilarityMatrix FillMatrixString(const ProfileTable& table,
-                                  const std::vector<UserId>& pool,
-                                  const std::vector<double>& weights,
-                                  const StringFrequencies& freqs) {
+SimilarityTriangle FillMatrixString(const ProfileTable& table,
+                                    const std::vector<UserId>& pool,
+                                    const std::vector<double>& weights,
+                                    const StringFrequencies& freqs) {
   auto frequency = [&](AttributeId a, const std::string& value) {
     auto it = freqs[a].find(value);
     return it == freqs[a].end() ? 0.0 : it->second;
   };
-  SimilarityMatrix m(pool.size());
+  SimilarityTriangle m(pool.size());
   for (size_t i = 0; i < pool.size(); ++i) {
     const Profile& pi = table.Get(pool[i]);
     for (size_t j = 0; j < i; ++j) {
@@ -482,11 +497,11 @@ ValueFrequencyTable FrequenciesOf(const EncodedProfileTable& enc) {
 // The pre-kernel encoded construction loop, kept as the baseline the
 // tiled kernels are measured against: one pair at a time on integer
 // codes, each row a parallel work item.
-SimilarityMatrix FillMatrixEncoded(const EncodedProfileTable& enc,
-                                   const ProfileSimilarity& ps,
-                                   const ValueFrequencyTable& freqs,
-                                   ThreadPool* tp, bool* ran_parallel) {
-  SimilarityMatrix m(enc.num_rows());
+SimilarityTriangle FillMatrixEncoded(const EncodedProfileTable& enc,
+                                     const ProfileSimilarity& ps,
+                                     const ValueFrequencyTable& freqs,
+                                     ThreadPool* tp, bool* ran_parallel) {
+  SimilarityTriangle m(enc.num_rows());
   ParallelForOptions pf;
   pf.total_work = enc.num_rows() * (enc.num_rows() - 1) / 2;
   bool parallel = ParallelFor(tp, enc.num_rows(), [&](size_t i) {
@@ -499,16 +514,16 @@ SimilarityMatrix FillMatrixEncoded(const EncodedProfileTable& enc,
   return m;
 }
 
-// The triangle fill of ActiveLearner::Create's dense graph build
-// (ps_kernels::BuildGraphs before it compacts): batched one-vs-many PS
-// over cache-sized tiles of the default shape, one ParallelFor work item
-// per tile.
-SimilarityMatrix FillMatrixTiled(const EncodedProfileTable& enc,
-                                 const ProfileSimilarity& ps,
-                                 const ValueFrequencyTable& freqs,
-                                 ThreadPool* tp, bool* ran_parallel) {
+// The triangle fill of ActiveLearner::Create's dense graph build (what
+// ps_kernels::BuildGraphs writes for a dense pool before compacting it):
+// batched one-vs-many PS over cache-sized tiles of the default shape,
+// one ParallelFor work item per tile.
+SimilarityTriangle FillMatrixTiled(const EncodedProfileTable& enc,
+                                   const ProfileSimilarity& ps,
+                                   const ValueFrequencyTable& freqs,
+                                   ThreadPool* tp, bool* ran_parallel) {
   const size_t n = enc.num_rows();
-  SimilarityMatrix m(n);
+  SimilarityTriangle m(n);
   const std::vector<ps_kernels::PairTile> tiles = ps_kernels::MakeTiles(
       n, ps_kernels::DefaultTileShape(enc.num_attributes()));
   ParallelForOptions pf;
@@ -521,8 +536,8 @@ SimilarityMatrix FillMatrixTiled(const EncodedProfileTable& enc,
   return m;
 }
 
-bool MatricesBitwiseEqual(const SimilarityMatrix& a,
-                          const SimilarityMatrix& b) {
+bool MatricesBitwiseEqual(const SimilarityTriangle& a,
+                          const SimilarityTriangle& b) {
   for (size_t i = 0; i < a.size(); ++i) {
     for (size_t j = 0; j < i; ++j) {
       if (a.Get(i, j) != b.Get(i, j)) return false;
@@ -541,7 +556,7 @@ BuildRow RunBuildStudy(size_t n, const std::vector<size_t>& thread_counts) {
   auto ps = ProfileSimilarity::Create(ds.profiles.schema()).value();
   StringFrequencies string_freqs = BuildStringFrequencies(ds.profiles, pool);
 
-  SimilarityMatrix reference(0);
+  SimilarityTriangle reference(0);
   row.string_serial_ms = TimeMsBestOf(RepsFor(n), [&] {
     reference = FillMatrixString(ds.profiles, pool, ps.normalized_weights(),
                                  string_freqs);
@@ -561,10 +576,10 @@ BuildRow RunBuildStudy(size_t n, const std::vector<size_t>& thread_counts) {
   // points run the identical serial kernel, and measuring the two in
   // separate blocks records clock drift between the blocks as a
   // spurious ratio around 1.0.
-  SimilarityMatrix encoded(0);
-  SimilarityMatrix tiled(0);
+  SimilarityTriangle encoded(0);
+  SimilarityTriangle tiled(0);
   std::vector<std::unique_ptr<ThreadPool>> pools;
-  std::vector<SimilarityMatrix> threaded;
+  std::vector<SimilarityTriangle> threaded;
   row.threaded.resize(thread_counts.size());
   for (size_t t = 0; t < thread_counts.size(); ++t) {
     pools.push_back(std::make_unique<ThreadPool>(thread_counts[t]));
@@ -638,8 +653,8 @@ BuildRow RunBuildStudy(size_t n, const std::vector<size_t>& thread_counts) {
 }
 
 // Top-k graph build of one pool, two ways: the triangle path (tiled
-// fill, SparsifyTopK, Compact) and the streamed build that never holds
-// the triangle. Both must give the same CSR bit for bit.
+// fill, then the triangle's SparsifyTopK) and the streamed build that
+// never holds the triangle. Both must give the same CSR bit for bit.
 struct TopKBuildRow {
   size_t n = 0;
   size_t edges = 0;
@@ -659,7 +674,7 @@ std::pair<double, int64_t> TimeAndPeakBytes(int reps, SimilarityMatrix* out,
   double best = std::numeric_limits<double>::infinity();
   int64_t peak = 0;
   for (int r = 0; r < reps; ++r) {
-    *out = SimilarityMatrix(0);
+    *out = SimilarityMatrix();
     const int64_t base = g_live_bytes.load();
     g_peak_bytes.store(base);
     best = std::min(best, TimeMsBestOf(1, [&] { *out = build(); }));
@@ -694,20 +709,18 @@ TopKBuildRow RunTopKBuildStudy(size_t n) {
       EncodedProfileTable::Build(ds.profiles, ds.strangers);
   ValueFrequencyTable freqs = FrequenciesOf(enc);
 
-  SimilarityMatrix dense(0);
-  SimilarityMatrix streamed(0);
+  SimilarityMatrix dense;
+  SimilarityMatrix streamed;
   std::tie(row.dense_ms, row.dense_peak_bytes) =
       TimeAndPeakBytes(RepsFor(n), &dense, [&] {
-        SimilarityMatrix m = FillMatrixTiled(enc, ps, freqs, nullptr, nullptr);
-        m.SparsifyTopK(kTopK);
-        m.Compact();
-        return m;
+        return FillMatrixTiled(enc, ps, freqs, nullptr, nullptr)
+            .SparsifyTopK(kTopK);
       });
   std::tie(row.streamed_ms, row.streamed_peak_bytes) =
       TimeAndPeakBytes(RepsFor(n), &streamed, [&] {
         std::vector<SimilarityMatrix> graphs = ps_kernels::BuildGraphs(
-            {ps_kernels::PoolRows{enc.row(0), enc.num_rows(), &freqs}},
-            enc.num_attributes(), ps, kTopK, nullptr);
+            {ps_kernels::PoolRows{enc.row(0), enc.num_rows()}}, ps, kTopK,
+            nullptr);
         return std::move(graphs.front());
       });
   row.edges = streamed.NumEdges();
@@ -716,7 +729,7 @@ TopKBuildRow RunTopKBuildStudy(size_t n) {
   if (!row.bitwise_equal) {
     std::fprintf(stderr,
                  "FATAL: streamed top-k build diverges from fill + "
-                 "SparsifyTopK + Compact at n=%zu\n",
+                 "SparsifyTopK at n=%zu\n",
                  n);
     std::exit(1);
   }

@@ -27,28 +27,9 @@ Result<Squeezer> Squeezer::Create(const ProfileSchema& schema,
     return Status::InvalidArgument(
         StrFormat("threshold %f not in [0, 1]", config.threshold));
   }
-  size_t n = schema.num_attributes();
-  if (n == 0) return Status::InvalidArgument("schema has no attributes");
-  std::vector<double> weights = std::move(config.weights);
-  if (weights.empty()) {
-    weights.assign(n, 1.0 / static_cast<double>(n));
-  } else {
-    if (weights.size() != n) {
-      return Status::InvalidArgument(
-          StrFormat("got %zu weights for %zu attributes", weights.size(), n));
-    }
-    double sum = 0.0;
-    for (double w : weights) {
-      if (w < 0.0) {
-        return Status::InvalidArgument("weights must be >= 0");
-      }
-      sum += w;
-    }
-    if (!(sum > 0.0)) {
-      return Status::InvalidArgument("weights must not all be zero");
-    }
-    for (double& w : weights) w /= sum;
-  }
+  SIGHT_ASSIGN_OR_RETURN(
+      std::vector<double> weights,
+      NormalizeAttributeWeights(schema, std::move(config.weights)));
   return Squeezer(config.threshold, std::move(weights));
 }
 

@@ -80,7 +80,8 @@ struct SqueezerConfig {
   /// Similarity threshold beta in [0, 1] for joining an existing cluster
   /// (the paper uses 0.4).
   double threshold = 0.4;
-  /// Per-attribute weights; empty = uniform. Normalized to sum 1.
+  /// Per-attribute weights; empty = uniform. Normalized to sum 1 by
+  /// NormalizeAttributeWeights, which rejects non-finite weights.
   std::vector<double> weights;
 };
 

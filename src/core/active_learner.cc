@@ -89,9 +89,6 @@ Result<PoolLearner> PoolLearner::Create(
   if (classifier == nullptr || sampler == nullptr) {
     return Status::InvalidArgument("classifier and sampler are required");
   }
-  if (!weights.compacted()) {
-    return Status::InvalidArgument("weights must be a compacted graph");
-  }
   PoolLearner learner(pool, std::move(weights),
                       std::move(display_similarity),
                       std::move(display_benefit), config, classifier,
@@ -368,22 +365,21 @@ Result<ActiveLearner> ActiveLearner::Create(
 
   // Every pool gathers its member rows from one owner-level encode: the
   // caller's (refreshed against `profiles` this tick), or a fresh one
-  // that dies with the call. Value frequencies come from the pool itself
-  // (Section III-C), indexed by those codes. Carried pools keep all of
-  // this from their previous tick. Profile similarity only sees code
-  // equality and per-value counts, which no injective re-coding changes,
-  // so every pool scores as it would under a dictionary of its own.
+  // that dies with the call. BuildGraphs scores each pool against value
+  // frequencies of its own rows (Section III-C), indexed by those codes.
+  // Carried pools keep all of this from their previous tick. Profile
+  // similarity only sees code equality and per-value counts, which no
+  // injective re-coding changes, so every pool scores as it would under
+  // a dictionary of its own.
   StrangerEncodeCache fresh;
   if (encode == nullptr) {
     fresh.Refresh(profiles, pools.strangers);
     encode = &fresh;
   }
-  const size_t num_attributes = encode->num_attributes();
   // Every member belongs to exactly one pool. A carried pool passes no
   // rows: its learner already holds its graph.
   std::vector<bool> pooled(pools.strangers.size(), false);
   std::vector<std::vector<uint32_t>> rows(num_pools);
-  std::vector<std::optional<ValueFrequencyTable>> freqs(num_pools);
   std::vector<ps_kernels::PoolRows> inputs(num_pools);
   std::vector<std::vector<double>> sims(num_pools);
   std::vector<std::vector<double>> bens(num_pools);
@@ -419,10 +415,13 @@ Result<ActiveLearner> ActiveLearner::Create(
           "refresh it over the pool set's strangers first",
           p));
     }
-    freqs[p].emplace(
-        ValueFrequencyTable::BuildFromCodes(rows[p].data(), n,
-                                            num_attributes));
-    inputs[p] = ps_kernels::PoolRows{rows[p].data(), n, &*freqs[p]};
+    if (encode->num_attributes() != ps.normalized_weights().size()) {
+      return Status::FailedPrecondition(StrFormat(
+          "the encode cache rows have %zu attributes, the profiles' schema "
+          "%zu; refresh it against these profiles first",
+          encode->num_attributes(), ps.normalized_weights().size()));
+    }
+    inputs[p] = ps_kernels::PoolRows{rows[p].data(), n};
   }
 
   // Edge weights: the O(n^2) pairwise profile-similarity fill runs on
@@ -430,9 +429,8 @@ Result<ActiveLearner> ActiveLearner::Create(
   // identical to per-pair ProfileSimilarity::Compute, across every pool
   // at once. With sparsify_top_k > 0 a pool never gets a triangle: its
   // pairs stream into the top-k selection that emits its graph.
-  std::vector<SimilarityMatrix> graphs =
-      ps_kernels::BuildGraphs(inputs, num_attributes, ps,
-                              config.sparsify_top_k, config.thread_pool);
+  std::vector<SimilarityMatrix> graphs = ps_kernels::BuildGraphs(
+      inputs, ps, config.sparsify_top_k, config.thread_pool);
 
   // One learner per pool, in pool order. Carried learners only
   // rebaseline their per-tick counters.

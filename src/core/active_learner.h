@@ -169,11 +169,10 @@ class PoolLearner {
   /// flow): stranger id -> numeric label value.
   using KnownLabels = std::unordered_map<UserId, double>;
 
-  /// `weights` is the classifier graph, compacted (what
-  /// ps_kernels::BuildGraphs returns); one still in its building state is
-  /// InvalidArgument, as it is for the harmonic solvers.
-  /// `display_similarity` / `display_benefit` are parallel to
-  /// `pool.members` and are surfaced to the oracle with each query.
+  /// `weights` is the classifier graph over the pool's members (what
+  /// ps_kernels::BuildGraphs builds). `display_similarity` /
+  /// `display_benefit` are parallel to `pool.members` and are surfaced
+  /// to the oracle with each query.
   /// Members found in `known_labels` start out owner-labeled, so the
   /// oracle is never asked about them again. `prior_scores` (optional)
   /// are continuous predicted scores from an earlier assessment (crawler
@@ -338,8 +337,9 @@ class ActiveLearner {
   /// owner-level encoded stranger table, refreshed against `profiles`
   /// over `pools.strangers` this tick; without one, a fresh table is
   /// refreshed here and dies with the call. Pools gather their member
-  /// rows from it, so a supplied table that lacks a row for some pool
-  /// member is FailedPrecondition.
+  /// rows from it, so when some pool is built, a supplied table that
+  /// lacks a row for one of its members, or whose rows have another
+  /// attribute count than `profiles`' schema, is FailedPrecondition.
   [[nodiscard]]
   static Result<ActiveLearner> Create(
       const PoolSet& pools, const ProfileTable& profiles,

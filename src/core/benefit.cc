@@ -1,5 +1,7 @@
 #include "core/benefit.h"
 
+#include <cmath>
+
 namespace sight {
 
 ThetaWeights ThetaWeights::Uniform() {
@@ -23,10 +25,14 @@ ThetaWeights ThetaWeights::PaperTable3() {
 Status ThetaWeights::Validate() const {
   double sum = 0.0;
   for (double v : values) {
-    if (v < 0.0) {
-      return Status::InvalidArgument("theta weights must be non-negative");
+    if (!(std::isfinite(v) && v >= 0.0)) {
+      return Status::InvalidArgument(
+          "theta weights must be finite and non-negative");
     }
     sum += v;
+  }
+  if (!std::isfinite(sum)) {
+    return Status::InvalidArgument("theta weights must have a finite sum");
   }
   if (!(sum > 0.0)) {
     return Status::InvalidArgument("theta weights must not all be zero");

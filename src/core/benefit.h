@@ -37,7 +37,8 @@ struct ThetaWeights {
     return values[static_cast<size_t>(item)];
   }
 
-  /// InvalidArgument when any weight is negative or all are zero.
+  /// InvalidArgument when any weight is negative or not finite, when
+  /// their sum overflows, or when all are zero.
   [[nodiscard]] Status Validate() const;
 };
 

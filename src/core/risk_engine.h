@@ -73,8 +73,8 @@ struct RiskEngineConfig {
   size_t knn_k = 5;
   SamplerKind sampler = SamplerKind::kRandom;
   /// Worker threads for the parallel pipeline phases (NS batches,
-  /// similarity-matrix construction, per-pool learner setup, per-class
-  /// harmonic solves). 1 = fully serial, no pool at all (the default);
+  /// every pool's similarity-graph build, per-class harmonic solves).
+  /// 1 = fully serial, no pool at all (the default);
   /// 0 = hardware concurrency. Ignored when `thread_pool` is set.
   /// Assessments are deterministic and identical at every setting.
   size_t num_threads = 1;

@@ -1,5 +1,7 @@
 #include "graph/profile.h"
 
+#include <cmath>
+
 #include "util/string_util.h"
 
 namespace sight {
@@ -29,6 +31,36 @@ Result<AttributeId> ProfileSchema::FindAttribute(
         StrFormat("no attribute named '%s'", name.c_str()));
   }
   return it->second;
+}
+
+Result<std::vector<double>> NormalizeAttributeWeights(
+    const ProfileSchema& schema, std::vector<double> weights) {
+  const size_t n = schema.num_attributes();
+  if (n == 0) return Status::InvalidArgument("schema has no attributes");
+  if (weights.empty()) {
+    weights.assign(n, 1.0 / static_cast<double>(n));
+    return weights;
+  }
+  if (weights.size() != n) {
+    return Status::InvalidArgument(
+        StrFormat("got %zu weights for %zu attributes", weights.size(), n));
+  }
+  double sum = 0.0;
+  for (double w : weights) {
+    if (!(std::isfinite(w) && w >= 0.0)) {
+      return Status::InvalidArgument(
+          "attribute weights must be finite and >= 0");
+    }
+    sum += w;
+  }
+  if (!std::isfinite(sum)) {
+    return Status::InvalidArgument("attribute weights must have a finite sum");
+  }
+  if (!(sum > 0.0)) {
+    return Status::InvalidArgument("attribute weights must not all be zero");
+  }
+  for (double& w : weights) w /= sum;
+  return weights;
 }
 
 Status ProfileTable::Set(UserId user, Profile profile) {

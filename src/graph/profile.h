@@ -47,6 +47,14 @@ class ProfileSchema {
   std::unordered_map<std::string, AttributeId> index_;
 };
 
+/// Per-attribute weights over `schema`, normalized to sum 1: one finite,
+/// non-negative weight per attribute with a finite, positive sum, or an
+/// empty vector for uniform weights. InvalidArgument otherwise, and for
+/// a schema without attributes.
+[[nodiscard]]
+Result<std::vector<double>> NormalizeAttributeWeights(
+    const ProfileSchema& schema, std::vector<double> weights);
+
 /// One user's attribute values, aligned with a schema (missing = "").
 struct Profile {
   std::vector<std::string> values;

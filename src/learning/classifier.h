@@ -3,12 +3,11 @@
 // Classifiers in the risk pipeline see a weighted similarity graph over a
 // pool's instances plus a few labeled instances, and output a continuous
 // score per instance (real-valued risk in [label_min, label_max], rounded
-// to a discrete label by the caller). The graph is compacted
-// (SimilarityMatrix::Compact): ps_kernels::BuildGraphs builds each pool's
-// graph compacted, PoolLearner solves on it every round, and both
-// PoolLearner and the harmonic solvers reject a graph in any other state.
-// This matches how the paper plugs Zhu's harmonic-function method in and
-// lets baselines (kNN, majority) swap in for the ablation bench.
+// to a discrete label by the caller). The graph is a SimilarityMatrix:
+// ps_kernels::BuildGraphs builds each pool's, and PoolLearner solves on
+// it every round. This matches how the paper plugs Zhu's
+// harmonic-function method in and lets baselines (kNN, majority) swap in
+// for the ablation bench.
 
 #ifndef SIGHT_LEARNING_CLASSIFIER_H_
 #define SIGHT_LEARNING_CLASSIFIER_H_
@@ -73,8 +72,7 @@ class GraphClassifier {
 
   /// Returns one score per instance (size weights.size()). Labeled
   /// instances keep their given value in the output. Errors when the
-  /// labeled set is empty or references out-of-range indices, and (for
-  /// the harmonic solvers) when `weights` is not compacted.
+  /// labeled set is empty or references out-of-range indices.
   [[nodiscard]]
   virtual Result<std::vector<double>> Predict(
       const SimilarityMatrix& weights, const LabeledSet& labeled) const = 0;

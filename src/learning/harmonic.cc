@@ -11,6 +11,10 @@
 namespace sight {
 namespace {
 
+// kAuto runs conjugate gradient above this many unlabeled nodes (128),
+// Gauss-Seidel at or below it.
+constexpr size_t kAutoCgThreshold = 128;
+
 // The new labeled set must extend the state's fingerprint append-only:
 // same indices with bit-identical values as a prefix. Anything else means
 // the caller is reusing state across unrelated solves, where a warm start
@@ -84,10 +88,6 @@ std::unique_ptr<ClassifierState> HarmonicFunctionClassifier::MakeState()
 Result<std::vector<double>> HarmonicFunctionClassifier::Solve(
     const SimilarityMatrix& weights, const LabeledSet& labeled,
     HarmonicSolveState* state, SolveStats* stats) const {
-  if (!weights.compacted()) {
-    return Status::InvalidArgument(
-        "harmonic solves need a compacted graph; call Compact() first");
-  }
   size_t n = weights.size();
   SIGHT_RETURN_IF_ERROR(internal::ValidateLabeledSet(n, labeled));
 
@@ -118,7 +118,7 @@ Result<std::vector<double>> HarmonicFunctionClassifier::Solve(
   HarmonicSolver solver = config_.solver;
   if (solver == HarmonicSolver::kAuto) {
     size_t unlabeled = n - labeled.size();
-    solver = unlabeled > config_.auto_cg_threshold
+    solver = unlabeled > kAutoCgThreshold
                  ? HarmonicSolver::kConjugateGradient
                  : HarmonicSolver::kGaussSeidel;
   }

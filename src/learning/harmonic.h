@@ -14,9 +14,8 @@
 //
 // Two solvers: Gauss-Seidel label propagation (default; monotone, simple)
 // and conjugate gradient on the Laplacian system (faster convergence on
-// poorly mixing graphs). Both iterate the per-row neighbor lists of a
-// compacted SimilarityMatrix, so a sweep costs O(edges) rather than
-// O(n^2); a graph still in its building state is an InvalidArgument.
+// poorly mixing graphs). Both iterate the per-row neighbor lists of the
+// SimilarityMatrix graph, so a sweep costs O(edges) rather than O(n^2).
 // Isolated unlabeled components fall back to the mean of the given labels.
 
 #ifndef SIGHT_LEARNING_HARMONIC_H_
@@ -71,9 +70,9 @@ class HarmonicSolveState final : public ClassifierState {
 enum class HarmonicSolver {
   kGaussSeidel,
   kConjugateGradient,
-  /// Gauss-Seidel for small systems, conjugate gradient once the
-  /// unlabeled set is large (CG converges in far fewer O(n^2) passes on
-  /// big dense pools — ~3-4x faster at n=400 in perf_components).
+  /// Gauss-Seidel for small systems, conjugate gradient above 128
+  /// unlabeled nodes (CG converges in far fewer O(n^2) passes on big
+  /// dense pools — ~3-4x faster at n=400 in perf_components).
   kAuto,
 };
 
@@ -83,9 +82,6 @@ struct HarmonicConfig {
   /// Convergence: max absolute score change per sweep (Gauss-Seidel) or
   /// residual norm relative to ||b|| (CG) below this stops iterating.
   double tolerance = 1e-7;
-  /// kAuto switches to conjugate gradient above this many unlabeled
-  /// nodes.
-  size_t auto_cg_threshold = 128;
 };
 
 class HarmonicFunctionClassifier : public GraphClassifier {

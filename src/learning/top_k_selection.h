@@ -3,10 +3,10 @@
 // Every node keeps its k largest positive edge weights, ranked by
 // (weight, neighbor index) descending: on equal weights the larger
 // neighbor index ranks first. An edge survives when it is in the top k
-// of either endpoint. SimilarityMatrix::SparsifyTopK applies the rule to
-// a built matrix; the PS kernels' streamed build (similarity/ps_kernels.h)
-// applies it while the pairs are computed, so a sparsified pool never
-// holds its n x n triangle.
+// of either endpoint. SimilarityTriangle::SparsifyTopK applies the rule
+// to a filled triangle; the PS kernels' streamed build
+// (similarity/ps_kernels.h) applies it while the pairs are computed, so a
+// sparsified pool never holds its n x n triangle.
 //
 // TopKSelection takes the strictly-lower triangle of a symmetric weight
 // matrix as row spans and offers each pair to both endpoints' bounded
@@ -14,7 +14,7 @@
 // heaps for the rows it reaches (its own columns and every row below
 // them), so feeders of distinct stripes share no state and need no
 // locks. Finish() merges each row's stripe heaps and emits the surviving
-// edges as a compacted SimilarityMatrix.
+// edges as a SimilarityMatrix.
 //
 // Why the result is exact, and the same for any stripes, feed order or
 // thread count: within a row the ranking is a strict total order
@@ -62,8 +62,8 @@ class TopKSelection {
   void AddRowSpan(size_t stripe, size_t i, size_t j0, const double* values,
                   size_t count);
 
-  /// Merges the stripes and returns the surviving edges as a compacted
-  /// SimilarityMatrix. Releases the selection state; call once.
+  /// Merges the stripes and returns the graph of the surviving edges.
+  /// Releases the selection state; call once.
   SimilarityMatrix Finish();
 
  private:

@@ -129,22 +129,13 @@ Status RiskService::Submit(OwnerEvent event) {
   }
   size_t shard_index = static_cast<size_t>(event.owner) % shards_.size();
   Shard& shard = *shards_[shard_index];
-  std::unique_lock<std::mutex> lock(shard.mutex);
+  std::lock_guard<std::mutex> lock(shard.mutex);
   if (shard.queue.size() >= config_.queue_capacity) {
-    if (config_.queue_full_policy == QueueFullPolicy::kReject) {
-      std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-      ++stats_.events_rejected;
-      return Status::ResourceExhausted(
-          StrFormat("shard %zu queue is full (%zu events)", shard_index,
-                    config_.queue_capacity));
-    }
-    shard.space_available.wait(lock, [&] {
-      return shard.queue.size() < config_.queue_capacity ||
-             !accepting_.load();
-    });
-    if (!accepting_.load()) {
-      return Status::FailedPrecondition("service is shut down");
-    }
+    std::lock_guard<std::mutex> stats_lock(stats_mutex_);
+    ++stats_.events_rejected;
+    return Status::ResourceExhausted(
+        StrFormat("shard %zu queue is full (%zu events)", shard_index,
+                  config_.queue_capacity));
   }
   shard.queue.push_back(std::move(event));
   {
@@ -179,7 +170,6 @@ void RiskService::DrainShard(size_t shard_index) {
       }
       batch.swap(shard.queue);
     }
-    shard.space_available.notify_all();
 
     // Group per owner, preserving submission order within an owner and
     // first-appearance order across owners.
@@ -388,10 +378,6 @@ Status RiskService::Flush() {
 void RiskService::Shutdown() {
   if (shut_down_.exchange(true)) return;
   accepting_.store(false);
-  // Wake submitters blocked on a full queue; they observe the shutdown.
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    shard->space_available.notify_all();
-  }
   Flush().IgnoreError();
   // Snapshot the pool pointer under the lock but Wait() outside it: a
   // drain task that finishes while we block must not find pool_mutex_

@@ -27,8 +27,8 @@
 // service's ThreadPool, so independent shards assess concurrently while
 // events for one owner are applied in submission order. Consecutive
 // queued assess requests for the same owner are coalesced into one run.
-// A full queue either rejects (Status::ResourceExhausted) or blocks the
-// submitter, per QueueFullPolicy.
+// A full queue rejects the event (Status::ResourceExhausted); Submit never
+// blocks.
 //
 // The synchronous paths remain: `AssessNow` is a pure read-through that
 // is bitwise-identical to a cold batch `RiskEngine::AssessStrangers`
@@ -63,14 +63,6 @@
 
 namespace sight {
 
-/// What Submit does when an owner's shard queue is at capacity.
-enum class QueueFullPolicy {
-  /// Fail fast with Status::ResourceExhausted; the event is dropped.
-  kReject,
-  /// Block the submitting thread until the drain frees a slot.
-  kBlock,
-};
-
 struct RiskServiceConfig {
   /// Pipeline configuration shared by every owner (one RiskEngine is
   /// instantiated and reused for all assessments).
@@ -78,9 +70,9 @@ struct RiskServiceConfig {
   /// Owner shards. Events for owners in different shards drain
   /// concurrently; within a shard, in submission order.
   size_t num_shards = 8;
-  /// Bounded per-shard event queue capacity.
+  /// Bounded per-shard event queue capacity. Submit rejects an event
+  /// for a full shard queue.
   size_t queue_capacity = 256;
-  QueueFullPolicy queue_full_policy = QueueFullPolicy::kReject;
   /// Background workers draining shard queues. 0 = hardware
   /// concurrency. The pool is created lazily on the first Submit, so
   /// purely synchronous users (AssessSync/AssessNow only) never spawn a
@@ -173,10 +165,11 @@ class RiskService {
   /// AlreadyExists (owner registered twice).
   [[nodiscard]] Status RegisterOwner(const OwnerRegistration& registration);
 
-  /// Enqueues an event onto the owner's shard. Thread-safe. Errors:
-  /// NotFound (unregistered owner), ResourceExhausted (queue full under
-  /// kReject), FailedPrecondition (no registered oracle for an assess
-  /// event, or the service is shut down).
+  /// Enqueues an event onto the owner's shard. Thread-safe, never
+  /// blocks. Errors: NotFound (unregistered owner), ResourceExhausted
+  /// (the owner's shard queue is full; the event is dropped),
+  /// FailedPrecondition (no registered oracle for an assess event, or
+  /// the service is shut down).
   [[nodiscard]] Status Submit(OwnerEvent event);
 
   /// Latest published snapshot for `owner`, or nullptr when none exists
@@ -282,7 +275,6 @@ class RiskService {
 
   struct Shard {
     mutable std::mutex mutex;
-    std::condition_variable space_available;
     std::condition_variable idle;
     std::deque<OwnerEvent> queue;
     /// A drain task is queued or running on the worker pool.

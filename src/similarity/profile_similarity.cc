@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/string_util.h"
-
 namespace sight {
 
 ValueFrequencyTable ValueFrequencyTable::BuildFromCodes(
@@ -47,30 +45,10 @@ size_t ValueFrequencyTable::NumDistinct(AttributeId attr) const {
 
 Result<ProfileSimilarity> ProfileSimilarity::Create(
     const ProfileSchema& schema, std::vector<double> weights) {
-  size_t n = schema.num_attributes();
-  if (n == 0) {
-    return Status::InvalidArgument("schema has no attributes");
-  }
-  if (weights.empty()) {
-    weights.assign(n, 1.0 / static_cast<double>(n));
-    return ProfileSimilarity(std::move(weights));
-  }
-  if (weights.size() != n) {
-    return Status::InvalidArgument(
-        StrFormat("got %zu weights for %zu attributes", weights.size(), n));
-  }
-  double sum = 0.0;
-  for (double w : weights) {
-    if (w < 0.0) {
-      return Status::InvalidArgument("attribute weights must be >= 0");
-    }
-    sum += w;
-  }
-  if (!(sum > 0.0)) {
-    return Status::InvalidArgument("attribute weights must not all be zero");
-  }
-  for (double& w : weights) w /= sum;
-  return ProfileSimilarity(std::move(weights));
+  SIGHT_ASSIGN_OR_RETURN(
+      std::vector<double> normalized,
+      NormalizeAttributeWeights(schema, std::move(weights)));
+  return ProfileSimilarity(std::move(normalized));
 }
 
 double ProfileSimilarity::Compute(const uint32_t* a, const uint32_t* b,

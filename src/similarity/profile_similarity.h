@@ -84,8 +84,9 @@ class ValueFrequencyTable {
 /// PS over a fixed schema with per-attribute weights.
 class ProfileSimilarity {
  public:
-  /// `weights` must have one non-negative entry per schema attribute with a
-  /// positive sum. Pass an empty vector for uniform weights.
+  /// `weights` must have one finite, non-negative entry per schema
+  /// attribute with a finite, positive sum (NormalizeAttributeWeights).
+  /// Pass an empty vector for uniform weights.
   [[nodiscard]]
   static Result<ProfileSimilarity> Create(const ProfileSchema& schema,
                                           std::vector<double> weights = {});

@@ -8,8 +8,8 @@
 #include "learning/top_k_selection.h"
 #include "util/logging.h"
 
-// The SIMD variants need x86-64 (SSE2 is the baseline there) and a
-// compiler with __builtin_cpu_supports + function target attributes.
+// The AVX2 variant needs x86-64 and a compiler with
+// __builtin_cpu_supports + function target attributes.
 #if defined(SIGHT_SIMD) && defined(__x86_64__) && \
     (defined(__GNUC__) || defined(__clang__))
 #define SIGHT_PS_SIMD 1
@@ -88,45 +88,6 @@ void BatchScalar(const RowContext& ctx, const uint32_t* b, size_t stride,
 
 #if SIGHT_PS_SIMD
 
-// Two pairs per iteration. SSE2 has no gather, so the frequency loads
-// stay scalar; the compare/min/blend/mul/add run per-lane. Integer
-// compares are widened to 64-bit lane masks by duplicating each 32-bit
-// mask word. The accumulator never sees an FMA: x86-64 baseline code
-// cannot contract the separate mul and add, matching the scalar path's
-// two roundings.
-void BatchSse2(const RowContext& ctx, const uint32_t* b, size_t stride,
-               size_t count, double* out) {
-  const size_t m = ctx.attr.size();
-  const __m128d one = _mm_set1_pd(1.0);
-  size_t k = 0;
-  for (; k + 2 <= count; k += 2) {
-    const uint32_t* r0 = b + k * stride;
-    const uint32_t* r1 = r0 + stride;
-    __m128d acc = _mm_setzero_pd();
-    for (size_t s = 0; s < m; ++s) {
-      const uint32_t at = ctx.attr[s];
-      const uint32_t cb0 = r0[at];
-      const uint32_t cb1 = r1[at];
-      const uint32_t fs = ctx.fsize[s];
-      const double* freq = ctx.f[s];
-      const __m128d fb = _mm_setr_pd(cb0 < fs ? freq[cb0] : 0.0,
-                                     cb1 < fs ? freq[cb1] : 0.0);
-      const __m128i cb = _mm_setr_epi32(static_cast<int>(cb0),
-                                        static_cast<int>(cb1), 0, 0);
-      const __m128i eq32 =
-          _mm_cmpeq_epi32(cb, _mm_set1_epi32(static_cast<int>(ctx.ca[s])));
-      // Duplicate each 32-bit compare word into a 64-bit lane mask.
-      const __m128d eq = _mm_castsi128_pd(_mm_unpacklo_epi32(eq32, eq32));
-      const __m128d mn = _mm_min_pd(_mm_set1_pd(ctx.fa[s]), fb);
-      const __m128d sim =
-          _mm_or_pd(_mm_and_pd(eq, one), _mm_andnot_pd(eq, mn));
-      acc = _mm_add_pd(acc, _mm_mul_pd(_mm_set1_pd(ctx.w[s]), sim));
-    }
-    _mm_storeu_pd(out + k, acc);
-  }
-  BatchScalarFrom(ctx, b, stride, k, count, out);
-}
-
 // Four pairs per iteration with masked frequency gathers. The mask is
 // the unsigned bounds check cb < fsize (bias-XOR turns the signed
 // compare unsigned, so kUnknownValue lanes mask out instead of going
@@ -178,16 +139,10 @@ using BatchFn = void (*)(const RowContext&, const uint32_t*, size_t, size_t,
                          double*);
 
 BatchFn ResolveBatchFn() {
-  switch (ActiveDispatch()) {
 #if SIGHT_PS_SIMD
-    case Dispatch::kAvx2:
-      return BatchAvx2;
-    case Dispatch::kSse2:
-      return BatchSse2;
+  if (ActiveDispatch() == Dispatch::kAvx2) return BatchAvx2;
 #endif
-    default:
-      return BatchScalar;
-  }
+  return BatchScalar;
 }
 
 BatchFn ActiveBatchFn() {
@@ -201,7 +156,7 @@ Dispatch ActiveDispatch() {
 #if SIGHT_PS_SIMD
   static const Dispatch dispatch = __builtin_cpu_supports("avx2")
                                        ? Dispatch::kAvx2
-                                       : Dispatch::kSse2;
+                                       : Dispatch::kScalar;
   return dispatch;
 #else
   return Dispatch::kScalar;
@@ -212,8 +167,6 @@ const char* DispatchName(Dispatch dispatch) {
   switch (dispatch) {
     case Dispatch::kScalar:
       return "scalar";
-    case Dispatch::kSse2:
-      return "sse2";
     case Dispatch::kAvx2:
       return "avx2";
   }
@@ -297,7 +250,7 @@ TileShape ShapeOrDefault(TileShape shape, size_t num_attributes) {
 
 void FillTile(const uint32_t* rows, size_t num_rows, size_t num_attributes,
               const ProfileSimilarity& ps, const ValueFrequencyTable& freqs,
-              const PairTile& tile, SimilarityMatrix* out) {
+              const PairTile& tile, SimilarityTriangle* out) {
   SIGHT_CHECK(out != nullptr);
   ScoreTile(rows, num_rows, num_attributes, ps, freqs, tile,
             /*descending=*/false,
@@ -330,34 +283,37 @@ void SelectStripe(const uint32_t* rows, size_t num_rows,
 }
 
 std::vector<SimilarityMatrix> BuildGraphs(const std::vector<PoolRows>& pools,
-                                          size_t num_attributes,
                                           const ProfileSimilarity& ps,
                                           size_t top_k, ThreadPool* pool,
                                           TileShape shape) {
+  const size_t num_attributes = ps.normalized_weights().size();
   shape = ShapeOrDefault(shape, num_attributes);
   const size_t num_pools = pools.size();
-  // A dense pool's work items are its tiles, written into its triangle;
-  // a streamed pool's are its column stripes, each owning its share of
-  // the pool's selection state. Distinct items cover disjoint pairs, so
-  // they run without synchronization.
-  std::vector<SimilarityMatrix> graphs;
-  graphs.reserve(num_pools);
+  // Value frequencies come from the pool itself (Section III-C). A dense
+  // pool's work items are its tiles, written into its triangle; a
+  // streamed pool's are its column stripes, each owning its share of the
+  // pool's selection state. Distinct items cover disjoint pairs, so they
+  // run without synchronization.
+  std::vector<ValueFrequencyTable> freqs;
+  freqs.reserve(num_pools);
+  std::vector<std::optional<SimilarityTriangle>> triangles(num_pools);
   std::vector<std::optional<TopKSelection>> selections(num_pools);
   std::vector<std::pair<size_t, PairTile>> tiles;
   std::vector<std::pair<size_t, size_t>> stripes;
   size_t total_pairs = 0;
   for (size_t p = 0; p < num_pools; ++p) {
     const size_t n = pools[p].num_rows;
+    freqs.push_back(
+        ValueFrequencyTable::BuildFromCodes(pools[p].rows, n, num_attributes));
     if (n > 1) total_pairs += n * (n - 1) / 2;
     if (top_k > 0) {
-      graphs.emplace_back(0);
       selections[p].emplace(n, top_k, StripeStarts(n, shape));
       for (size_t s = 0; s < selections[p]->num_stripes(); ++s) {
         stripes.emplace_back(p, s);
       }
       continue;
     }
-    graphs.emplace_back(n);
+    triangles[p].emplace(n);
     for (const PairTile& tile : MakeTiles(n, shape)) {
       tiles.emplace_back(p, tile);
     }
@@ -368,22 +324,20 @@ std::vector<SimilarityMatrix> BuildGraphs(const std::vector<PoolRows>& pools,
   ParallelFor(pool, tiles.size() + stripes.size(), [&](size_t t) {
     if (t < tiles.size()) {
       const auto& [p, tile] = tiles[t];
-      FillTile(pools[p].rows, pools[p].num_rows, num_attributes, ps,
-               *pools[p].freqs, tile, &graphs[p]);
+      FillTile(pools[p].rows, pools[p].num_rows, num_attributes, ps, freqs[p],
+               tile, &*triangles[p]);
       return;
     }
     const auto& [p, s] = stripes[t - tiles.size()];
     SelectStripe(pools[p].rows, pools[p].num_rows, num_attributes, ps,
-                 *pools[p].freqs, s, &*selections[p]);
+                 freqs[p], s, &*selections[p]);
   }, options);
 
   // The top-k merge or the CSR compaction is independent across pools.
+  std::vector<SimilarityMatrix> graphs(num_pools);
   ParallelFor(pool, num_pools, [&](size_t p) {
-    if (top_k > 0) {
-      graphs[p] = selections[p]->Finish();
-    } else {
-      graphs[p].Compact();
-    }
+    graphs[p] = top_k > 0 ? selections[p]->Finish()
+                          : std::move(*triangles[p]).Compact();
   });
   return graphs;
 }

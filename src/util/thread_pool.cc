@@ -65,6 +65,14 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
+namespace {
+
+// With the total work known, ParallelFor runs inline below this many
+// units (32768) and sizes chunks to carry at least 1/8 of it each.
+constexpr size_t kMinParallelWork = 32768;
+
+}  // namespace
+
 bool ParallelFor(ThreadPool* pool, size_t n,
                  const std::function<void(size_t)>& fn,
                  const ParallelForOptions& options) {
@@ -75,7 +83,7 @@ bool ParallelFor(ThreadPool* pool, size_t n,
   size_t workers = pool == nullptr ? 1 : pool->num_threads();
   if (hardware > 0) workers = std::min(workers, hardware);
   bool too_little_work =
-      options.total_work > 0 && options.total_work < options.min_parallel_work;
+      options.total_work > 0 && options.total_work < kMinParallelWork;
   if (workers <= 1 || n <= 1 || too_little_work) {
     for (size_t i = 0; i < n; ++i) fn(i);
     // Preserve the parallel path's post-condition that follow-up tasks
@@ -91,7 +99,7 @@ bool ParallelFor(ThreadPool* pool, size_t n,
   // parallel work.
   size_t chunks = std::min(n, workers * 8);
   if (options.total_work > 0) {
-    size_t min_chunk_work = std::max<size_t>(1, options.min_parallel_work / 8);
+    size_t min_chunk_work = kMinParallelWork / 8;
     chunks = std::min(chunks,
                       std::max<size_t>(1, options.total_work / min_chunk_work));
   }

@@ -54,12 +54,11 @@ struct ParallelForOptions {
   /// Total work units across all n indices when the caller knows it (e.g.
   /// the pair count of a triangular row loop, where per-row cost varies).
   /// 0 = unknown; each index then counts as one unit and no work-based
-  /// serial fallback applies (indices may be expensive).
+  /// serial fallback applies (indices may be expensive). When known, the
+  /// loop runs inline below 32768 units (queue and wakeup traffic
+  /// dominates loops cheaper than that), and each chunk carries at least
+  /// 1/8 of that minimum.
   size_t total_work = 0;
-  /// With total_work known: run inline below this many total units, and
-  /// size chunks to carry at least 1/8 of it each. Queue and wakeup
-  /// traffic dominates loops cheaper than this.
-  size_t min_parallel_work = 32768;
 };
 
 /// Runs fn(0..n-1) across `pool` and blocks until all calls finish.

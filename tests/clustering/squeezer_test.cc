@@ -88,6 +88,14 @@ TEST(SqueezerTest, CreateValidates) {
   EXPECT_FALSE(Squeezer::Create(TestSchema(), config).ok());
   config.weights = {0.0, 0.0};
   EXPECT_FALSE(Squeezer::Create(TestSchema(), config).ok());
+  // Non-finite weights, and finite ones whose sum overflows.
+  const double inf = std::numeric_limits<double>::infinity();
+  config.weights = {inf, 1.0};
+  EXPECT_FALSE(Squeezer::Create(TestSchema(), config).ok());
+  config.weights = {std::numeric_limits<double>::quiet_NaN(), 1.0};
+  EXPECT_FALSE(Squeezer::Create(TestSchema(), config).ok());
+  config.weights = {1e308, 1e308};
+  EXPECT_FALSE(Squeezer::Create(TestSchema(), config).ok());
   config.weights = {};
   EXPECT_TRUE(Squeezer::Create(TestSchema(), config).ok());
 }

@@ -48,18 +48,16 @@ StrangerPool MakePool(std::vector<UserId> members) {
   return pool;
 }
 
-SimilarityMatrix UniformWeights(size_t n, double w = 0.8) {
-  SimilarityMatrix m(n);
+SimilarityTriangle UniformTriangle(size_t n, double w = 0.8) {
+  SimilarityTriangle t(n);
   for (size_t i = 0; i < n; ++i) {
-    for (size_t j = i + 1; j < n; ++j) m.Set(i, j, w);
+    for (size_t j = i + 1; j < n; ++j) t.Set(i, j, w);
   }
-  return m;
+  return t;
 }
 
-// The classifier graph as PoolLearner::Create takes it: compacted.
-SimilarityMatrix Compacted(SimilarityMatrix m) {
-  m.Compact();
-  return m;
+SimilarityMatrix UniformWeights(size_t n, double w = 0.8) {
+  return UniformTriangle(n, w).Compact();
 }
 
 struct LearnerParts {
@@ -103,41 +101,26 @@ TEST(ActiveLearnerConfigTest, StabilizationToleranceMatchesConfidence) {
 TEST(PoolLearnerTest, CreateValidatesShapes) {
   LearnerParts parts;
   StrangerPool pool = MakePool({10, 11, 12});
-  EXPECT_FALSE(PoolLearner::Create(MakePool({}),
-                                   Compacted(SimilarityMatrix(0)), {}, {},
+  EXPECT_FALSE(PoolLearner::Create(MakePool({}), SimilarityMatrix(0), {}, {},
                                    parts.config, &parts.classifier,
                                    &parts.sampler)
                    .ok());
-  EXPECT_FALSE(PoolLearner::Create(pool, Compacted(SimilarityMatrix(2)),
-                                   {0, 0, 0}, {0, 0, 0}, parts.config,
-                                   &parts.classifier, &parts.sampler)
+  EXPECT_FALSE(PoolLearner::Create(pool, SimilarityMatrix(2), {0, 0, 0},
+                                   {0, 0, 0}, parts.config, &parts.classifier,
+                                   &parts.sampler)
                    .ok());
-  EXPECT_FALSE(PoolLearner::Create(pool, Compacted(SimilarityMatrix(3)),
-                                   {0, 0}, {0, 0, 0}, parts.config,
-                                   &parts.classifier, &parts.sampler)
+  EXPECT_FALSE(PoolLearner::Create(pool, SimilarityMatrix(3), {0, 0},
+                                   {0, 0, 0}, parts.config, &parts.classifier,
+                                   &parts.sampler)
                    .ok());
-  EXPECT_FALSE(PoolLearner::Create(pool, Compacted(SimilarityMatrix(3)),
-                                   {0, 0, 0}, {0, 0, 0}, parts.config,
-                                   nullptr, &parts.sampler)
+  EXPECT_FALSE(PoolLearner::Create(pool, SimilarityMatrix(3), {0, 0, 0},
+                                   {0, 0, 0}, parts.config, nullptr,
+                                   &parts.sampler)
                    .ok());
-  EXPECT_TRUE(PoolLearner::Create(pool, Compacted(SimilarityMatrix(3)),
-                                  {0, 0, 0}, {0, 0, 0}, parts.config,
-                                  &parts.classifier, &parts.sampler)
+  EXPECT_TRUE(PoolLearner::Create(pool, SimilarityMatrix(3), {0, 0, 0},
+                                  {0, 0, 0}, parts.config, &parts.classifier,
+                                  &parts.sampler)
                   .ok());
-}
-
-// The graph a PoolLearner solves on is compacted where it is built
-// (ps_kernels::BuildGraphs); one still in its building state is an
-// error, as it is for the harmonic solvers.
-TEST(PoolLearnerTest, BuildingStateGraphRejected) {
-  LearnerParts parts;
-  StrangerPool pool = MakePool({10, 11, 12});
-  EXPECT_EQ(PoolLearner::Create(pool, UniformWeights(3), {0, 0, 0}, {0, 0, 0},
-                                parts.config, &parts.classifier,
-                                &parts.sampler)
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
 }
 
 TEST(PoolLearnerTest, TinyPoolExhaustsInOneRound) {
@@ -145,9 +128,8 @@ TEST(PoolLearnerTest, TinyPoolExhaustsInOneRound) {
   parts.config.labels_per_round = 3;
   StrangerPool pool = MakePool({10, 11});
   auto learner =
-      PoolLearner::Create(pool, Compacted(UniformWeights(2)), {0.1, 0.2},
-                          {0.3, 0.4}, parts.config, &parts.classifier,
-                          &parts.sampler)
+      PoolLearner::Create(pool, UniformWeights(2), {0.1, 0.2}, {0.3, 0.4},
+                          parts.config, &parts.classifier, &parts.sampler)
           .value();
   MapOracle oracle({{10, RiskLabel::kNotRisky}, {11, RiskLabel::kVeryRisky}});
   Rng rng(1);
@@ -167,7 +149,7 @@ TEST(PoolLearnerTest, RunAfterFinishedIsError) {
   LearnerParts parts;
   StrangerPool pool = MakePool({10});
   auto learner =
-      PoolLearner::Create(pool, Compacted(UniformWeights(1)), {0.0}, {0.0},
+      PoolLearner::Create(pool, UniformWeights(1), {0.0}, {0.0},
                           parts.config, &parts.classifier, &parts.sampler)
           .value();
   MapOracle oracle({});
@@ -190,7 +172,7 @@ TEST(PoolLearnerTest, HomogeneousPoolConvergesQuickly) {
     labels[u] = RiskLabel::kRisky;
   }
   auto learner = PoolLearner::Create(
-                     MakePool(members), Compacted(UniformWeights(30)),
+                     MakePool(members), UniformWeights(30),
                      std::vector<double>(30, 0.1),
                      std::vector<double>(30, 0.2), parts.config,
                      &parts.classifier, &parts.sampler)
@@ -223,7 +205,7 @@ TEST(PoolLearnerTest, ConfidenceHundredLabelsEverything) {
     labels[u] = RiskLabel::kRisky;
   }
   auto learner = PoolLearner::Create(
-                     MakePool(members), Compacted(UniformWeights(9)),
+                     MakePool(members), UniformWeights(9),
                      std::vector<double>(9, 0.0), std::vector<double>(9, 0.0),
                      parts.config, &parts.classifier, &parts.sampler)
                      .value();
@@ -238,9 +220,8 @@ TEST(PoolLearnerTest, OracleSeesDisplayValues) {
   LearnerParts parts;
   StrangerPool pool = MakePool({42});
   auto learner =
-      PoolLearner::Create(pool, Compacted(UniformWeights(1)), {0.37},
-                          {0.73}, parts.config, &parts.classifier,
-                          &parts.sampler)
+      PoolLearner::Create(pool, UniformWeights(1), {0.37}, {0.73},
+                          parts.config, &parts.classifier, &parts.sampler)
           .value();
   MapOracle oracle({});
   Rng rng(5);
@@ -263,7 +244,7 @@ TEST(PoolLearnerTest, MaxRoundsBoundsNonConvergingPool) {
     labels[u] = u % 2 == 0 ? RiskLabel::kNotRisky : RiskLabel::kVeryRisky;
   }
   auto learner = PoolLearner::Create(
-                     MakePool(members), Compacted(SimilarityMatrix(40)),
+                     MakePool(members), SimilarityMatrix(40),
                      std::vector<double>(40, 0.0),
                      std::vector<double>(40, 0.0), parts.config,
                      &parts.classifier, &parts.sampler)
@@ -279,7 +260,7 @@ TEST(PoolLearnerTest, FirstRoundHasNoRmse) {
   LearnerParts parts;
   std::vector<UserId> members = {0, 1, 2, 3, 4, 5};
   auto learner = PoolLearner::Create(
-                     MakePool(members), Compacted(UniformWeights(6)),
+                     MakePool(members), UniformWeights(6),
                      std::vector<double>(6, 0.0), std::vector<double>(6, 0.0),
                      parts.config, &parts.classifier, &parts.sampler)
                      .value();
@@ -302,9 +283,7 @@ TEST(PoolLearnerTest, SparsifiedGraphStillLearns) {
   }
   // PoolLearner takes the graph it is given; the top-k cut happens where
   // the graph is built.
-  SimilarityMatrix weights = UniformWeights(20);
-  weights.SparsifyTopK(2);
-  weights.Compact();
+  SimilarityMatrix weights = UniformTriangle(20).SparsifyTopK(2);
   ASSERT_LT(weights.NumEdges(), 20u * 19u / 2u);
   auto learner = PoolLearner::Create(
                      MakePool(members), std::move(weights),
@@ -327,7 +306,7 @@ TEST(PoolLearnerTest, SeededLabelsAreNeverReQueried) {
   known[12] = 1.0;
   StrangerPool pool = MakePool({10, 11, 12, 13});
   auto learner =
-      PoolLearner::Create(pool, Compacted(UniformWeights(4)),
+      PoolLearner::Create(pool, UniformWeights(4),
                           std::vector<double>(4, 0.0),
                           std::vector<double>(4, 0.0), parts.config,
                           &parts.classifier, &parts.sampler, &known)
@@ -354,7 +333,7 @@ TEST(PoolLearnerTest, FullySeededPoolFinishesWithoutQueries) {
   known[11] = 2.0;
   StrangerPool pool = MakePool({10, 11});
   auto learner =
-      PoolLearner::Create(pool, Compacted(UniformWeights(2)),
+      PoolLearner::Create(pool, UniformWeights(2),
                           std::vector<double>(2, 0.0),
                           std::vector<double>(2, 0.0), parts.config,
                           &parts.classifier, &parts.sampler, &known)
@@ -375,8 +354,8 @@ TEST(PoolLearnerTest, SeedOutsideLabelRangeRejected) {
   for (double value : {5.0, std::numeric_limits<double>::quiet_NaN()}) {
     PoolLearner::KnownLabels known;
     known[10] = value;
-    EXPECT_EQ(PoolLearner::Create(pool, Compacted(UniformWeights(1)), {0.0},
-                                  {0.0}, parts.config, &parts.classifier,
+    EXPECT_EQ(PoolLearner::Create(pool, UniformWeights(1), {0.0}, {0.0},
+                                  parts.config, &parts.classifier,
                                   &parts.sampler, &known)
                   .status()
                   .code(),
@@ -398,7 +377,8 @@ TEST(ActiveLearnerTest, CreateValidatesBenefitsShape) {
 
 // A pool set whose NS vector is not parallel to its strangers, or that
 // lists a stranger twice or puts a member in two pools, is rejected
-// before any graph is built.
+// before any graph is built, and so is an encode whose rows have another
+// attribute count than the profiles' schema.
 TEST(ActiveLearnerTest, CreateValidatesThePoolSet) {
   ProfileTable profiles(ProfileSchema::Create({"g"}).value());
   for (UserId u = 0; u < 4; ++u) {
@@ -432,6 +412,24 @@ TEST(ActiveLearnerTest, CreateValidatesThePoolSet) {
   PoolSet two_pools = valid;
   two_pools.pools = {MakePool({0, 1}), MakePool({1, 2, 3})};
   EXPECT_EQ(create(two_pools), StatusCode::kInvalidArgument);
+
+  // An encode refreshed on the one-attribute table, handed in with
+  // three-attribute profiles.
+  ProfileTable wide(ProfileSchema::Create({"g", "h", "k"}).value());
+  for (UserId u = 0; u < 4; ++u) {
+    Profile p;
+    p.values = {"x", "y", "z"};
+    ASSERT_TRUE(wide.Set(u, p).ok());
+  }
+  StrangerEncodeCache narrow;
+  narrow.Refresh(profiles, valid.strangers);
+  EXPECT_EQ(ActiveLearner::Create(valid, wide, std::vector<double>(4, 0.0),
+                                  parts.config, &parts.classifier,
+                                  &parts.sampler, nullptr, nullptr, nullptr,
+                                  &narrow)
+                .status()
+                .code(),
+            StatusCode::kFailedPrecondition);
 }
 
 TEST(ActiveLearnerTest, RunsAllPoolsAndAggregates) {

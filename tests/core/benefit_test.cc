@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "graph/visibility.h"
 
 namespace sight {
@@ -39,6 +41,19 @@ TEST(ThetaWeightsTest, ValidateRejectsNegative) {
 TEST(ThetaWeightsTest, ValidateRejectsAllZero) {
   ThetaWeights theta;
   theta.values.fill(0.0);
+  EXPECT_EQ(theta.Validate().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(ThetaWeightsTest, ValidateRejectsNonFinite) {
+  for (double bad : {std::numeric_limits<double>::infinity(),
+                     std::numeric_limits<double>::quiet_NaN()}) {
+    ThetaWeights theta = ThetaWeights::Uniform();
+    theta[ProfileItem::kPhoto] = bad;
+    EXPECT_EQ(theta.Validate().code(), StatusCode::kInvalidArgument) << bad;
+  }
+  // Finite weights whose sum overflows.
+  ThetaWeights theta;
+  theta.values.fill(1e308);
   EXPECT_EQ(theta.Validate().code(), StatusCode::kInvalidArgument);
 }
 

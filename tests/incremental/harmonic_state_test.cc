@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "learning/similarity_matrix.h"
@@ -19,10 +20,9 @@ HarmonicFunctionClassifier Make(HarmonicSolver solver) {
   return HarmonicFunctionClassifier::Create(config).value();
 }
 
-// Deterministic pseudo-random weights (no global RNG in tests),
-// compacted as the solvers require.
+// Deterministic pseudo-random weights (no global RNG in tests).
 SimilarityMatrix RandomGraph(size_t n, uint64_t seed, double density) {
-  SimilarityMatrix m(n);
+  SimilarityTriangle t(n);
   uint64_t state = seed;
   auto next_unit = [&state]() {
     state = state * 6364136223846793005ULL + 1442695040888963407ULL;
@@ -30,11 +30,10 @@ SimilarityMatrix RandomGraph(size_t n, uint64_t seed, double density) {
   };
   for (size_t i = 0; i < n; ++i) {
     for (size_t j = i + 1; j < n; ++j) {
-      if (next_unit() < density) m.Set(i, j, 0.1 + next_unit());
+      if (next_unit() < density) t.Set(i, j, 0.1 + next_unit());
     }
   }
-  m.Compact();
-  return m;
+  return std::move(t).Compact();
 }
 
 // Append-only label history: step k labels the first `sizes[k]` entries.

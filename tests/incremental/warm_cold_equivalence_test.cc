@@ -42,10 +42,10 @@ class IdOracle : public LabelOracle {
   std::vector<std::pair<UserId, RiskLabel>> answers_;
 };
 
-// A compacted random graph; with top_k > 0 it is top-k sparsified first,
-// the graph ActiveLearner's streamed build would hand the learner.
+// A random graph; with top_k > 0 it is top-k sparsified, the graph
+// ActiveLearner's streamed build would hand the learner.
 SimilarityMatrix RandomWeights(size_t n, uint64_t seed, size_t top_k) {
-  SimilarityMatrix m(n);
+  SimilarityTriangle t(n);
   uint64_t state = seed;
   auto next_unit = [&state]() {
     state = state * 6364136223846793005ULL + 1442695040888963407ULL;
@@ -53,12 +53,11 @@ SimilarityMatrix RandomWeights(size_t n, uint64_t seed, size_t top_k) {
   };
   for (size_t i = 0; i < n; ++i) {
     for (size_t j = i + 1; j < n; ++j) {
-      if (next_unit() < 0.2) m.Set(i, j, 0.1 + next_unit());
+      if (next_unit() < 0.2) t.Set(i, j, 0.1 + next_unit());
     }
   }
-  if (top_k > 0) m.SparsifyTopK(top_k);
-  m.Compact();
-  return m;
+  if (top_k > 0) return t.SparsifyTopK(top_k);
+  return std::move(t).Compact();
 }
 
 StrangerPool MakePool(size_t n) {

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -240,7 +241,7 @@ class CyclicOracle : public LabelOracle {
 // same pools on matrices from the naive string PS; expects identical
 // queries and bitwise-identical predictions. With top_k > 0 the learner
 // streams each pool's pairs into its top-k graph, and the string side
-// cuts its full matrix with SparsifyTopK before compacting it.
+// cuts its full triangle with SparsifyTopK.
 void ExpectLearnerMatchesStringPath(const OwnerDataset& ds,
                                     PoolStrategy strategy, size_t top_k) {
   PoolBuilderConfig pool_config;
@@ -282,23 +283,24 @@ void ExpectLearnerMatchesStringPath(const OwnerDataset& ds,
     size_t n = pool.members.size();
     NaiveStringPs reference(ds.profiles, pool.members,
                             ps.normalized_weights());
-    SimilarityMatrix weights(n);
+    SimilarityTriangle dense(n);
     std::vector<double> sims(n), bens(n);
     for (size_t i = 0; i < n; ++i) {
       for (size_t j = i + 1; j < n; ++j) {
-        weights.Set(i, j, reference.Compute(pool.members[i], pool.members[j]));
+        dense.Set(i, j, reference.Compute(pool.members[i], pool.members[j]));
       }
       size_t pos = position.at(pool.members[i]);
       sims[i] = pools.network_similarities[pos];
       bens[i] = benefits[pos];
     }
     largest_pool = std::max(largest_pool, n);
+    SimilarityMatrix weights;
     if (top_k > 0) {
-      size_t dense_edges = weights.NumEdges();
-      weights.SparsifyTopK(top_k);
-      cut_dropped_edges |= weights.NumEdges() < dense_edges;
+      weights = dense.SparsifyTopK(top_k);
+      cut_dropped_edges |= weights.NumEdges() < dense.NumEdges();
+    } else {
+      weights = std::move(dense).Compact();
     }
-    weights.Compact();
     auto pool_learner =
         PoolLearner::Create(pool, std::move(weights), std::move(sims),
                             std::move(bens), config, &classifier, &sampler)

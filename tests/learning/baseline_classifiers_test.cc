@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "learning/similarity_matrix.h"
 
 namespace sight {
@@ -14,9 +16,10 @@ TEST(KnnClassifierTest, CreateRejectsZeroK) {
 
 TEST(KnnClassifierTest, NearestLabeledNeighborWins) {
   KnnClassifier knn = KnnClassifier::Create(1).value();
-  SimilarityMatrix w(3);
-  w.Set(2, 0, 0.9);
-  w.Set(2, 1, 0.2);
+  SimilarityTriangle t(3);
+  t.Set(2, 0, 0.9);
+  t.Set(2, 1, 0.2);
+  SimilarityMatrix w = std::move(t).Compact();
   LabeledSet labeled;
   labeled.Add(0, 1.0);
   labeled.Add(1, 3.0);
@@ -26,9 +29,10 @@ TEST(KnnClassifierTest, NearestLabeledNeighborWins) {
 
 TEST(KnnClassifierTest, WeightedAverageOverK) {
   KnnClassifier knn = KnnClassifier::Create(2).value();
-  SimilarityMatrix w(3);
-  w.Set(2, 0, 3.0);
-  w.Set(2, 1, 1.0);
+  SimilarityTriangle t(3);
+  t.Set(2, 0, 3.0);
+  t.Set(2, 1, 1.0);
+  SimilarityMatrix w = std::move(t).Compact();
   LabeledSet labeled;
   labeled.Add(0, 1.0);
   labeled.Add(1, 3.0);
@@ -48,8 +52,9 @@ TEST(KnnClassifierTest, DisconnectedFallsBackToMean) {
 
 TEST(KnnClassifierTest, LabeledKeepValues) {
   KnnClassifier knn = KnnClassifier::Create(2).value();
-  SimilarityMatrix w(2);
-  w.Set(0, 1, 1.0);
+  SimilarityTriangle t(2);
+  t.Set(0, 1, 1.0);
+  SimilarityMatrix w = std::move(t).Compact();
   LabeledSet labeled;
   labeled.Add(0, 3.0);
   auto f = knn.Predict(w, labeled).value();

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "learning/similarity_matrix.h"
 
 namespace sight {
@@ -30,14 +32,12 @@ TEST(HarmonicCreateTest, ValidatesConfig) {
 
 TEST_P(HarmonicSolverTest, EmptyLabeledSetRejected) {
   SimilarityMatrix w(3);
-  w.Compact();
   LabeledSet labeled;
   EXPECT_FALSE(classifier().Predict(w, labeled).ok());
 }
 
 TEST_P(HarmonicSolverTest, OutOfRangeIndexRejected) {
   SimilarityMatrix w(3);
-  w.Compact();
   LabeledSet labeled;
   labeled.Add(7, 2.0);
   EXPECT_EQ(classifier().Predict(w, labeled).status().code(),
@@ -46,33 +46,17 @@ TEST_P(HarmonicSolverTest, OutOfRangeIndexRejected) {
 
 TEST_P(HarmonicSolverTest, DuplicateIndexRejected) {
   SimilarityMatrix w(3);
-  w.Compact();
   LabeledSet labeled;
   labeled.Add(0, 1.0);
   labeled.Add(0, 2.0);
   EXPECT_FALSE(classifier().Predict(w, labeled).ok());
 }
 
-TEST_P(HarmonicSolverTest, UncompactedGraphRejected) {
-  // The solvers iterate the CSR rows of a compacted graph; a matrix still
-  // in its building state is refused before any solve.
-  SimilarityMatrix w(3);
-  w.Set(0, 1, 1.0);
-  w.Set(1, 2, 1.0);
-  LabeledSet labeled;
-  labeled.Add(0, 1.0);
-  labeled.Add(2, 3.0);
-  EXPECT_EQ(classifier().Predict(w, labeled).status().code(),
-            StatusCode::kInvalidArgument);
-  w.Compact();
-  EXPECT_TRUE(classifier().Predict(w, labeled).ok());
-}
-
 TEST_P(HarmonicSolverTest, LabeledNodesKeepTheirValues) {
-  SimilarityMatrix w(3);
-  w.Set(0, 1, 1.0);
-  w.Set(1, 2, 1.0);
-  w.Compact();
+  SimilarityTriangle t(3);
+  t.Set(0, 1, 1.0);
+  t.Set(1, 2, 1.0);
+  SimilarityMatrix w = std::move(t).Compact();
   LabeledSet labeled;
   labeled.Add(0, 1.0);
   labeled.Add(2, 3.0);
@@ -83,10 +67,10 @@ TEST_P(HarmonicSolverTest, LabeledNodesKeepTheirValues) {
 
 TEST_P(HarmonicSolverTest, ChainInterpolates) {
   // Path 0-1-2 with equal weights: f(1) is the average of its neighbors.
-  SimilarityMatrix w(3);
-  w.Set(0, 1, 1.0);
-  w.Set(1, 2, 1.0);
-  w.Compact();
+  SimilarityTriangle t(3);
+  t.Set(0, 1, 1.0);
+  t.Set(1, 2, 1.0);
+  SimilarityMatrix w = std::move(t).Compact();
   LabeledSet labeled;
   labeled.Add(0, 1.0);
   labeled.Add(2, 3.0);
@@ -97,9 +81,9 @@ TEST_P(HarmonicSolverTest, ChainInterpolates) {
 TEST_P(HarmonicSolverTest, LongChainLinearInterpolation) {
   // Path 0-1-2-3-4, ends labeled 1 and 3: harmonic solution is linear.
   const size_t n = 5;
-  SimilarityMatrix w(n);
-  for (size_t i = 0; i + 1 < n; ++i) w.Set(i, i + 1, 1.0);
-  w.Compact();
+  SimilarityTriangle t(n);
+  for (size_t i = 0; i + 1 < n; ++i) t.Set(i, i + 1, 1.0);
+  SimilarityMatrix w = std::move(t).Compact();
   LabeledSet labeled;
   labeled.Add(0, 1.0);
   labeled.Add(4, 3.0);
@@ -112,10 +96,10 @@ TEST_P(HarmonicSolverTest, LongChainLinearInterpolation) {
 TEST_P(HarmonicSolverTest, WeightedNeighborsPullHarder) {
   // Node 2 connected to 0 (label 1, weight 3) and 1 (label 3, weight 1):
   // harmonic value = (3*1 + 1*3) / 4 = 1.5.
-  SimilarityMatrix w(3);
-  w.Set(2, 0, 3.0);
-  w.Set(2, 1, 1.0);
-  w.Compact();
+  SimilarityTriangle t(3);
+  t.Set(2, 0, 3.0);
+  t.Set(2, 1, 1.0);
+  SimilarityMatrix w = std::move(t).Compact();
   LabeledSet labeled;
   labeled.Add(0, 1.0);
   labeled.Add(1, 3.0);
@@ -124,9 +108,9 @@ TEST_P(HarmonicSolverTest, WeightedNeighborsPullHarder) {
 }
 
 TEST_P(HarmonicSolverTest, IsolatedUnlabeledNodeFallsBackToMean) {
-  SimilarityMatrix w(3);
-  w.Set(0, 1, 1.0);  // node 2 isolated
-  w.Compact();
+  SimilarityTriangle t(3);
+  t.Set(0, 1, 1.0);  // node 2 isolated
+  SimilarityMatrix w = std::move(t).Compact();
   LabeledSet labeled;
   labeled.Add(0, 1.0);
   labeled.Add(1, 3.0);
@@ -136,14 +120,14 @@ TEST_P(HarmonicSolverTest, IsolatedUnlabeledNodeFallsBackToMean) {
 
 TEST_P(HarmonicSolverTest, PredictionsStayWithinLabelRange) {
   // Maximum principle: harmonic values lie inside [min label, max label].
-  SimilarityMatrix w(6);
-  w.Set(0, 2, 0.9);
-  w.Set(1, 2, 0.3);
-  w.Set(2, 3, 0.7);
-  w.Set(3, 4, 0.2);
-  w.Set(4, 5, 0.8);
-  w.Set(1, 5, 0.4);
-  w.Compact();
+  SimilarityTriangle t(6);
+  t.Set(0, 2, 0.9);
+  t.Set(1, 2, 0.3);
+  t.Set(2, 3, 0.7);
+  t.Set(3, 4, 0.2);
+  t.Set(4, 5, 0.8);
+  t.Set(1, 5, 0.4);
+  SimilarityMatrix w = std::move(t).Compact();
   LabeledSet labeled;
   labeled.Add(0, 1.0);
   labeled.Add(1, 3.0);
@@ -155,9 +139,9 @@ TEST_P(HarmonicSolverTest, PredictionsStayWithinLabelRange) {
 }
 
 TEST_P(HarmonicSolverTest, AllNodesLabeledReturnsLabels) {
-  SimilarityMatrix w(2);
-  w.Set(0, 1, 1.0);
-  w.Compact();
+  SimilarityTriangle t(2);
+  t.Set(0, 1, 1.0);
+  SimilarityMatrix w = std::move(t).Compact();
   LabeledSet labeled;
   labeled.Add(0, 1.0);
   labeled.Add(1, 2.0);
@@ -170,15 +154,15 @@ TEST_P(HarmonicSolverTest, TwoCommunitiesSeparate) {
   // Two dense blobs with one labeled node each: members adopt their blob's
   // label.
   const size_t n = 8;  // 0-3 blob A, 4-7 blob B
-  SimilarityMatrix w(n);
+  SimilarityTriangle t(n);
   for (size_t i = 0; i < 4; ++i) {
-    for (size_t j = i + 1; j < 4; ++j) w.Set(i, j, 1.0);
+    for (size_t j = i + 1; j < 4; ++j) t.Set(i, j, 1.0);
   }
   for (size_t i = 4; i < 8; ++i) {
-    for (size_t j = i + 1; j < 8; ++j) w.Set(i, j, 1.0);
+    for (size_t j = i + 1; j < 8; ++j) t.Set(i, j, 1.0);
   }
-  w.Set(3, 4, 0.05);  // weak bridge
-  w.Compact();
+  t.Set(3, 4, 0.05);  // weak bridge
+  SimilarityMatrix w = std::move(t).Compact();
   LabeledSet labeled;
   labeled.Add(0, 1.0);
   labeled.Add(7, 3.0);
@@ -208,7 +192,7 @@ TEST(HarmonicAutoTest, AutoMatchesBothSolversAcrossThreshold) {
   // Small system -> GS path; large -> CG path; both must agree with the
   // explicitly selected solver.
   for (size_t n : {16u, 200u}) {
-    SimilarityMatrix w(n);
+    SimilarityTriangle t(n);
     uint64_t state = 7;
     auto next_unit = [&state]() {
       state = state * 6364136223846793005ULL + 1442695040888963407ULL;
@@ -216,10 +200,10 @@ TEST(HarmonicAutoTest, AutoMatchesBothSolversAcrossThreshold) {
     };
     for (size_t i = 0; i < n; ++i) {
       for (size_t j = i + 1; j < n; ++j) {
-        if (next_unit() < 0.1) w.Set(i, j, 0.2 + next_unit());
+        if (next_unit() < 0.1) t.Set(i, j, 0.2 + next_unit());
       }
     }
-    w.Compact();
+    SimilarityMatrix w = std::move(t).Compact();
     LabeledSet labeled;
     labeled.Add(0, 1.0);
     labeled.Add(n / 2, 2.0);
@@ -236,7 +220,7 @@ TEST(HarmonicAutoTest, AutoMatchesBothSolversAcrossThreshold) {
 
 TEST(HarmonicAgreementTest, SolversAgreeOnRandomGraph) {
   // Both solvers compute the same harmonic function.
-  SimilarityMatrix w(12);
+  SimilarityTriangle t(12);
   uint64_t state = 99;
   auto next_unit = [&state]() {
     state = state * 6364136223846793005ULL + 1442695040888963407ULL;
@@ -244,10 +228,10 @@ TEST(HarmonicAgreementTest, SolversAgreeOnRandomGraph) {
   };
   for (size_t i = 0; i < 12; ++i) {
     for (size_t j = i + 1; j < 12; ++j) {
-      if (next_unit() < 0.4) w.Set(i, j, 0.1 + next_unit());
+      if (next_unit() < 0.4) t.Set(i, j, 0.1 + next_unit());
     }
   }
-  w.Compact();
+  SimilarityMatrix w = std::move(t).Compact();
   LabeledSet labeled;
   labeled.Add(0, 1.0);
   labeled.Add(5, 2.0);
@@ -266,9 +250,9 @@ TEST(HarmonicEdgeTest, SingleIterationStaysWithinLabelRange) {
   config.solver = HarmonicSolver::kGaussSeidel;
   config.max_iterations = 1;
   auto classifier = HarmonicFunctionClassifier::Create(config).value();
-  SimilarityMatrix w(5);
-  for (size_t i = 0; i + 1 < 5; ++i) w.Set(i, i + 1, 1.0);
-  w.Compact();
+  SimilarityTriangle t(5);
+  for (size_t i = 0; i + 1 < 5; ++i) t.Set(i, i + 1, 1.0);
+  SimilarityMatrix w = std::move(t).Compact();
   LabeledSet labeled;
   labeled.Add(0, 1.0);
   labeled.Add(4, 3.0);
@@ -283,7 +267,6 @@ TEST(HarmonicEdgeTest, SingleNodePool) {
   auto classifier =
       HarmonicFunctionClassifier::Create(HarmonicConfig{}).value();
   SimilarityMatrix w(1);
-  w.Compact();
   LabeledSet labeled;
   labeled.Add(0, 2.0);
   auto f = classifier.Predict(w, labeled).value();
@@ -295,7 +278,6 @@ TEST(HarmonicEdgeTest, ZeroWeightedGraphFallsBackToMeanEverywhere) {
   auto classifier =
       HarmonicFunctionClassifier::Create(HarmonicConfig{}).value();
   SimilarityMatrix w(4);  // no edges at all
-  w.Compact();
   LabeledSet labeled;
   labeled.Add(0, 1.0);
   labeled.Add(1, 3.0);

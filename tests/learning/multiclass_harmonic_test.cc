@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 
 #include "learning/similarity_matrix.h"
 
@@ -26,9 +27,9 @@ TEST(MulticlassHarmonicTest, CreateValidatesRange) {
 
 TEST(MulticlassHarmonicTest, RejectsNonIntegerLabels) {
   auto classifier = Make(true);
-  SimilarityMatrix w(3);
-  w.Set(0, 1, 1.0);
-  w.Compact();
+  SimilarityTriangle t(3);
+  t.Set(0, 1, 1.0);
+  SimilarityMatrix w = std::move(t).Compact();
   LabeledSet labeled;
   labeled.Add(0, 1.5);
   EXPECT_FALSE(classifier.Predict(w, labeled).ok());
@@ -43,10 +44,10 @@ TEST(MulticlassHarmonicTest, RejectsNonIntegerLabels) {
 
 TEST(MulticlassHarmonicTest, LabeledNodesKeepExactValues) {
   auto classifier = Make(true);
-  SimilarityMatrix w(3);
-  w.Set(0, 2, 1.0);
-  w.Set(1, 2, 1.0);
-  w.Compact();
+  SimilarityTriangle t(3);
+  t.Set(0, 2, 1.0);
+  t.Set(1, 2, 1.0);
+  SimilarityMatrix w = std::move(t).Compact();
   LabeledSet labeled;
   labeled.Add(0, 1.0);
   labeled.Add(1, 3.0);
@@ -57,10 +58,10 @@ TEST(MulticlassHarmonicTest, LabeledNodesKeepExactValues) {
 
 TEST(MulticlassHarmonicTest, BalancedNeighborsGiveMiddleScore) {
   auto classifier = Make(false);
-  SimilarityMatrix w(3);
-  w.Set(0, 2, 1.0);
-  w.Set(1, 2, 1.0);
-  w.Compact();
+  SimilarityTriangle t(3);
+  t.Set(0, 2, 1.0);
+  t.Set(1, 2, 1.0);
+  SimilarityMatrix w = std::move(t).Compact();
   LabeledSet labeled;
   labeled.Add(0, 1.0);
   labeled.Add(1, 3.0);
@@ -70,13 +71,13 @@ TEST(MulticlassHarmonicTest, BalancedNeighborsGiveMiddleScore) {
 
 TEST(MulticlassHarmonicTest, ScoresStayWithinLabelRange) {
   auto classifier = Make(true);
-  SimilarityMatrix w(6);
-  w.Set(0, 2, 0.9);
-  w.Set(1, 2, 0.3);
-  w.Set(2, 3, 0.7);
-  w.Set(3, 4, 0.2);
-  w.Set(4, 5, 0.8);
-  w.Compact();
+  SimilarityTriangle t(6);
+  t.Set(0, 2, 0.9);
+  t.Set(1, 2, 0.3);
+  t.Set(2, 3, 0.7);
+  t.Set(3, 4, 0.2);
+  t.Set(4, 5, 0.8);
+  SimilarityMatrix w = std::move(t).Compact();
   LabeledSet labeled;
   labeled.Add(0, 1.0);
   labeled.Add(1, 2.0);
@@ -97,9 +98,9 @@ TEST(MulticlassHarmonicTest, AgreesWithOrdinalHarmonicOnTwoClasses) {
   auto ordinal =
       HarmonicFunctionClassifier::Create(HarmonicConfig{}).value();
 
-  SimilarityMatrix w(5);
-  for (size_t i = 0; i + 1 < 5; ++i) w.Set(i, i + 1, 1.0);
-  w.Compact();
+  SimilarityTriangle t(5);
+  for (size_t i = 0; i + 1 < 5; ++i) t.Set(i, i + 1, 1.0);
+  SimilarityMatrix w = std::move(t).Compact();
   LabeledSet labeled;
   labeled.Add(0, 1.0);
   labeled.Add(4, 3.0);
@@ -116,14 +117,14 @@ TEST(MulticlassHarmonicTest, CmnCorrectsClassImbalance) {
   // sheer labeled mass; CMN rebalances by prior — but since the prior
   // *is* imbalanced here, build the opposite case: balanced priors with
   // imbalanced connectivity.
-  SimilarityMatrix w(6);
+  SimilarityTriangle t(6);
   // Unlabeled node 5 connects strongly to class-3 labeled nodes 2-4 and
   // weakly to class-1 node 0; node 1 is class-1 too, disconnected from 5.
-  w.Set(5, 0, 0.3);
-  w.Set(5, 2, 0.3);
-  w.Set(5, 3, 0.3);
-  w.Set(5, 4, 0.3);
-  w.Compact();
+  t.Set(5, 0, 0.3);
+  t.Set(5, 2, 0.3);
+  t.Set(5, 3, 0.3);
+  t.Set(5, 4, 0.3);
+  SimilarityMatrix w = std::move(t).Compact();
   LabeledSet labeled;
   labeled.Add(0, 1.0);
   labeled.Add(1, 1.0);
@@ -143,9 +144,9 @@ TEST(MulticlassHarmonicTest, ClassScoresSumToOneUnderCmnPriors) {
   // With CMN, the unlabeled mass of class c equals its prior, so summed
   // over classes the total unlabeled mass equals 1 per... (aggregate over
   // all unlabeled nodes equals 1 in expectation). Check aggregate.
-  SimilarityMatrix w(5);
-  for (size_t i = 0; i + 1 < 5; ++i) w.Set(i, i + 1, 0.7);
-  w.Compact();
+  SimilarityTriangle t(5);
+  for (size_t i = 0; i + 1 < 5; ++i) t.Set(i, i + 1, 0.7);
+  SimilarityMatrix w = std::move(t).Compact();
   LabeledSet labeled;
   labeled.Add(0, 1.0);
   labeled.Add(4, 2.0);

@@ -249,7 +249,6 @@ TEST(RiskServiceTest, FullQueueRejectsUnderRejectPolicy) {
   RiskServiceConfig config = ServiceConfig();
   config.thread_pool = &workers;
   config.queue_capacity = 2;
-  config.queue_full_policy = QueueFullPolicy::kReject;
   auto service = RiskService::Create(std::move(config)).value();
   ASSERT_TRUE(service->RegisterOwner(Registration(ds, &oracle, 31)).ok());
 
@@ -276,43 +275,6 @@ TEST(RiskServiceTest, FullQueueRejectsUnderRejectPolicy) {
   EXPECT_EQ(snapshot->version, 1u);
   EXPECT_EQ(snapshot->events_coalesced, 1u);
   EXPECT_EQ(service->stats().events_coalesced, 1u);
-  service->Shutdown();
-}
-
-TEST(RiskServiceTest, FullQueueBlocksUnderBlockPolicy) {
-  sim::OwnerDataset ds = MakeDataset(12, 60);
-  sim::OwnerModel oracle = MakeOracle(ds, 37);
-  ThreadPool workers(1);
-  Gate gate;
-  gate.Occupy(&workers);
-
-  RiskServiceConfig config = ServiceConfig();
-  config.thread_pool = &workers;
-  config.queue_capacity = 1;
-  config.queue_full_policy = QueueFullPolicy::kBlock;
-  auto service = RiskService::Create(std::move(config)).value();
-  ASSERT_TRUE(service->RegisterOwner(Registration(ds, &oracle, 41)).ok());
-
-  OwnerEvent first;
-  first.owner = ds.owner;
-  first.discovered = {ds.strangers[0]};
-  ASSERT_TRUE(service->Submit(std::move(first)).ok());
-
-  // The second Submit blocks until the drain frees a slot.
-  ThreadPool submitter(1);
-  Status blocked_result;
-  submitter.Submit([&] {
-    OwnerEvent second;
-    second.owner = ds.owner;
-    second.discovered = {ds.strangers[1]};
-    blocked_result = service->Submit(std::move(second));
-  });
-  gate.Open();
-  submitter.Wait();
-  EXPECT_TRUE(blocked_result.ok());
-  ASSERT_TRUE(service->Flush().ok());
-  EXPECT_EQ(service->NumStrangers(ds.owner).value(), 2u);
-  EXPECT_EQ(service->stats().events_submitted, 2u);
   service->Shutdown();
 }
 

@@ -1,5 +1,6 @@
 #include "similarity/profile_similarity.h"
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -168,6 +169,12 @@ TEST(ProfileSimilarityTest, CreateValidatesWeights) {
   EXPECT_FALSE(ProfileSimilarity::Create(schema, {1.0}).ok());
   EXPECT_FALSE(ProfileSimilarity::Create(schema, {1.0, -1.0, 0.0}).ok());
   EXPECT_FALSE(ProfileSimilarity::Create(schema, {0.0, 0.0, 0.0}).ok());
+  // Non-finite weights, and finite ones whose sum overflows.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(ProfileSimilarity::Create(schema, {inf, 1.0, 1.0}).ok());
+  EXPECT_FALSE(ProfileSimilarity::Create(schema, {nan, 1.0, 1.0}).ok());
+  EXPECT_FALSE(ProfileSimilarity::Create(schema, {1e308, 1e308, 0.0}).ok());
   EXPECT_TRUE(ProfileSimilarity::Create(schema, {2.0, 1.0, 1.0}).ok());
 }
 

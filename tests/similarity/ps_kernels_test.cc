@@ -1,8 +1,10 @@
 // The batched/tiled kernels must be bitwise drop-ins for the per-pair
-// scalar PS: every dispatch variant's lanes, every tail length, every
-// tile geometry, and the threaded graph build have to reproduce
-// ProfileSimilarity::Compute exactly — including kMissingCode and
-// kUnknownValue lanes and codes outside the frequency dictionary.
+// scalar PS: the active dispatch's lanes (AVX2 where the build and the
+// CPU have it; the SIMD-off build runs the same tests on the scalar
+// kernel), every tail length, every tile geometry, and the threaded
+// graph build have to reproduce ProfileSimilarity::Compute exactly —
+// including kMissingCode and kUnknownValue lanes and codes outside the
+// frequency dictionary.
 
 #include "similarity/ps_kernels.h"
 
@@ -62,13 +64,13 @@ OwnerDataset MakeDataset(uint64_t seed, size_t strangers) {
 
 TEST(PsKernelsTest, DispatchReportsAKnownName) {
   std::string name = ps_kernels::DispatchName(ps_kernels::ActiveDispatch());
-  EXPECT_TRUE(name == "scalar" || name == "sse2" || name == "avx2") << name;
+  EXPECT_TRUE(name == "scalar" || name == "avx2") << name;
 }
 
 // Raw code rows exercising every lane state: matching codes, differing
 // in-dictionary codes, kMissingCode on either side, kUnknownValue, and
 // codes just past the frequency array. Every batch size from empty up
-// past the widest lane group covers the 2- and 4-wide tails.
+// past the lane group covers every tail of the 4-wide kernel.
 TEST(PsKernelsTest, ComputeBatchMatchesScalarOnRawRows) {
   ProfileTable table = TestPopulation();
   EncodedProfileTable enc =
@@ -150,10 +152,10 @@ TEST(PsKernelsTest, TilesPartitionTheTriangleExactly) {
 }
 
 // Reference fill: the plain per-pair scalar loop the kernels replace.
-SimilarityMatrix ReferenceFill(const EncodedProfileTable& enc,
-                               const ProfileSimilarity& ps,
-                               const ValueFrequencyTable& freqs) {
-  SimilarityMatrix out(enc.num_rows());
+SimilarityTriangle ReferenceFill(const EncodedProfileTable& enc,
+                                 const ProfileSimilarity& ps,
+                                 const ValueFrequencyTable& freqs) {
+  SimilarityTriangle out(enc.num_rows());
   for (size_t i = 0; i < enc.num_rows(); ++i) {
     for (size_t j = 0; j < i; ++j) {
       out.Set(i, j, ps.Compute(enc.row(i), enc.row(j), freqs));
@@ -162,12 +164,11 @@ SimilarityMatrix ReferenceFill(const EncodedProfileTable& enc,
   return out;
 }
 
-// Every weight of `got`, a compacted graph, against the building-state
-// reference: a pair with no CSR edge reads 0, which is what the
-// reference holds for it.
+// Every weight of the graph `got` against the reference triangle: a
+// pair with no CSR edge reads 0, which is what the reference holds for
+// it.
 void ExpectBitwiseEqual(const SimilarityMatrix& got,
-                        const SimilarityMatrix& want) {
-  ASSERT_TRUE(got.compacted());
+                        const SimilarityTriangle& want) {
   ASSERT_EQ(got.size(), want.size());
   for (size_t i = 0; i < got.size(); ++i) {
     for (size_t j = 0; j < i; ++j) {
@@ -177,14 +178,14 @@ void ExpectBitwiseEqual(const SimilarityMatrix& got,
   }
 }
 
-// One dense pool through BuildGraphs.
+// One dense pool through BuildGraphs, which scores it against the same
+// whole-pool frequencies the references use.
 SimilarityMatrix BuildOne(const EncodedProfileTable& enc,
-                          const ProfileSimilarity& ps,
-                          const ValueFrequencyTable& freqs, ThreadPool* pool,
+                          const ProfileSimilarity& ps, ThreadPool* pool,
                           ps_kernels::TileShape shape = {}) {
   std::vector<SimilarityMatrix> graphs = ps_kernels::BuildGraphs(
-      {ps_kernels::PoolRows{enc.row(0), enc.num_rows(), &freqs}},
-      enc.num_attributes(), ps, /*top_k=*/0, pool, shape);
+      {ps_kernels::PoolRows{enc.row(0), enc.num_rows()}}, ps, /*top_k=*/0,
+      pool, shape);
   EXPECT_EQ(graphs.size(), 1u);
   return std::move(graphs.front());
 }
@@ -197,7 +198,7 @@ TEST(PsKernelsTest, BuildGraphsMatchesScalarReference) {
       enc.row(0), enc.num_rows(), enc.num_attributes());
   auto ps = ProfileSimilarity::Create(ds.profiles.schema()).value();
 
-  ExpectBitwiseEqual(BuildOne(enc, ps, freqs, nullptr),
+  ExpectBitwiseEqual(BuildOne(enc, ps, nullptr),
                      ReferenceFill(enc, ps, freqs));
 }
 
@@ -212,11 +213,11 @@ TEST(PsKernelsTest, BuildGraphsMatchesUnderExplicitTileShapes) {
       enc.row(0), enc.num_rows(), enc.num_attributes());
   auto ps = ProfileSimilarity::Create(ds.profiles.schema()).value();
 
-  SimilarityMatrix want = ReferenceFill(enc, ps, freqs);
+  SimilarityTriangle want = ReferenceFill(enc, ps, freqs);
   for (ps_kernels::TileShape shape :
        {ps_kernels::TileShape{1, 1}, ps_kernels::TileShape{4, 5},
         ps_kernels::TileShape{3, 8}, ps_kernels::TileShape{64, 512}}) {
-    ExpectBitwiseEqual(BuildOne(enc, ps, freqs, nullptr, shape), want);
+    ExpectBitwiseEqual(BuildOne(enc, ps, nullptr, shape), want);
   }
 }
 
@@ -229,9 +230,8 @@ TEST(PsKernelsTest, BuildGraphsAcrossThreadsMatchesScalarReference) {
   auto ps = ProfileSimilarity::Create(ds.profiles.schema()).value();
 
   ThreadPool pool(4);
-  ExpectBitwiseEqual(
-      BuildOne(enc, ps, freqs, &pool, ps_kernels::TileShape{8, 16}),
-      ReferenceFill(enc, ps, freqs));
+  ExpectBitwiseEqual(BuildOne(enc, ps, &pool, ps_kernels::TileShape{8, 16}),
+                     ReferenceFill(enc, ps, freqs));
 }
 
 TEST(PsKernelsTest, EmptyAndSingletonPools) {
@@ -240,10 +240,7 @@ TEST(PsKernelsTest, EmptyAndSingletonPools) {
   for (std::vector<UserId> users :
        {std::vector<UserId>{}, std::vector<UserId>{2}}) {
     EncodedProfileTable enc = EncodedProfileTable::Build(table, users);
-    ValueFrequencyTable freqs = ValueFrequencyTable::BuildFromCodes(
-        enc.row(0), enc.num_rows(), enc.num_attributes());
-    SimilarityMatrix graph = BuildOne(enc, ps, freqs, nullptr);
-    EXPECT_TRUE(graph.compacted()) << users.size() << " users";
+    SimilarityMatrix graph = BuildOne(enc, ps, nullptr);
     EXPECT_EQ(graph.size(), users.size());
     EXPECT_EQ(graph.NumEdges(), 0u) << users.size() << " users";
   }

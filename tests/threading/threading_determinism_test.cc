@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -110,7 +111,7 @@ TEST(ThreadingDeterminismTest, MulticlassCmnIdenticalAcrossThreadCounts) {
 }
 
 TEST(ThreadingDeterminismTest, MulticlassClassScoresMatchSerial) {
-  SimilarityMatrix w(30);
+  SimilarityTriangle t(30);
   uint64_t state = 12345;
   auto next_unit = [&state]() {
     state = state * 6364136223846793005ULL + 1442695040888963407ULL;
@@ -118,10 +119,10 @@ TEST(ThreadingDeterminismTest, MulticlassClassScoresMatchSerial) {
   };
   for (size_t i = 0; i < 30; ++i) {
     for (size_t j = i + 1; j < 30; ++j) {
-      if (next_unit() < 0.3) w.Set(i, j, 0.1 + next_unit());
+      if (next_unit() < 0.3) t.Set(i, j, 0.1 + next_unit());
     }
   }
-  w.Compact();
+  SimilarityMatrix w = std::move(t).Compact();
   LabeledSet labeled;
   labeled.Add(0, 1.0);
   labeled.Add(10, 2.0);

@@ -4,9 +4,9 @@
 // all-missing profiles, which give zero rows — every pool size around
 // the tile edges, every k from 1 past n, degenerate tile shapes, and no
 // pool or 1/2/4-thread pools, the streamed CSR must equal the reference
-// SparsifyTopK + Compact in row offsets, neighbor indices and weight
-// bits. SimilarityMatrix::SparsifyTopK, the other feeder of the same
-// rule, must too. A last case builds pools of mixed sizes in one
+// sparsified triangle's Compact() in row offsets, neighbor indices and
+// weight bits. SimilarityTriangle::SparsifyTopK, the other feeder of the
+// same rule, must too. A last case builds pools of mixed sizes in one
 // BuildGraphs call, dense and top-k, against each pool's reference.
 // Labeled `threading` so the TSan leg runs the threaded builds.
 
@@ -36,7 +36,7 @@ namespace {
 // The keep-matrix SparsifyTopK body the streamed selection replaced:
 // mark each node's k strongest positive neighbors, ranked by (weight,
 // index) descending, then zero every pair neither endpoint marked.
-void ReferenceSparsifyTopK(SimilarityMatrix* m, size_t k) {
+void ReferenceSparsifyTopK(SimilarityTriangle* m, size_t k) {
   const size_t n = m->size();
   if (n == 0) return;
   std::vector<std::vector<bool>> keep(n, std::vector<bool>(n, false));
@@ -60,11 +60,9 @@ void ReferenceSparsifyTopK(SimilarityMatrix* m, size_t k) {
   }
 }
 
-// Row offsets, neighbor indices and weight bits of two compacted
-// matrices.
+// Row offsets, neighbor indices and weight bits of two graphs.
 void ExpectSameCsr(const SimilarityMatrix& got, const SimilarityMatrix& want,
                    const std::string& label) {
-  ASSERT_TRUE(got.compacted() && want.compacted()) << label;
   ASSERT_EQ(got.size(), want.size()) << label;
   size_t got_offset = 0;
   size_t want_offset = 0;
@@ -118,14 +116,12 @@ struct Pool {
     return users;
   }
 
-  ps_kernels::PoolRows Rows() const {
-    return {enc.row(0), enc.num_rows(), &freqs};
-  }
+  ps_kernels::PoolRows Rows() const { return {enc.row(0), enc.num_rows()}; }
 
   // The dense triangle, one ProfileSimilarity::Compute per pair: no
   // tiled kernel is shared with the builds it is the reference for.
-  SimilarityMatrix ReferenceFill() const {
-    SimilarityMatrix dense(enc.num_rows());
+  SimilarityTriangle ReferenceFill() const {
+    SimilarityTriangle dense(enc.num_rows());
     for (size_t i = 0; i < enc.num_rows(); ++i) {
       for (size_t j = 0; j < i; ++j) {
         dense.Set(i, j, ps.Compute(enc.row(i), enc.row(j), freqs));
@@ -146,17 +142,14 @@ size_t CheckPool(const Pool& pool, const std::vector<size_t>& ks,
                  const std::vector<ps_kernels::TileShape>& shapes,
                  const std::vector<ThreadPool*>& thread_pools) {
   const size_t n = pool.enc.num_rows();
-  SimilarityMatrix dense = pool.ReferenceFill();
+  const SimilarityTriangle dense = pool.ReferenceFill();
   size_t builds = 0;
   for (size_t k : ks) {
-    SimilarityMatrix reference = dense;
-    ReferenceSparsifyTopK(&reference, k);
-    reference.Compact();
+    SimilarityTriangle kept = dense;
+    ReferenceSparsifyTopK(&kept, k);
+    const SimilarityMatrix reference = std::move(kept).Compact();
 
-    SimilarityMatrix sparsified = dense;
-    sparsified.SparsifyTopK(k);
-    sparsified.Compact();
-    ExpectSameCsr(sparsified, reference,
+    ExpectSameCsr(dense.SparsifyTopK(k), reference,
                   "SparsifyTopK n=" + std::to_string(n) +
                       " k=" + std::to_string(k));
 
@@ -167,9 +160,8 @@ size_t CheckPool(const Pool& pool, const std::vector<size_t>& ks,
             " shape=" + std::to_string(shape.rows) + "x" +
             std::to_string(shape.cols) + " threads=" +
             std::to_string(threads == nullptr ? 0 : threads->num_threads());
-        std::vector<SimilarityMatrix> streamed =
-            ps_kernels::BuildGraphs({pool.Rows()}, pool.enc.num_attributes(),
-                                    pool.ps, k, threads, shape);
+        std::vector<SimilarityMatrix> streamed = ps_kernels::BuildGraphs(
+            {pool.Rows()}, pool.ps, k, threads, shape);
         EXPECT_EQ(streamed.size(), 1u) << label;
         ExpectSameCsr(streamed.at(0), reference, label);
         ++builds;
@@ -249,14 +241,13 @@ TEST_F(TopKSelectionTest, MixedPoolsInOneBuildMatchPerPoolReferences) {
   for (size_t k : {size_t{0}, size_t{8}}) {
     std::vector<SimilarityMatrix> references;
     for (const std::unique_ptr<Pool>& pool : pools) {
-      SimilarityMatrix reference = pool->ReferenceFill();
-      if (k > 0) ReferenceSparsifyTopK(&reference, k);
-      reference.Compact();
-      references.push_back(std::move(reference));
+      SimilarityTriangle dense = pool->ReferenceFill();
+      if (k > 0) ReferenceSparsifyTopK(&dense, k);
+      references.push_back(std::move(dense).Compact());
     }
     for (ThreadPool* threads : AllPools()) {
-      std::vector<SimilarityMatrix> graphs = ps_kernels::BuildGraphs(
-          rows, /*num_attributes=*/4, pools.front()->ps, k, threads);
+      std::vector<SimilarityMatrix> graphs =
+          ps_kernels::BuildGraphs(rows, pools.front()->ps, k, threads);
       ASSERT_EQ(graphs.size(), pools.size());
       for (size_t p = 0; p < pools.size(); ++p) {
         ExpectSameCsr(

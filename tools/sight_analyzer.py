@@ -20,7 +20,7 @@ serving path actually relies on (DESIGN.md §15):
                      acquisition order across mutex pairs.
   hot-path-rebuild   Call-graph walk from the RiskService drain/assess
                      entry points: EncodedProfileTable::Build,
-                     SimilarityMatrix::Compact, and ProfileCodec
+                     SimilarityTriangle::Compact, and ProfileCodec
                      construction may only be reached through the
                      sanctioned cold-rebuild fallbacks (the carried
                      caches of DESIGN.md §14), never from new call
@@ -98,7 +98,7 @@ HOT_PATH_ENTRIES = {
 
 # Rebuild primitives the walk looks for.
 HOT_REBUILD_QUALIFIED = {("EncodedProfileTable", "Build")}
-HOT_REBUILD_METHODS = {"Compact"}  # resolves to SimilarityMatrix::Compact
+HOT_REBUILD_METHODS = {"Compact"}  # resolves to SimilarityTriangle::Compact
 HOT_REBUILD_CTORS = {"ProfileCodec"}
 
 # Functions sanctioned to call rebuild primitives: the fingerprint-guarded
