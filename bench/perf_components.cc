@@ -81,7 +81,7 @@ void BM_SqueezerCluster(benchmark::State& state) {
 }
 BENCHMARK(BM_SqueezerCluster)->Arg(400)->Arg(2000);
 
-// One-vs-many PS batch kernel (the inner loop of the tiled matrix
+// One-vs-many PS batch kernel (the inner loop of the column-stripe graph
 // build): one a-row scored against a block of b-rows per iteration.
 // The reported dispatch label shows which SIMD variant ran.
 void BM_PsKernelComputeBatch(benchmark::State& state) {
@@ -105,9 +105,9 @@ void BM_PsKernelComputeBatch(benchmark::State& state) {
 BENCHMARK(BM_PsKernelComputeBatch)->Arg(400)->Arg(2000);
 
 // One dense pool's classifier graph as ActiveLearner::Create asks for
-// it: the pool's value frequencies, the tiled pairwise fill and the
-// compaction (BuildGraphs).
-void BM_PsKernelTiledFill(benchmark::State& state) {
+// it: the pool's value frequencies, the pairwise fill over column stripes
+// and the compaction (BuildGraphs).
+void BM_PsKernelBuildGraphs(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
   sim::OwnerDataset ds = MakeDataset(n);
   EncodedProfileTable enc =
@@ -120,17 +120,12 @@ void BM_PsKernelTiledFill(benchmark::State& state) {
         ps_kernels::BuildGraphs(pools, ps, /*top_k=*/0, nullptr);
     benchmark::DoNotOptimize(graphs);
   }
-  const ps_kernels::TileShape shape =
-      ps_kernels::DefaultTileShape(enc.num_attributes());
-  state.SetLabel(
-      std::string(ps_kernels::DispatchName(ps_kernels::ActiveDispatch())) +
-      " tile " + std::to_string(shape.rows) + "x" +
-      std::to_string(shape.cols));
+  state.SetLabel(ps_kernels::DispatchName(ps_kernels::ActiveDispatch()));
   state.SetItemsProcessed(
       state.iterations() *
       static_cast<int64_t>(enc.num_rows() * (enc.num_rows() - 1) / 2));
 }
-BENCHMARK(BM_PsKernelTiledFill)->Arg(400)->Arg(2000);
+BENCHMARK(BM_PsKernelBuildGraphs)->Arg(400)->Arg(2000);
 
 // Erdos-Renyi-style weighted triangle shared by the harmonic benches.
 SimilarityTriangle MakeRandomTriangle(size_t n) {

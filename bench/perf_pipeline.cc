@@ -19,19 +19,18 @@
 // Matrix construction is timed four ways: the string path (Profile
 // values compared as std::string, frequencies via hashed lookup), the
 // dictionary-encoded per-pair path (EncodedProfileTable codes,
-// code-indexed frequency arrays), the batched cache-tiled kernel path
-// (similarity/ps_kernels.h — rows record the tile geometry and which
-// SIMD dispatch ran), and the tiled path across a ThreadPool at several
-// thread counts. All four must agree bitwise. Thread scaling is only
-// visible on multi-core hardware — ParallelFor deliberately runs inline
-// when the pool cannot beat the serial loop (single core, or too little
-// total work), and each threaded point records which mode actually ran;
-// on a single-core host the point is additionally marked skipped. The
-// JSON records hardware_concurrency in every row so the numbers are
-// interpretable.
+// code-indexed frequency arrays), ps_kernels::BuildGraphs on the pool
+// (the batched kernels over column stripes, then the compaction into the
+// pool's graph — rows record which SIMD dispatch ran), and BuildGraphs
+// across a ThreadPool at several thread counts. All four must agree
+// bitwise. Thread scaling is only visible on multi-core hardware, and
+// ParallelFor deliberately runs inline when the pool cannot beat the
+// serial loop (single core, a pool of one column stripe, or too little
+// total work). The JSON records hardware_concurrency in every row so the
+// numbers are interpretable.
 //
 // The topk_build section times a pool's top-8 classifier graph built
-// two ways — tiled fill into the triangle, then its SparsifyTopK, versus
+// two ways — a batched fill into the triangle, then its SparsifyTopK, versus
 // the streamed build (ps_kernels::BuildGraphs with top_k = 8) that never
 // allocates the triangle — with the peak heap bytes of each (this binary
 // counts every allocation), and FATALs unless both CSRs agree in every
@@ -395,9 +394,6 @@ struct BuildThreadPoint {
   size_t threads = 0;
   double ms = 0.0;
   double speedup = 0.0;
-  /// Whether ParallelFor actually dispatched to the pool, or fell back to
-  /// the serial loop (single core / too little work).
-  bool parallel = false;
 };
 
 struct BuildRow {
@@ -407,14 +403,12 @@ struct BuildRow {
   double encode_ms = 0.0;  // EncodedProfileTable + frequency-array build
   double encoded_serial_ms = 0.0;
   double encoded_speedup = 0.0;  // string_serial_ms / encoded_serial_ms
-  // Batched cache-tiled kernel path (similarity/ps_kernels.h).
-  double tiled_ms = 0.0;
-  double tiled_speedup = 0.0;  // encoded_serial_ms / tiled_ms
-  size_t tile_rows = 0;
-  size_t tile_cols = 0;
+  // ps_kernels::BuildGraphs on the pool, serially (similarity/ps_kernels.h).
+  double build_graphs_ms = 0.0;
+  double build_graphs_speedup = 0.0;  // encoded_serial_ms / build_graphs_ms
   std::string dispatch;  // "scalar" / "avx2"
   unsigned hardware_concurrency = 0;
-  std::vector<BuildThreadPoint> threaded;  // tiled path across a pool
+  std::vector<BuildThreadPoint> threaded;  // BuildGraphs across a pool
   bool bitwise_equal = true;
 };
 
@@ -457,8 +451,8 @@ StringFrequencies BuildStringFrequencies(const ProfileTable& table,
 }
 
 // The pre-encoding ActiveLearner construction kernel, kept as the
-// benchmark baseline and as the independent reference the encoded and
-// tiled fills are gated against: every pair compares std::string
+// benchmark baseline and as the independent reference the encoded fill
+// and BuildGraphs are gated against: every pair compares std::string
 // attribute values and resolves frequencies through a by-value hash
 // lookup.
 SimilarityTriangle FillMatrixString(const ProfileTable& table,
@@ -495,45 +489,46 @@ ValueFrequencyTable FrequenciesOf(const EncodedProfileTable& enc) {
 }
 
 // The pre-kernel encoded construction loop, kept as the baseline the
-// tiled kernels are measured against: one pair at a time on integer
-// codes, each row a parallel work item.
+// batched kernels are measured against: one pair at a time on integer
+// codes.
 SimilarityTriangle FillMatrixEncoded(const EncodedProfileTable& enc,
                                      const ProfileSimilarity& ps,
-                                     const ValueFrequencyTable& freqs,
-                                     ThreadPool* tp, bool* ran_parallel) {
+                                     const ValueFrequencyTable& freqs) {
   SimilarityTriangle m(enc.num_rows());
-  ParallelForOptions pf;
-  pf.total_work = enc.num_rows() * (enc.num_rows() - 1) / 2;
-  bool parallel = ParallelFor(tp, enc.num_rows(), [&](size_t i) {
+  for (size_t i = 0; i < enc.num_rows(); ++i) {
     const uint32_t* row_i = enc.row(i);
     for (size_t j = 0; j < i; ++j) {
       m.Set(i, j, ps.Compute(row_i, enc.row(j), freqs));
     }
-  }, pf);
-  if (ran_parallel != nullptr) *ran_parallel = parallel;
+  }
   return m;
 }
 
-// The triangle fill of ActiveLearner::Create's dense graph build (what
-// ps_kernels::BuildGraphs writes for a dense pool before compacting it):
-// batched one-vs-many PS over cache-sized tiles of the default shape,
-// one ParallelFor work item per tile.
-SimilarityTriangle FillMatrixTiled(const EncodedProfileTable& enc,
-                                   const ProfileSimilarity& ps,
-                                   const ValueFrequencyTable& freqs,
-                                   ThreadPool* tp, bool* ran_parallel) {
+// A dense pool's triangle filled by the batched kernel, one ComputeBatch
+// of each row against every row before it: the fill of the fill +
+// SparsifyTopK reference the streamed top-k build is gated against.
+SimilarityTriangle FillMatrixBatched(const EncodedProfileTable& enc,
+                                     const ProfileSimilarity& ps,
+                                     const ValueFrequencyTable& freqs) {
   const size_t n = enc.num_rows();
   SimilarityTriangle m(n);
-  const std::vector<ps_kernels::PairTile> tiles = ps_kernels::MakeTiles(
-      n, ps_kernels::DefaultTileShape(enc.num_attributes()));
-  ParallelForOptions pf;
-  pf.total_work = n * (n - 1) / 2;
-  bool parallel = ParallelFor(tp, tiles.size(), [&](size_t t) {
-    ps_kernels::FillTile(enc.row(0), n, enc.num_attributes(), ps, freqs,
-                         tiles[t], &m);
-  }, pf);
-  if (ran_parallel != nullptr) *ran_parallel = parallel;
+  std::vector<double> row(n);
+  for (size_t i = 1; i < n; ++i) {
+    ps_kernels::ComputeBatch(enc.row(i), enc.row(0), enc.num_attributes(), i,
+                             ps, freqs, row.data());
+    m.SetRowSpan(i, 0, row.data(), i);
+  }
   return m;
+}
+
+// One dense pool's graph as ActiveLearner::Create builds it.
+SimilarityMatrix BuildDenseGraph(const EncodedProfileTable& enc,
+                                 const ProfileSimilarity& ps,
+                                 ThreadPool* tp) {
+  std::vector<SimilarityMatrix> graphs = ps_kernels::BuildGraphs(
+      {ps_kernels::PoolRows{enc.row(0), enc.num_rows()}}, ps, /*top_k=*/0,
+      tp);
+  return std::move(graphs.front());
 }
 
 bool MatricesBitwiseEqual(const SimilarityTriangle& a,
@@ -542,6 +537,27 @@ bool MatricesBitwiseEqual(const SimilarityTriangle& a,
     for (size_t j = 0; j < i; ++j) {
       if (a.Get(i, j) != b.Get(i, j)) return false;
     }
+  }
+  return true;
+}
+
+// Every pair of `graph` against the triangle, bit for bit; a pair with
+// no edge must read 0 there.
+bool GraphMatchesTriangle(const SimilarityMatrix& graph,
+                          const SimilarityTriangle& m) {
+  if (graph.size() != m.size()) return false;
+  for (size_t i = 0; i < m.size(); ++i) {
+    std::span<const Neighbor> row = graph.Neighbors(i);
+    size_t t = 0;
+    for (size_t j = 0; j < m.size(); ++j) {
+      if (j == i) continue;
+      double w = 0.0;
+      if (t < row.size() && row[t].index == j) w = row[t++].weight;
+      if (std::bit_cast<uint64_t>(w) != std::bit_cast<uint64_t>(m.Get(i, j))) {
+        return false;
+      }
+    }
+    if (t != row.size()) return false;
   }
   return true;
 }
@@ -573,86 +589,77 @@ BuildRow RunBuildStudy(size_t n, const std::vector<size_t>& thread_counts) {
 
   // The serial and threaded reps are interleaved (one of each per pass,
   // best time per series): when ParallelFor falls back, the threaded
-  // points run the identical serial kernel, and measuring the two in
+  // points run the identical serial build, and measuring the two in
   // separate blocks records clock drift between the blocks as a
-  // spurious ratio around 1.0.
-  SimilarityTriangle encoded(0);
-  SimilarityTriangle tiled(0);
+  // spurious ratio around 1.0. A dense graph at n=8000 holds about 1 GB
+  // of CSR, so each result is dropped before the next build, and the
+  // last pass checks every series against the string path.
   std::vector<std::unique_ptr<ThreadPool>> pools;
-  std::vector<SimilarityTriangle> threaded;
   row.threaded.resize(thread_counts.size());
   for (size_t t = 0; t < thread_counts.size(); ++t) {
     pools.push_back(std::make_unique<ThreadPool>(thread_counts[t]));
-    threaded.emplace_back(0);
     row.threaded[t].threads = thread_counts[t];
     row.threaded[t].ms = std::numeric_limits<double>::infinity();
   }
   row.encoded_serial_ms = std::numeric_limits<double>::infinity();
-  row.tiled_ms = std::numeric_limits<double>::infinity();
-  // More reps than the (much slower) string baseline: the tiled-over-
+  row.build_graphs_ms = std::numeric_limits<double>::infinity();
+  auto check = [&](bool equal, const char* series, size_t threads) {
+    if (equal) return;
+    std::fprintf(stderr,
+                 "FATAL: %s matrix build (threads=%zu) diverges from the "
+                 "string path at n=%zu\n",
+                 series, threads, n);
+    std::exit(1);
+  };
+  // More reps than the (much slower) string baseline: the batched-over-
   // encoded and threaded-over-serial ratios are the quantities of
   // interest here, and best-of needs several passes per series before
   // the minima stop wobbling around each other at the ±1% level.
   const int encoded_reps = RepsFor(n) + 4;
   for (int rep = 0; rep < encoded_reps; ++rep) {
+    const bool last = rep + 1 == encoded_reps;
+    SimilarityTriangle encoded(0);
     row.encoded_serial_ms =
         std::min(row.encoded_serial_ms, TimeMsBestOf(1, [&] {
-          encoded = FillMatrixEncoded(*enc, ps, *freqs, nullptr, nullptr);
+          encoded = FillMatrixEncoded(*enc, ps, *freqs);
         }));
-    row.tiled_ms = std::min(row.tiled_ms, TimeMsBestOf(1, [&] {
-      tiled = FillMatrixTiled(*enc, ps, *freqs, nullptr, nullptr);
+    if (last) check(MatricesBitwiseEqual(reference, encoded), "encoded", 1);
+    encoded = SimilarityTriangle(0);
+    SimilarityMatrix graph;
+    row.build_graphs_ms = std::min(row.build_graphs_ms, TimeMsBestOf(1, [&] {
+      graph = BuildDenseGraph(*enc, ps, nullptr);
     }));
+    if (last) check(GraphMatchesTriangle(graph, reference), "BuildGraphs", 1);
     for (size_t t = 0; t < pools.size(); ++t) {
       BuildThreadPoint& point = row.threaded[t];
+      graph = SimilarityMatrix();
       point.ms = std::min(point.ms, TimeMsBestOf(1, [&] {
-        threaded[t] = FillMatrixTiled(*enc, ps, *freqs, pools[t].get(),
-                                      &point.parallel);
+        graph = BuildDenseGraph(*enc, ps, pools[t].get());
       }));
+      if (last) {
+        check(GraphMatchesTriangle(graph, reference), "threaded BuildGraphs",
+              point.threads);
+      }
     }
   }
   row.encoded_speedup = row.string_serial_ms / row.encoded_serial_ms;
-  row.tiled_speedup = row.encoded_serial_ms / row.tiled_ms;
-  const ps_kernels::TileShape shape =
-      ps_kernels::DefaultTileShape(enc->num_attributes());
-  row.tile_rows = shape.rows;
-  row.tile_cols = shape.cols;
+  row.build_graphs_speedup = row.encoded_serial_ms / row.build_graphs_ms;
   row.dispatch = ps_kernels::DispatchName(ps_kernels::ActiveDispatch());
   row.hardware_concurrency = std::thread::hardware_concurrency();
-  row.bitwise_equal = MatricesBitwiseEqual(reference, encoded) &&
-                      MatricesBitwiseEqual(reference, tiled);
-  if (!row.bitwise_equal) {
-    std::fprintf(stderr,
-                 "FATAL: encoded/tiled matrix build diverges from the string "
-                 "path at n=%zu\n",
-                 n);
-    std::exit(1);
-  }
   std::printf("build     n=%-5zu encode=%8.2fms encoded=%9.2fms (%.2fx)\n", n,
               row.encode_ms, row.encoded_serial_ms, row.encoded_speedup);
-  std::printf(
-      "build     n=%-5zu tiled=%10.2fms (%.2fx vs encoded, %s, tile %zux%zu)"
-      "\n",
-      n, row.tiled_ms, row.tiled_speedup, row.dispatch.c_str(), row.tile_rows,
-      row.tile_cols);
-
-  for (size_t t = 0; t < thread_counts.size(); ++t) {
-    BuildThreadPoint& point = row.threaded[t];
-    point.speedup = row.tiled_ms / point.ms;
-    if (!MatricesBitwiseEqual(tiled, threaded[t])) {
-      std::fprintf(stderr,
-                   "FATAL: threaded matrix build (threads=%zu) diverges from "
-                   "serial at n=%zu\n",
-                   point.threads, n);
-      std::exit(1);
-    }
-    std::printf("build     n=%-5zu threads=%zu       %9.2fms (%.2fx, %s)\n",
-                n, point.threads, point.ms, point.speedup,
-                point.parallel ? "parallel" : "serial-fallback");
+  std::printf("build     n=%-5zu BuildGraphs=%9.2fms (%.2fx vs encoded, %s)\n",
+              n, row.build_graphs_ms, row.build_graphs_speedup,
+              row.dispatch.c_str());
+  for (BuildThreadPoint& point : row.threaded) {
+    point.speedup = row.build_graphs_ms / point.ms;
+    std::printf("build     n=%-5zu threads=%zu       %9.2fms (%.2fx)\n", n,
+                point.threads, point.ms, point.speedup);
   }
   return row;
 }
 
-// Top-k graph build of one pool, two ways: the triangle path (tiled
+// Top-k graph build of one pool, two ways: the triangle path (batched
 // fill, then the triangle's SparsifyTopK) and the streamed build that
 // never holds the triangle. Both must give the same CSR bit for bit.
 struct TopKBuildRow {
@@ -713,8 +720,7 @@ TopKBuildRow RunTopKBuildStudy(size_t n) {
   SimilarityMatrix streamed;
   std::tie(row.dense_ms, row.dense_peak_bytes) =
       TimeAndPeakBytes(RepsFor(n), &dense, [&] {
-        return FillMatrixTiled(enc, ps, freqs, nullptr, nullptr)
-            .SparsifyTopK(kTopK);
+        return FillMatrixBatched(enc, ps, freqs).SparsifyTopK(kTopK);
       });
   std::tie(row.streamed_ms, row.streamed_peak_bytes) =
       TimeAndPeakBytes(RepsFor(n), &streamed, [&] {
@@ -801,23 +807,16 @@ bool WriteJson(const std::string& path, const std::vector<HarmonicRow>& solve,
         << ", \"encode_ms\": " << JsonOpt(r.encode_ms)
         << ", \"encoded_serial_ms\": " << JsonOpt(r.encoded_serial_ms)
         << ", \"encoded_speedup\": " << JsonOpt(r.encoded_speedup)
-        << ", \"tiled_ms\": " << JsonOpt(r.tiled_ms)
-        << ", \"tiled_speedup\": " << JsonOpt(r.tiled_speedup)
-        << ", \"tile_rows\": " << r.tile_rows
-        << ", \"tile_cols\": " << r.tile_cols
+        << ", \"build_graphs_ms\": " << JsonOpt(r.build_graphs_ms)
+        << ", \"build_graphs_speedup\": " << JsonOpt(r.build_graphs_speedup)
         << ", \"dispatch\": \"" << r.dispatch << "\""
         << ", \"hardware_concurrency\": " << r.hardware_concurrency
         << ", \"threaded\": [";
     for (size_t t = 0; t < r.threaded.size(); ++t) {
       out << "{\"threads\": " << r.threaded[t].threads << ", \"ms\": "
           << JsonOpt(r.threaded[t].ms) << ", \"speedup\": "
-          << JsonOpt(r.threaded[t].speedup) << ", \"mode\": \""
-          << (r.threaded[t].parallel ? "parallel" : "serial-fallback")
-          << "\"";
-      if (r.hardware_concurrency <= 1 && !r.threaded[t].parallel) {
-        out << ", \"skipped\": \"single-core host\"";
-      }
-      out << "}" << (t + 1 < r.threaded.size() ? ", " : "");
+          << JsonOpt(r.threaded[t].speedup) << "}"
+          << (t + 1 < r.threaded.size() ? ", " : "");
     }
     out << "], \"bitwise_equal\": " << (r.bitwise_equal ? "true" : "false")
         << "}" << (i + 1 < build.size() ? "," : "") << "\n";
@@ -858,16 +857,16 @@ bool WriteJson(const std::string& path, const std::vector<HarmonicRow>& solve,
     }
   }
   std::optional<double> encoded_2000;
-  std::optional<double> tiled_2000;
-  std::optional<double> tiled_8000;
+  std::optional<double> build_graphs_2000;
+  std::optional<double> build_graphs_8000;
   std::optional<double> build_2000_t2;
   std::string dispatch = "scalar";
   for (const BuildRow& r : build) {
     dispatch = r.dispatch;
-    if (r.n == 8000) tiled_8000 = r.tiled_speedup;
+    if (r.n == 8000) build_graphs_8000 = r.build_graphs_speedup;
     if (r.n != 2000) continue;
     encoded_2000 = r.encoded_speedup;
-    tiled_2000 = r.tiled_speedup;
+    build_graphs_2000 = r.build_graphs_speedup;
     for (const BuildThreadPoint& p : r.threaded) {
       if (p.threads == 2) build_2000_t2 = p.speedup;
     }
@@ -881,10 +880,10 @@ bool WriteJson(const std::string& path, const std::vector<HarmonicRow>& solve,
       << JsonOpt(round_2000_min) << ",\n";
   out << "    \"matrix_build_encoded_speedup_n2000\": "
       << JsonOpt(encoded_2000) << ",\n";
-  out << "    \"matrix_build_tiled_speedup_n2000\": " << JsonOpt(tiled_2000)
-      << ",\n";
-  out << "    \"matrix_build_tiled_speedup_n8000\": " << JsonOpt(tiled_8000)
-      << ",\n";
+  out << "    \"matrix_build_graphs_speedup_n2000\": "
+      << JsonOpt(build_graphs_2000) << ",\n";
+  out << "    \"matrix_build_graphs_speedup_n8000\": "
+      << JsonOpt(build_graphs_8000) << ",\n";
   std::optional<double> topk_speedup_8000;
   std::optional<double> topk_peak_ratio_8000;
   for (const TopKBuildRow& r : topk) {

@@ -303,7 +303,7 @@ RiskLabel PoolLearner::PredictedLabel(size_t i) const {
 
 Result<ActiveLearner> ActiveLearner::Create(
     const PoolSet& pools, const ProfileTable& profiles,
-    std::vector<double> display_benefits, ActiveLearnerConfig config,
+    const std::vector<double>& display_benefits, ActiveLearnerConfig config,
     const GraphClassifier* classifier, const Sampler* sampler,
     const PoolLearner::KnownLabels* known_labels,
     const PoolLearner::KnownLabels* prior_scores, LearnerCarry* carry,
@@ -322,10 +322,6 @@ Result<ActiveLearner> ActiveLearner::Create(
   }
 
   ActiveLearner learner;
-  learner.strangers_ = pools.strangers;
-  learner.network_similarities_ = pools.network_similarities;
-  learner.benefits_ = std::move(display_benefits);
-
   std::unordered_map<UserId, size_t> position;
   position.reserve(pools.strangers.size());
   for (size_t i = 0; i < pools.strangers.size(); ++i) {
@@ -405,7 +401,7 @@ Result<ActiveLearner> ActiveLearner::Create(
       pooled[it->second] = true;
       if (build) {
         sims[p][i] = pools.network_similarities[it->second];
-        bens[p][i] = learner.benefits_[it->second];
+        bens[p][i] = display_benefits[it->second];
       }
     }
     if (!build) continue;
@@ -425,10 +421,11 @@ Result<ActiveLearner> ActiveLearner::Create(
   }
 
   // Edge weights: the O(n^2) pairwise profile-similarity fill runs on
-  // the batched, cache-tiled kernels (similarity/ps_kernels.h), bitwise-
-  // identical to per-pair ProfileSimilarity::Compute, across every pool
-  // at once. With sparsify_top_k > 0 a pool never gets a triangle: its
-  // pairs stream into the top-k selection that emits its graph.
+  // the batched kernels over column stripes (similarity/ps_kernels.h),
+  // bitwise-identical to per-pair ProfileSimilarity::Compute, across
+  // every pool at once. With sparsify_top_k > 0 a pool never gets a
+  // triangle: its pairs stream into the top-k selection that emits its
+  // graph.
   std::vector<SimilarityMatrix> graphs = ps_kernels::BuildGraphs(
       inputs, ps, config.sparsify_top_k, config.thread_pool);
 
@@ -503,23 +500,13 @@ Result<AssessmentResult> ActiveLearner::Run(LabelOracle* oracle, Rng* rng) {
       sa.predicted_score = learner.predictions()[i];
       sa.predicted_label = learner.PredictedLabel(i);
       sa.owner_labeled = learner.IsOwnerLabeled(i);
+      sa.network_similarity = learner.display_similarity(i);
+      sa.benefit = learner.display_benefit(i);
       result.strangers.push_back(sa);
     }
   }
   if (!learners_.empty()) {
     result.mean_rounds = rounds_sum / static_cast<double>(learners_.size());
-  }
-
-  // Attach NS/benefit using the stranger list order.
-  std::unordered_map<UserId, size_t> position;
-  position.reserve(strangers_.size());
-  for (size_t i = 0; i < strangers_.size(); ++i) position[strangers_[i]] = i;
-  for (StrangerAssessment& sa : result.strangers) {
-    auto it = position.find(sa.stranger);
-    if (it != position.end()) {
-      sa.network_similarity = network_similarities_[it->second];
-      sa.benefit = benefits_[it->second];
-    }
   }
   return result;
 }

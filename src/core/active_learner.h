@@ -206,6 +206,10 @@ class PoolLearner {
 
   const std::vector<UserId>& members() const { return members_; }
 
+  /// Network similarity and benefit of member i, as the oracle sees them.
+  double display_similarity(size_t i) const { return display_similarity_[i]; }
+  double display_benefit(size_t i) const { return display_benefit_[i]; }
+
   /// Continuous scores, one per member (label values after exhaustion).
   const std::vector<double>& predictions() const { return predictions_; }
 
@@ -343,14 +347,17 @@ class ActiveLearner {
   [[nodiscard]]
   static Result<ActiveLearner> Create(
       const PoolSet& pools, const ProfileTable& profiles,
-      std::vector<double> display_benefits, ActiveLearnerConfig config,
+      const std::vector<double>& display_benefits, ActiveLearnerConfig config,
       const GraphClassifier* classifier, const Sampler* sampler,
       const PoolLearner::KnownLabels* known_labels = nullptr,
       const PoolLearner::KnownLabels* prior_scores = nullptr,
       LearnerCarry* carry = nullptr,
       const StrangerEncodeCache* encode = nullptr);
 
-  /// Runs every pool to completion.
+  /// Runs every pool to completion. Each stranger's NS and benefit are
+  /// the ones its pool's learner shows the oracle; a carried learner's
+  /// are from the tick that built it, which holds because a carry is
+  /// dropped on any graph, profile or visibility change.
   [[nodiscard]] Result<AssessmentResult> Run(LabelOracle* oracle, Rng* rng);
 
   /// Moves every finished learner into `carry` for the next tick
@@ -364,10 +371,6 @@ class ActiveLearner {
   size_t pools_carried_ = 0;
   // One per pool, in pool order: learners_[p] serves pools.pools[p].
   std::vector<PoolLearner> learners_;
-  // Parallel to the PoolSet's stranger list.
-  std::vector<UserId> strangers_;
-  std::vector<double> network_similarities_;
-  std::vector<double> benefits_;
 };
 
 }  // namespace sight

@@ -3,24 +3,8 @@
 #include <cstring>
 
 #include "util/logging.h"
-#include "util/string_util.h"
 
 namespace sight {
-
-Result<std::string> ProfileCodec::Decode(AttributeId attr,
-                                         uint32_t code) const {
-  if (attr >= values_.size()) {
-    return Status::InvalidArgument(
-        StrFormat("attribute %zu out of range (%zu attributes)",
-                  static_cast<size_t>(attr), values_.size()));
-  }
-  if (code >= values_[attr].size()) {
-    return Status::OutOfRange(
-        StrFormat("code %u not in the attribute-%zu dictionary (%zu codes)",
-                  code, static_cast<size_t>(attr), values_[attr].size()));
-  }
-  return values_[attr][code];
-}
 
 uint32_t ProfileCodec::Intern(AttributeId attr, const std::string& value) {
   if (value.empty()) return kMissingCode;

@@ -28,7 +28,6 @@
 
 #include "graph/profile.h"
 #include "graph/types.h"
-#include "util/status.h"
 
 namespace sight {
 
@@ -65,18 +64,10 @@ class ProfileCodec {
   size_t NumCodes(AttributeId attr) const { return values_[attr].size(); }
 
   /// The string a code decodes to ("" for kMissingCode). `code` must be
-  /// < NumCodes(attr); for untrusted codes use Decode().
+  /// < NumCodes(attr).
   const std::string& Value(AttributeId attr, uint32_t code) const {
     return values_[attr][code];
   }
-
-  /// Checked decode for codes from outside the codec (wire formats,
-  /// persisted tables): kInvalidArgument for an unknown attribute,
-  /// kOutOfRange for a code the dictionary never assigned (including
-  /// kUnknownValue).
-  [[nodiscard]]
-  Result<std::string> Decode(AttributeId attr,
-                                           uint32_t code) const;
 
   /// Encodes one profile into `out` (num_attributes() entries), interning
   /// unseen values. Short value vectors read as missing.

@@ -60,7 +60,11 @@ Result<PoolLearner::KnownLabels> LoadKnownLabels(std::istream* in) {
           StrFormat("bad label '%s' (must be %d..%d)", record[1].c_str(),
                     kRiskLabelMin, kRiskLabelMax));
     }
-    labels[stranger] = static_cast<double>(value);
+    if (!labels.emplace(stranger, static_cast<double>(value)).second) {
+      return Status::AlreadyExists(StrFormat(
+          "labels row %zu repeats stranger %u", reader.records_read(),
+          stranger));
+    }
   }
   SIGHT_RETURN_IF_ERROR(reader.status());
   return labels;

@@ -52,6 +52,10 @@ Result<ProfileTable> LoadProfiles(std::istream* in, UserId user_id_bound) {
     }
     SIGHT_ASSIGN_OR_RETURN(UserId user,
                            ParseUserId(record[0], user_id_bound));
+    if (table.Has(user)) {
+      return Status::AlreadyExists(StrFormat(
+          "profile row %zu repeats user %u", reader.records_read(), user));
+    }
     Profile profile;
     profile.values.assign(record.begin() + 1, record.end());
     SIGHT_RETURN_IF_ERROR(table.Set(user, std::move(profile)));

@@ -1,6 +1,7 @@
 #include "io/visibility_io.h"
 
 #include <fstream>
+#include <unordered_set>
 
 #include "io/user_id.h"
 #include "util/csv.h"
@@ -50,6 +51,7 @@ Result<VisibilityTable> LoadVisibility(std::istream* in,
   }
 
   VisibilityTable table;
+  std::unordered_set<UserId> seen;
   while (reader.Next(&record)) {
     if (record.size() == 1 && record[0].empty()) continue;
     if (record.size() != kNumProfileItems + 1) {
@@ -59,6 +61,10 @@ Result<VisibilityTable> LoadVisibility(std::istream* in,
     }
     SIGHT_ASSIGN_OR_RETURN(UserId user,
                            ParseUserId(record[0], user_id_bound));
+    if (!seen.insert(user).second) {
+      return Status::AlreadyExists(StrFormat(
+          "visibility row %zu repeats user %u", reader.records_read(), user));
+    }
     for (size_t i = 0; i < kNumProfileItems; ++i) {
       const std::string& cell = record[i + 1];
       if (cell != "0" && cell != "1") {

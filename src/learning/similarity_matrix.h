@@ -78,10 +78,11 @@ class SimilarityTriangle {
 
   /// Sets w(i, j0 + k) = values[k] for k in [0, count). Requires
   /// j0 + count <= i (a strictly-lower-triangle span), which makes the
-  /// destination one contiguous run of the packed store — this is the
-  /// write path of the tiled PS matrix-build kernels
-  /// (similarity/ps_kernels.h), one bounds check per span instead of per
-  /// pair. Concurrent SetRowSpan calls on disjoint spans are safe.
+  /// destination one contiguous run of the packed store — this is how a
+  /// dense pool's column stripes write their rows in
+  /// ps_kernels::BuildGraphs (similarity/ps_kernels.h), one bounds check
+  /// per span instead of per pair. Concurrent SetRowSpan calls on
+  /// disjoint spans are safe.
   void SetRowSpan(size_t i, size_t j0, const double* values, size_t count);
 
   double Get(size_t i, size_t j) const;

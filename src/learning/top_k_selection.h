@@ -55,10 +55,10 @@ class TopKSelection {
   /// one stripe must not.
   ///
   /// Any feed order gives the same result. Feeding each stripe's rows in
-  /// descending order (as SelectStripe and SparsifyTopK do) is fastest:
-  /// every heap then sees its candidates in descending neighbor order,
-  /// so a weight equal to a heap's floor never displaces a kept edge and
-  /// is turned away without a heap update.
+  /// descending order (as ps_kernels::BuildGraphs and SparsifyTopK do) is
+  /// fastest: every heap then sees its candidates in descending neighbor
+  /// order, so a weight equal to a heap's floor never displaces a kept
+  /// edge and is turned away without a heap update.
   void AddRowSpan(size_t stripe, size_t i, size_t j0, const double* values,
                   size_t count);
 

@@ -6,7 +6,6 @@
 
 #include "graph/profile_codec.h"
 #include "learning/top_k_selection.h"
-#include "util/logging.h"
 
 // The AVX2 variant needs x86-64 and a compiler with
 // __builtin_cpu_supports + function target attributes.
@@ -173,39 +172,6 @@ const char* DispatchName(Dispatch dispatch) {
   return "unknown";
 }
 
-TileShape DefaultTileShape(size_t num_attributes) {
-  // Column block: the b-rows a tile re-reads once per a-row. Budget
-  // half a typical 32 KiB L1d for them (the other half covers the
-  // output span, the frequency arrays' hot entries, and the a-rows).
-  constexpr size_t kColBudgetBytes = 16 * 1024;
-  const size_t row_bytes =
-      std::max<size_t>(1, num_attributes) * sizeof(uint32_t);
-  size_t cols = kColBudgetBytes / row_bytes;
-  cols = std::clamp<size_t>(cols & ~size_t{7}, 32, 512);
-  // Row block: enough rows that packing the per-row context is noise
-  // and a tile is a meaningful ParallelFor work item, small enough that
-  // tiles still load-balance across threads.
-  return TileShape{64, cols};
-}
-
-std::vector<PairTile> MakeTiles(size_t n, TileShape shape) {
-  SIGHT_CHECK(shape.rows > 0 && shape.cols > 0);
-  std::vector<PairTile> tiles;
-  if (n < 2) return tiles;
-  for (size_t j0 = 0; j0 + 1 < n; j0 += shape.cols) {
-    const size_t j1 = std::min(n, j0 + shape.cols);
-    for (size_t i0 = j0 + 1; i0 < n; i0 += shape.rows) {
-      // Clamp the first row block of a column stripe to the stripe's
-      // diagonal start so blocks stay aligned to multiples of rows.
-      const size_t begin = std::max(i0, j0 + 1);
-      const size_t end = std::min(n, i0 + shape.rows);
-      if (begin >= end) continue;
-      tiles.push_back(PairTile{begin, end, j0, j1});
-    }
-  }
-  return tiles;
-}
-
 void ComputeBatch(const uint32_t* a, const uint32_t* b, size_t stride,
                   size_t count, const ProfileSimilarity& ps,
                   const ValueFrequencyTable& freqs, double* out) {
@@ -217,88 +183,78 @@ void ComputeBatch(const uint32_t* a, const uint32_t* b, size_t stride,
 
 namespace {
 
-// Scores every pair of `tile`, one a-row at a time against the tile's
-// block of b-rows, and hands each row's span to sink(i, values, count):
-// PS of (i, tile.col_begin + t) for t < count. Rows go in ascending
-// order, or descending with `descending`; the values do not depend on it.
-template <typename Sink>
-void ScoreTile(const uint32_t* rows, size_t num_rows, size_t num_attributes,
-               const ProfileSimilarity& ps, const ValueFrequencyTable& freqs,
-               const PairTile& tile, bool descending, Sink&& sink) {
-  SIGHT_CHECK(tile.row_end <= num_rows);
-  const size_t stride = num_attributes;
-  const BatchFn batch = ActiveBatchFn();
-  RowContext ctx;
-  std::vector<double> buf(tile.col_end - tile.col_begin);
-  const uint32_t* b = rows + tile.col_begin * stride;
-  const size_t first = std::max(tile.row_begin, tile.col_begin + 1);
-  for (size_t r = first; r < tile.row_end; ++r) {
-    const size_t i = descending ? tile.row_end - 1 - (r - first) : r;
-    const size_t count = std::min(tile.col_end, i) - tile.col_begin;
-    ctx.Pack(rows + i * stride, ps.normalized_weights(), freqs);
-    batch(ctx, b, stride, count, buf.data());
-    sink(i, buf.data(), count);
-  }
+// Width of a column stripe: the b-rows every a-row below the stripe is
+// scored against. Budget half a typical 32 KiB L1d for them (the other
+// half covers the output span, the frequency arrays' hot entries and the
+// a-row), rounded down to a multiple of 8 and clamped to [32, 512]: 512
+// columns up to 8 attributes.
+size_t StripeWidth(size_t num_attributes) {
+  constexpr size_t kStripeBudgetBytes = 16 * 1024;
+  const size_t row_bytes =
+      std::max<size_t>(1, num_attributes) * sizeof(uint32_t);
+  return std::clamp<size_t>((kStripeBudgetBytes / row_bytes) & ~size_t{7},
+                            32, 512);
 }
 
-TileShape ShapeOrDefault(TileShape shape, size_t num_attributes) {
-  return shape.rows > 0 && shape.cols > 0 ? shape
-                                          : DefaultTileShape(num_attributes);
+// Column-stripe starts of an n-node pool (0, width, 2 * width, ...
+// below n - 1): every pair (i, j < i) lies in exactly one stripe. Empty
+// when n < 2.
+std::vector<size_t> StripeStarts(size_t n, size_t width) {
+  std::vector<size_t> starts;
+  for (size_t j0 = 0; j0 + 1 < n; j0 += width) starts.push_back(j0);
+  return starts;
+}
+
+// Scores column stripe `stripe` of one pool — every pair (i, j) with j in
+// [stripe * width, (stripe + 1) * width) and j < i — one a-row at a time
+// against the stripe's block of b-rows. A dense pool (`selection` null)
+// writes each row's span into its triangle, rows ascending; a top-k pool
+// feeds it to its selection, rows descending: the order TopKSelection
+// turns ties away fastest in. The values do not depend on the order.
+// Distinct stripes write disjoint spans of a triangle and own disjoint
+// selection state, so concurrent calls on distinct stripes of one pool
+// are safe.
+void ScoreStripe(const PoolRows& pool, const ProfileSimilarity& ps,
+                 const ValueFrequencyTable& freqs, size_t stripe, size_t width,
+                 SimilarityTriangle* triangle, TopKSelection* selection) {
+  const size_t n = pool.num_rows;
+  const size_t j0 = stripe * width;
+  const size_t j1 = std::min(n, j0 + width);
+  const size_t stride = ps.normalized_weights().size();
+  const BatchFn batch = ActiveBatchFn();
+  RowContext ctx;
+  std::vector<double> buf(j1 - j0);
+  const uint32_t* b = pool.rows + j0 * stride;
+  for (size_t r = j0 + 1; r < n; ++r) {
+    const size_t i = selection != nullptr ? n - (r - j0) : r;
+    const size_t count = std::min(j1, i) - j0;
+    ctx.Pack(pool.rows + i * stride, ps.normalized_weights(), freqs);
+    batch(ctx, b, stride, count, buf.data());
+    if (selection != nullptr) {
+      selection->AddRowSpan(stripe, i, j0, buf.data(), count);
+    } else {
+      triangle->SetRowSpan(i, j0, buf.data(), count);
+    }
+  }
 }
 
 }  // namespace
 
-void FillTile(const uint32_t* rows, size_t num_rows, size_t num_attributes,
-              const ProfileSimilarity& ps, const ValueFrequencyTable& freqs,
-              const PairTile& tile, SimilarityTriangle* out) {
-  SIGHT_CHECK(out != nullptr);
-  ScoreTile(rows, num_rows, num_attributes, ps, freqs, tile,
-            /*descending=*/false,
-            [&](size_t i, const double* values, size_t count) {
-              out->SetRowSpan(i, tile.col_begin, values, count);
-            });
-}
-
-std::vector<size_t> StripeStarts(size_t n, TileShape shape) {
-  SIGHT_CHECK(shape.cols > 0);
-  std::vector<size_t> starts;
-  for (size_t j0 = 0; j0 + 1 < n; j0 += shape.cols) starts.push_back(j0);
-  return starts;
-}
-
-void SelectStripe(const uint32_t* rows, size_t num_rows,
-                  size_t num_attributes, const ProfileSimilarity& ps,
-                  const ValueFrequencyTable& freqs, size_t stripe,
-                  TopKSelection* selection) {
-  SIGHT_CHECK(selection != nullptr && selection->size() == num_rows);
-  const PairTile tile{selection->stripe_begin(stripe) + 1, num_rows,
-                      selection->stripe_begin(stripe),
-                      selection->stripe_end(stripe)};
-  // Descending rows: the order TopKSelection turns ties away fastest in.
-  ScoreTile(rows, num_rows, num_attributes, ps, freqs, tile,
-            /*descending=*/true,
-            [&](size_t i, const double* values, size_t count) {
-              selection->AddRowSpan(stripe, i, tile.col_begin, values, count);
-            });
-}
-
 std::vector<SimilarityMatrix> BuildGraphs(const std::vector<PoolRows>& pools,
                                           const ProfileSimilarity& ps,
-                                          size_t top_k, ThreadPool* pool,
-                                          TileShape shape) {
+                                          size_t top_k, ThreadPool* pool) {
   const size_t num_attributes = ps.normalized_weights().size();
-  shape = ShapeOrDefault(shape, num_attributes);
+  const size_t width = StripeWidth(num_attributes);
   const size_t num_pools = pools.size();
-  // Value frequencies come from the pool itself (Section III-C). A dense
-  // pool's work items are its tiles, written into its triangle; a
-  // streamed pool's are its column stripes, each owning its share of the
-  // pool's selection state. Distinct items cover disjoint pairs, so they
-  // run without synchronization.
+  // Value frequencies come from the pool itself (Section III-C). A work
+  // item is one (pool, column stripe): a dense pool's stripes write into
+  // its triangle, a streamed pool's each own their share of its
+  // selection state. Distinct items cover disjoint pairs, so they run
+  // without synchronization.
   std::vector<ValueFrequencyTable> freqs;
   freqs.reserve(num_pools);
   std::vector<std::optional<SimilarityTriangle>> triangles(num_pools);
   std::vector<std::optional<TopKSelection>> selections(num_pools);
-  std::vector<std::pair<size_t, PairTile>> tiles;
   std::vector<std::pair<size_t, size_t>> stripes;
   size_t total_pairs = 0;
   for (size_t p = 0; p < num_pools; ++p) {
@@ -306,31 +262,22 @@ std::vector<SimilarityMatrix> BuildGraphs(const std::vector<PoolRows>& pools,
     freqs.push_back(
         ValueFrequencyTable::BuildFromCodes(pools[p].rows, n, num_attributes));
     if (n > 1) total_pairs += n * (n - 1) / 2;
+    std::vector<size_t> starts = StripeStarts(n, width);
+    for (size_t s = 0; s < starts.size(); ++s) stripes.emplace_back(p, s);
     if (top_k > 0) {
-      selections[p].emplace(n, top_k, StripeStarts(n, shape));
-      for (size_t s = 0; s < selections[p]->num_stripes(); ++s) {
-        stripes.emplace_back(p, s);
-      }
-      continue;
-    }
-    triangles[p].emplace(n);
-    for (const PairTile& tile : MakeTiles(n, shape)) {
-      tiles.emplace_back(p, tile);
+      selections[p].emplace(n, top_k, std::move(starts));
+    } else {
+      triangles[p].emplace(n);
     }
   }
 
   ParallelForOptions options;
   options.total_work = total_pairs;
-  ParallelFor(pool, tiles.size() + stripes.size(), [&](size_t t) {
-    if (t < tiles.size()) {
-      const auto& [p, tile] = tiles[t];
-      FillTile(pools[p].rows, pools[p].num_rows, num_attributes, ps, freqs[p],
-               tile, &*triangles[p]);
-      return;
-    }
-    const auto& [p, s] = stripes[t - tiles.size()];
-    SelectStripe(pools[p].rows, pools[p].num_rows, num_attributes, ps,
-                 freqs[p], s, &*selections[p]);
+  ParallelFor(pool, stripes.size(), [&](size_t t) {
+    const auto [p, s] = stripes[t];
+    ScoreStripe(pools[p], ps, freqs[p], s, width,
+                top_k > 0 ? nullptr : &*triangles[p],
+                top_k > 0 ? &*selections[p] : nullptr);
   }, options);
 
   // The top-k merge or the CSR compaction is independent across pools.

@@ -216,39 +216,5 @@ TEST(StrangerEncodeCacheTest, RefreshRebuildsOnMutationOrBrokenPrefix) {
   EXPECT_FALSE(cache.GatherRows({1}, &rows));
 }
 
-TEST(ProfileCodecTest, DecodeRoundTripsInternedValues) {
-  ProfileCodec codec(2);
-  uint32_t code = codec.Intern(0, "istanbul");
-  auto decoded = codec.Decode(0, code);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded.value(), "istanbul");
-  // The missing sentinel decodes to the empty string.
-  auto missing = codec.Decode(1, ProfileCodec::kMissingCode);
-  ASSERT_TRUE(missing.ok());
-  EXPECT_EQ(missing.value(), "");
-}
-
-TEST(ProfileCodecTest, DecodeOutOfDictionaryCodeIsOutOfRange) {
-  ProfileCodec codec(2);
-  uint32_t code = codec.Intern(0, "istanbul");
-  // One past the last assigned code: never in the dictionary.
-  EXPECT_EQ(codec.Decode(0, code + 1).status().code(),
-            StatusCode::kOutOfRange);
-  // The never-interned marker must also decode as out-of-dictionary.
-  EXPECT_EQ(codec.Decode(0, ProfileCodec::kUnknownValue).status().code(),
-            StatusCode::kOutOfRange);
-  // Codes are per-attribute: attribute 1 never interned anything, so
-  // attribute 0's code is out of range there.
-  EXPECT_EQ(codec.Decode(1, code).status().code(), StatusCode::kOutOfRange);
-}
-
-TEST(ProfileCodecTest, DecodeUnknownAttributeIsInvalidArgument) {
-  ProfileCodec codec(2);
-  EXPECT_EQ(codec.Decode(2, ProfileCodec::kMissingCode).status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(codec.Decode(99, 0).status().code(),
-            StatusCode::kInvalidArgument);
-}
-
 }  // namespace
 }  // namespace sight

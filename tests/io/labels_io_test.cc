@@ -1,6 +1,7 @@
 #include "io/labels_io.h"
 
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -65,6 +66,20 @@ TEST(LabelsIoTest, RejectsMalformedRows) {
     EXPECT_EQ(LoadKnownLabels(&malformed).status().code(),
               StatusCode::kInvalidArgument)
         << "'" << id << "'";
+  }
+}
+
+// A second row for a stranger is an error naming the row, not a silent
+// overwrite of the first — also when it repeats the same label.
+TEST(LabelsIoTest, RejectsRepeatedStranger) {
+  for (const char* repeat : {"7,3\n", "7,1\n"}) {
+    std::stringstream buffer(std::string("stranger,label\n7,1\n9,2\n") +
+                             repeat);
+    auto loaded = LoadKnownLabels(&buffer);
+    EXPECT_EQ(loaded.status().code(), StatusCode::kAlreadyExists) << repeat;
+    EXPECT_NE(loaded.status().message().find("row 4 repeats stranger 7"),
+              std::string::npos)
+        << loaded.status();
   }
 }
 

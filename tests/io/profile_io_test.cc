@@ -1,6 +1,7 @@
 #include "io/profile_io.h"
 
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -79,6 +80,17 @@ TEST(ProfileIoTest, BadUserIdRejected) {
             StatusCode::kOutOfRange);
   std::stringstream below_bound("user_id,gender\n7,male\n");
   EXPECT_TRUE(LoadProfiles(&below_bound, kNumUsers).ok());
+}
+
+// A second row for a user is an error naming the row, not a silent
+// overwrite of the first.
+TEST(ProfileIoTest, RepeatedUserRejected) {
+  std::stringstream buffer("user_id,gender\n3,male\n5,male\n3,female\n");
+  auto loaded = LoadProfiles(&buffer, kNumUsers);
+  EXPECT_EQ(loaded.status().code(), StatusCode::kAlreadyExists);
+  EXPECT_NE(loaded.status().message().find("row 4 repeats user 3"),
+            std::string::npos)
+      << loaded.status();
 }
 
 TEST(ProfileIoTest, DuplicateHeaderAttributeRejected) {

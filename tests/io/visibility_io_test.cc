@@ -1,6 +1,7 @@
 #include "io/visibility_io.h"
 
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -91,6 +92,20 @@ TEST(VisibilityIoTest, BadUserIdRejected) {
             StatusCode::kOutOfRange);
   std::stringstream below_bound(header + "4,1,0,0,0,0,0,0\n");
   EXPECT_TRUE(LoadVisibility(&below_bound, kNumUsers).ok());
+}
+
+// A second row for a user is an error naming the row, not a silent
+// overwrite of the first — also when the first row hides every item.
+TEST(VisibilityIoTest, RepeatedUserRejected) {
+  std::stringstream buffer(
+      "user_id,wall,photo,friend,location,education,work,hometown\n"
+      "2,0,0,0,0,0,0,0\n"
+      "2,1,1,0,0,0,0,0\n");
+  auto loaded = LoadVisibility(&buffer, kNumUsers);
+  EXPECT_EQ(loaded.status().code(), StatusCode::kAlreadyExists);
+  EXPECT_NE(loaded.status().message().find("row 3 repeats user 2"),
+            std::string::npos)
+      << loaded.status();
 }
 
 TEST(VisibilityIoTest, FileRoundTrip) {

@@ -1,14 +1,16 @@
-// The batched/tiled kernels must be bitwise drop-ins for the per-pair
-// scalar PS: the active dispatch's lanes (AVX2 where the build and the
-// CPU have it; the SIMD-off build runs the same tests on the scalar
-// kernel), every tail length, every tile geometry, and the threaded
-// graph build have to reproduce ProfileSimilarity::Compute exactly —
+// The batched kernels must be bitwise drop-ins for the per-pair scalar
+// PS: the active dispatch's lanes (AVX2 where the build and the CPU have
+// it; the SIMD-off build runs the same tests on the scalar kernel), every
+// tail length, pools on either side of every column-stripe edge, and the
+// threaded graph build have to reproduce ProfileSimilarity::Compute
+// exactly —
 // including kMissingCode and kUnknownValue lanes and codes outside the
 // frequency dictionary.
 
 #include "similarity/ps_kernels.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -123,38 +125,12 @@ TEST(PsKernelsTest, ComputeBatchMatchesScalarOnRawRows) {
   }
 }
 
-TEST(PsKernelsTest, TilesPartitionTheTriangleExactly) {
-  for (size_t n : {size_t{0}, size_t{1}, size_t{2}, size_t{3}, size_t{17},
-                   size_t{64}, size_t{65}}) {
-    for (ps_kernels::TileShape shape :
-         {ps_kernels::TileShape{1, 1}, ps_kernels::TileShape{4, 5},
-          ps_kernels::TileShape{64, 8}, ps_kernels::TileShape{100, 100}}) {
-      std::vector<ps_kernels::PairTile> tiles =
-          ps_kernels::MakeTiles(n, shape);
-      std::vector<int> covered(n * n, 0);
-      for (const ps_kernels::PairTile& tile : tiles) {
-        for (size_t i = tile.row_begin; i < tile.row_end; ++i) {
-          for (size_t j = tile.col_begin;
-               j < std::min(tile.col_end, i); ++j) {
-            ++covered[i * n + j];
-          }
-        }
-      }
-      for (size_t i = 0; i < n; ++i) {
-        for (size_t j = 0; j < n; ++j) {
-          EXPECT_EQ(covered[i * n + j], j < i ? 1 : 0)
-              << "pair (" << i << ", " << j << ") n " << n << " shape "
-              << shape.rows << "x" << shape.cols;
-        }
-      }
-    }
-  }
-}
-
-// Reference fill: the plain per-pair scalar loop the kernels replace.
+// Reference fill: the plain per-pair scalar loop the kernels replace,
+// over frequencies of the whole table.
 SimilarityTriangle ReferenceFill(const EncodedProfileTable& enc,
-                                 const ProfileSimilarity& ps,
-                                 const ValueFrequencyTable& freqs) {
+                                 const ProfileSimilarity& ps) {
+  const ValueFrequencyTable freqs = ValueFrequencyTable::BuildFromCodes(
+      enc.row(0), enc.num_rows(), enc.num_attributes());
   SimilarityTriangle out(enc.num_rows());
   for (size_t i = 0; i < enc.num_rows(); ++i) {
     for (size_t j = 0; j < i; ++j) {
@@ -181,57 +157,67 @@ void ExpectBitwiseEqual(const SimilarityMatrix& got,
 // One dense pool through BuildGraphs, which scores it against the same
 // whole-pool frequencies the references use.
 SimilarityMatrix BuildOne(const EncodedProfileTable& enc,
-                          const ProfileSimilarity& ps, ThreadPool* pool,
-                          ps_kernels::TileShape shape = {}) {
+                          const ProfileSimilarity& ps, ThreadPool* pool) {
   std::vector<SimilarityMatrix> graphs = ps_kernels::BuildGraphs(
       {ps_kernels::PoolRows{enc.row(0), enc.num_rows()}}, ps, /*top_k=*/0,
-      pool, shape);
+      pool);
   EXPECT_EQ(graphs.size(), 1u);
   return std::move(graphs.front());
+}
+
+// The first n strangers of `ds`, encoded.
+EncodedProfileTable FirstStrangers(const OwnerDataset& ds, size_t n) {
+  EXPECT_GE(ds.strangers.size(), n);
+  n = std::min(n, ds.strangers.size());
+  return EncodedProfileTable::Build(
+      ds.profiles,
+      std::vector<UserId>(ds.strangers.begin(),
+                          ds.strangers.begin() +
+                              static_cast<std::ptrdiff_t>(n)));
 }
 
 TEST(PsKernelsTest, BuildGraphsMatchesScalarReference) {
   OwnerDataset ds = MakeDataset(311, 140);
   EncodedProfileTable enc =
       EncodedProfileTable::Build(ds.profiles, ds.strangers);
-  ValueFrequencyTable freqs = ValueFrequencyTable::BuildFromCodes(
-      enc.row(0), enc.num_rows(), enc.num_attributes());
   auto ps = ProfileSimilarity::Create(ds.profiles.schema()).value();
 
-  ExpectBitwiseEqual(BuildOne(enc, ps, nullptr),
-                     ReferenceFill(enc, ps, freqs));
+  ExpectBitwiseEqual(BuildOne(enc, ps, nullptr), ReferenceFill(enc, ps));
 }
 
-// Degenerate tile geometries hit every boundary case: single-pair
-// tiles, shapes that straddle the diagonal, and row blocks that do not
-// divide the pool size.
-TEST(PsKernelsTest, BuildGraphsMatchesUnderExplicitTileShapes) {
-  OwnerDataset ds = MakeDataset(313, 37);
-  EncodedProfileTable enc =
-      EncodedProfileTable::Build(ds.profiles, ds.strangers);
-  ValueFrequencyTable freqs = ValueFrequencyTable::BuildFromCodes(
-      enc.row(0), enc.num_rows(), enc.num_attributes());
+// A six-attribute code row is 24 bytes, so a column stripe is 512
+// columns wide. Pools on either side of each stripe edge: one stripe
+// (511, 512, 513 — the 513th column has no pair), a second stripe of one
+// pair (514), two full stripes (1,025) and a third stripe of one pair
+// (1,026). Every pair must be written exactly once, by the stripe that
+// owns its column.
+TEST(PsKernelsTest, BuildGraphsMatchesAroundStripeEdges) {
+  OwnerDataset ds = MakeDataset(313, 1100);
   auto ps = ProfileSimilarity::Create(ds.profiles.schema()).value();
-
-  SimilarityTriangle want = ReferenceFill(enc, ps, freqs);
-  for (ps_kernels::TileShape shape :
-       {ps_kernels::TileShape{1, 1}, ps_kernels::TileShape{4, 5},
-        ps_kernels::TileShape{3, 8}, ps_kernels::TileShape{64, 512}}) {
-    ExpectBitwiseEqual(BuildOne(enc, ps, nullptr, shape), want);
+  for (size_t n : {size_t{511}, size_t{512}, size_t{513}, size_t{514},
+                   size_t{1025}, size_t{1026}}) {
+    SCOPED_TRACE("n " + std::to_string(n));
+    EncodedProfileTable enc = FirstStrangers(ds, n);
+    ExpectBitwiseEqual(BuildOne(enc, ps, nullptr), ReferenceFill(enc, ps));
   }
 }
 
+// Pools past one stripe, their stripes run on 1, 2 and 4 threads.
 TEST(PsKernelsTest, BuildGraphsAcrossThreadsMatchesScalarReference) {
-  OwnerDataset ds = MakeDataset(317, 120);
-  EncodedProfileTable enc =
-      EncodedProfileTable::Build(ds.profiles, ds.strangers);
-  ValueFrequencyTable freqs = ValueFrequencyTable::BuildFromCodes(
-      enc.row(0), enc.num_rows(), enc.num_attributes());
+  OwnerDataset ds = MakeDataset(317, 1100);
   auto ps = ProfileSimilarity::Create(ds.profiles.schema()).value();
-
-  ThreadPool pool(4);
-  ExpectBitwiseEqual(BuildOne(enc, ps, &pool, ps_kernels::TileShape{8, 16}),
-                     ReferenceFill(enc, ps, freqs));
+  ThreadPool one(1);
+  ThreadPool two(2);
+  ThreadPool four(4);
+  for (size_t n : {size_t{514}, size_t{1025}, size_t{1026}}) {
+    EncodedProfileTable enc = FirstStrangers(ds, n);
+    const SimilarityTriangle want = ReferenceFill(enc, ps);
+    for (ThreadPool* pool : {&one, &two, &four}) {
+      SCOPED_TRACE("n " + std::to_string(n) + " threads " +
+                   std::to_string(pool->num_threads()));
+      ExpectBitwiseEqual(BuildOne(enc, ps, pool), want);
+    }
+  }
 }
 
 TEST(PsKernelsTest, EmptyAndSingletonPools) {
@@ -243,15 +229,6 @@ TEST(PsKernelsTest, EmptyAndSingletonPools) {
     SimilarityMatrix graph = BuildOne(enc, ps, nullptr);
     EXPECT_EQ(graph.size(), users.size());
     EXPECT_EQ(graph.NumEdges(), 0u) << users.size() << " users";
-  }
-}
-
-TEST(PsKernelsTest, DefaultTileShapeIsSane) {
-  for (size_t attrs : {size_t{1}, size_t{3}, size_t{40}, size_t{5000}}) {
-    ps_kernels::TileShape shape = ps_kernels::DefaultTileShape(attrs);
-    EXPECT_GT(shape.rows, 0u) << attrs;
-    EXPECT_GE(shape.cols, 32u) << attrs;
-    EXPECT_LE(shape.cols, 512u) << attrs;
   }
 }
 

@@ -1,6 +1,7 @@
 // sight_cli's command line: an unknown flag, or a numeric flag whose
-// value is not a whole decimal number, is a usage error (exit 2) and the
-// command does not run.
+// value is not a whole decimal number, is a usage error (exit 2), and an
+// unknown generator gender or locale exits 1; either way the command
+// writes nothing.
 
 #include <cstdlib>
 #include <filesystem>
@@ -54,6 +55,21 @@ TEST_F(SightCliTest, UnknownFlagIsUsageError) {
   EXPECT_EQ(ExitCode("generate --out=" + dir_ + "/b --verbose"), 2);
   EXPECT_FALSE(Wrote("a"));
   EXPECT_FALSE(Wrote("b"));
+}
+
+// An owner gender or locale the generator does not know exits 1 before
+// anything is written.
+TEST_F(SightCliTest, UnknownGenderOrLocaleIsRejected) {
+  EXPECT_EQ(ExitCode("generate --out=" + dir_ + "/a --gender=x"), 1);
+  EXPECT_EQ(ExitCode("generate --out=" + dir_ + "/b --gender=Female"), 1);
+  EXPECT_EQ(ExitCode("generate --out=" + dir_ + "/c --locale=xx_XX"), 1);
+  for (const char* name : {"a", "b", "c"}) {
+    EXPECT_FALSE(Wrote(name)) << name;
+  }
+  EXPECT_EQ(ExitCode("generate --out=" + dir_ +
+                     "/d --friends=20 --strangers=50 --gender=female"),
+            0);
+  EXPECT_TRUE(Wrote("d/meta.txt"));
 }
 
 TEST_F(SightCliTest, WellFormedFlagsRun) {

@@ -670,7 +670,7 @@ class Model:
             if q in self.by_qual:
                 out.add(q)
             elif call.qual not in self.classes and call.name in self.by_qual:
-                # A namespace qualifier (ps_kernels::FillTile): free
+                # A namespace qualifier (ps_kernels::BuildGraphs): free
                 # functions are keyed by their bare name.
                 out.add(call.name)
             return out

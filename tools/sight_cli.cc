@@ -183,8 +183,14 @@ int CommandGenerate(const Args& args) {
     return 1;
   }
   sim::OwnerSpec spec;
-  spec.gender = args.gender == "female" ? sim::Gender::kFemale
-                                        : sim::Gender::kMale;
+  if (args.gender == "female") {
+    spec.gender = sim::Gender::kFemale;
+  } else if (args.gender == "male") {
+    spec.gender = sim::Gender::kMale;
+  } else {
+    std::fprintf(stderr, "unknown gender '%s'\n", args.gender.c_str());
+    return 1;
+  }
   auto locale = sim::LocaleFromCode(args.locale);
   if (!locale.ok()) {
     std::fprintf(stderr, "unknown locale '%s'\n", args.locale.c_str());
