@@ -81,8 +81,8 @@ void BM_SqueezerCluster(benchmark::State& state) {
 }
 BENCHMARK(BM_SqueezerCluster)->Arg(400)->Arg(2000);
 
-// One-vs-many PS batch kernel (the inner loop of the column-stripe graph
-// build): one a-row scored against a block of b-rows per iteration.
+// One-vs-many PS batch kernel (the inner loop of the graph build): one
+// a-row scored against a block of b-rows per iteration.
 // The reported dispatch label shows which SIMD variant ran.
 void BM_PsKernelComputeBatch(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
@@ -105,8 +105,8 @@ void BM_PsKernelComputeBatch(benchmark::State& state) {
 BENCHMARK(BM_PsKernelComputeBatch)->Arg(400)->Arg(2000);
 
 // One dense pool's classifier graph as ActiveLearner::Create asks for
-// it: the pool's value frequencies, the pairwise fill over column stripes
-// and the compaction (BuildGraphs).
+// it: the pool's value frequencies, the row-by-row pairwise fill and the
+// compaction (BuildGraphs).
 void BM_PsKernelBuildGraphs(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
   sim::OwnerDataset ds = MakeDataset(n);
@@ -117,7 +117,7 @@ void BM_PsKernelBuildGraphs(benchmark::State& state) {
       {enc.row(0), enc.num_rows()}};
   for (auto _ : state) {
     std::vector<SimilarityMatrix> graphs =
-        ps_kernels::BuildGraphs(pools, ps, /*top_k=*/0, nullptr);
+        ps_kernels::BuildGraphs(pools, ps, /*top_k=*/0);
     benchmark::DoNotOptimize(graphs);
   }
   state.SetLabel(ps_kernels::DispatchName(ps_kernels::ActiveDispatch()));
@@ -178,8 +178,9 @@ void BM_HarmonicPredictCg(benchmark::State& state) {
 }
 BENCHMARK(BM_HarmonicPredictCg)->Arg(100)->Arg(400)->Arg(2000);
 
-// Top-k-sparsified pool's graph — the shape the ActiveLearner rounds
-// actually solve on with sparsify_top_k set.
+// The random graph sparsified to each node's top 8 edges: sparse like a
+// top-8 PS pool graph, but its weights are random, not PS values.
+// perf_pipeline's harmonic_solve rows solve on PS pool graphs.
 void BM_HarmonicPredictSparsified(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
   SimilarityMatrix m = MakeRandomTriangle(n).SparsifyTopK(8);

@@ -1,13 +1,21 @@
-// Pipeline performance study: quantifies the two hot-path optimisations
-// — the CSR neighbor-list solve inside HarmonicFunctionClassifier and
-// the threaded pairwise similarity-matrix construction — and writes the
-// measured numbers to BENCH_pipeline.json.
+// Pipeline performance study: quantifies the CSR neighbor-list solve
+// inside HarmonicFunctionClassifier, the warm-start round re-solve and
+// the pairwise PS graph build, and writes the measured numbers to
+// BENCH_pipeline.json.
+//
+// The harmonic_solve and round_solve rows solve on PS pool graphs: one
+// generated pool's classifier graph as ActiveLearner::Create builds it,
+// by ps_kernels::BuildGraphs with top_k = 0 ("dense", every pair with a
+// positive PS — a complete graph on generated pools) or top_k = 8
+// ("topk8"). The dense graph at n=8000 holds about 1 GB of CSR, so its
+// harmonic row is skipped and says so.
 //
 // The harmonic baseline is a faithful copy of the pre-CSR dense-scan
 // Gauss-Seidel (every sweep reads all n entries of each unlabeled row),
-// so the reported speedup isolates the data-structure change; both
-// implementations visit neighbors in ascending index order and the
-// harness asserts their outputs are bitwise identical.
+// run on a triangle holding the graph's weights, so the reported speedup
+// isolates the data-structure change; both implementations visit
+// neighbors in ascending index order and the harness asserts their
+// outputs are bitwise identical.
 //
 // The round_solve section measures the warm-start incremental re-solve
 // across active-learning rounds: one HarmonicSolveState carried through
@@ -16,18 +24,14 @@
 // round is checked bitwise and the per-round speedup isolates the cost
 // of re-solving history.
 //
-// Matrix construction is timed four ways: the string path (Profile
+// Matrix construction is timed three ways: the string path (Profile
 // values compared as std::string, frequencies via hashed lookup), the
 // dictionary-encoded per-pair path (EncodedProfileTable codes,
-// code-indexed frequency arrays), ps_kernels::BuildGraphs on the pool
-// (the batched kernels over column stripes, then the compaction into the
-// pool's graph — rows record which SIMD dispatch ran), and BuildGraphs
-// across a ThreadPool at several thread counts. All four must agree
-// bitwise. Thread scaling is only visible on multi-core hardware, and
-// ParallelFor deliberately runs inline when the pool cannot beat the
-// serial loop (single core, a pool of one column stripe, or too little
-// total work). The JSON records hardware_concurrency in every row so the
-// numbers are interpretable.
+// code-indexed frequency arrays), and ps_kernels::BuildGraphs on the
+// pool (the batched kernel row by row, then the compaction into the
+// pool's graph — rows record which SIMD dispatch ran). All three must
+// agree bitwise. The JSON records hardware_concurrency in every row so
+// the numbers are interpretable.
 //
 // The topk_build section times a pool's top-8 classifier graph built
 // two ways — a batched fill into the triangle, then its SparsifyTopK, versus
@@ -37,7 +41,6 @@
 // offset, index and weight bit.
 //
 // Usage: perf_pipeline [--max-n=8000] [--out=BENCH_pipeline.json]
-// Env:   SIGHT_BENCH_THREADS=2,4,8 overrides the threaded point counts.
 
 #include <malloc.h>
 
@@ -53,7 +56,6 @@
 #include <fstream>
 #include <functional>
 #include <limits>
-#include <memory>
 #include <new>
 #include <numeric>
 #include <optional>
@@ -72,7 +74,6 @@
 #include "similarity/profile_similarity.h"
 #include "similarity/ps_kernels.h"
 #include "util/random.h"
-#include "util/thread_pool.h"
 
 // Heap accounting for the topk_build peak-bytes columns: this binary
 // replaces the global allocation functions with malloc-backed ones that
@@ -116,6 +117,9 @@ constexpr size_t kPoolSizes[] = {400, 2000, 8000};
 // Dense-scan reference above this size takes minutes; CSR numbers are
 // still recorded and the JSON marks the baseline as skipped.
 constexpr size_t kMaxDenseReference = 2000;
+// A dense PS graph above this size is about 1 GB of CSR; its harmonic
+// row is skipped, and the JSON says why.
+constexpr size_t kMaxDenseSolve = 2000;
 constexpr size_t kTopK = 8;
 
 double TimeMsBestOf(int reps, const std::function<void()>& fn) {
@@ -132,26 +136,42 @@ double TimeMsBestOf(int reps, const std::function<void()>& fn) {
 
 int RepsFor(size_t n) { return n <= 400 ? 5 : n <= 2000 ? 3 : 1; }
 
-SimilarityTriangle MakeRandomTriangle(size_t n) {
-  Rng rng(42);
-  SimilarityTriangle t(n);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = i + 1; j < n; ++j) {
-      if (rng.Bernoulli(0.2)) t.Set(i, j, rng.UniformDouble(0.1, 1.0));
+sim::OwnerDataset MakeDataset(size_t strangers) {
+  sim::GeneratorConfig config;
+  config.num_friends = 60;
+  config.num_strangers = strangers;
+  config.num_communities = 5;
+  auto gen = sim::FacebookGenerator::Create(config).value();
+  Rng rng(7777);
+  return gen.Generate({sim::Gender::kMale, sim::Locale::kTR}, &rng).value();
+}
+
+// One pool's graph as ActiveLearner::Create builds it: dense with
+// top_k = 0, each node's top_k strongest edges otherwise.
+SimilarityMatrix BuildGraph(const EncodedProfileTable& enc,
+                            const ProfileSimilarity& ps, size_t top_k) {
+  std::vector<SimilarityMatrix> graphs = ps_kernels::BuildGraphs(
+      {ps_kernels::PoolRows{enc.row(0), enc.num_rows()}}, ps, top_k);
+  return std::move(graphs.front());
+}
+
+// The strangers of `ds` as one pool's classifier graph.
+SimilarityMatrix PoolGraph(const sim::OwnerDataset& ds, size_t top_k) {
+  return BuildGraph(EncodedProfileTable::Build(ds.profiles, ds.strangers),
+                    ProfileSimilarity::Create(ds.profiles.schema()).value(),
+                    top_k);
+}
+
+// A triangle holding exactly the graph's weights (0 where it has no
+// edge), for the dense-scan reference.
+SimilarityTriangle TriangleOf(const SimilarityMatrix& m) {
+  SimilarityTriangle t(m.size());
+  for (size_t i = 0; i < m.size(); ++i) {
+    for (const Neighbor& nb : m.Neighbors(i)) {
+      if (nb.index < i) t.Set(i, nb.index, nb.weight);
     }
   }
   return t;
-}
-
-// Zeroes every entry of `t` that its top-k graph drops, so the triangle
-// holds exactly the edges the solver sees.
-void KeepTopK(SimilarityTriangle* t, size_t k) {
-  const SimilarityMatrix kept = t->SparsifyTopK(k);
-  for (size_t i = 0; i < t->size(); ++i) {
-    for (size_t j = 0; j < i; ++j) {
-      if (kept.Get(i, j) == 0.0) t->Set(i, j, 0.0);
-    }
-  }
 }
 
 LabeledSet MakeLabels(size_t n) {
@@ -214,46 +234,48 @@ std::vector<double> ReferenceDensePredict(const SimilarityTriangle& w,
 struct HarmonicRow {
   size_t n = 0;
   std::string graph;  // "dense" or "topk8"
-  size_t edges = 0;
-  double compact_ms = 0.0;
-  double csr_solve_ms = 0.0;
+  std::optional<size_t> edges;
+  std::optional<double> csr_solve_ms;
   std::optional<double> reference_dense_ms;
   std::optional<double> speedup;
+  std::string skipped;  // why a timing is missing; empty when none is
   bool bitwise_equal = true;
 };
 
-HarmonicRow RunHarmonicStudy(size_t n, bool sparsify) {
+HarmonicRow RunHarmonicStudy(const sim::OwnerDataset& ds, size_t n,
+                             bool sparsify) {
   HarmonicRow row;
   row.n = n;
   row.graph = sparsify ? "topk8" : "dense";
+  if (!sparsify && n > kMaxDenseSolve) {
+    row.skipped = "dense graph too large (about 1 GB of CSR)";
+    std::printf("harmonic  n=%-5zu %-6s skipped: %s\n", n, row.graph.c_str(),
+                row.skipped.c_str());
+    return row;
+  }
 
-  SimilarityTriangle t = MakeRandomTriangle(n);
-  if (sparsify) KeepTopK(&t, kTopK);
+  const SimilarityMatrix m = PoolGraph(ds, sparsify ? kTopK : 0);
+  row.edges = m.NumEdges();
   LabeledSet labeled = MakeLabels(n);
-  // The dense reference reads a copy of the triangle: the graph answers
-  // Get() by binary search, which would skew its timing.
-  std::optional<SimilarityTriangle> dense;
-  if (n <= kMaxDenseReference) dense = t;
 
   HarmonicConfig config;
   config.solver = HarmonicSolver::kGaussSeidel;
   auto classifier = HarmonicFunctionClassifier::Create(config).value();
-
-  SimilarityMatrix m;
-  row.compact_ms = TimeMsBestOf(1, [&] { m = std::move(t).Compact(); });
-  row.edges = m.NumEdges();
 
   std::vector<double> csr_f;
   row.csr_solve_ms = TimeMsBestOf(RepsFor(n), [&] {
     csr_f = classifier.Predict(m, labeled).value();
   });
 
-  if (dense.has_value()) {
+  if (n <= kMaxDenseReference) {
+    // The dense reference reads a triangle: the graph answers Get() by
+    // binary search, which would skew its timing.
+    const SimilarityTriangle dense = TriangleOf(m);
     std::vector<double> ref_f;
     row.reference_dense_ms = TimeMsBestOf(std::min(RepsFor(n), 2), [&] {
-      ref_f = ReferenceDensePredict(*dense, labeled, config);
+      ref_f = ReferenceDensePredict(dense, labeled, config);
     });
-    row.speedup = *row.reference_dense_ms / row.csr_solve_ms;
+    row.speedup = *row.reference_dense_ms / *row.csr_solve_ms;
     row.bitwise_equal = std::equal(csr_f.begin(), csr_f.end(), ref_f.begin());
     if (!row.bitwise_equal) {
       std::fprintf(stderr,
@@ -262,10 +284,12 @@ HarmonicRow RunHarmonicStudy(size_t n, bool sparsify) {
                    n, row.graph.c_str());
       std::exit(1);
     }
+  } else {
+    row.skipped = "reference too slow";
   }
 
   std::printf("harmonic  n=%-5zu %-6s edges=%-8zu csr=%9.2fms  dense=%s\n",
-              n, row.graph.c_str(), row.edges, row.csr_solve_ms,
+              n, row.graph.c_str(), *row.edges, *row.csr_solve_ms,
               row.reference_dense_ms
                   ? (std::to_string(*row.reference_dense_ms) + "ms (" +
                      std::to_string(*row.speedup) + "x)")
@@ -297,13 +321,9 @@ struct RoundSolveRow {
   bool bitwise_equal = true;
 };
 
-std::vector<RoundSolveRow> RunRoundSolveStudy(size_t n, bool sparsify) {
-  // The triangle dies before the rounds run, as in BuildGraphs.
-  SimilarityMatrix m;
-  {
-    SimilarityTriangle t = MakeRandomTriangle(n);
-    m = sparsify ? t.SparsifyTopK(kTopK) : std::move(t).Compact();
-  }
+std::vector<RoundSolveRow> RunRoundSolveStudy(const sim::OwnerDataset& ds,
+                                              size_t n, bool sparsify) {
+  const SimilarityMatrix m = PoolGraph(ds, sparsify ? kTopK : 0);
 
   // Production solver configuration (kAuto resolves per chain step).
   auto classifier =
@@ -390,12 +410,6 @@ std::vector<RoundSolveRow> RunRoundSolveStudy(size_t n, bool sparsify) {
   return rows;
 }
 
-struct BuildThreadPoint {
-  size_t threads = 0;
-  double ms = 0.0;
-  double speedup = 0.0;
-};
-
 struct BuildRow {
   size_t n = 0;
   size_t pairs = 0;
@@ -408,19 +422,8 @@ struct BuildRow {
   double build_graphs_speedup = 0.0;  // encoded_serial_ms / build_graphs_ms
   std::string dispatch;  // "scalar" / "avx2"
   unsigned hardware_concurrency = 0;
-  std::vector<BuildThreadPoint> threaded;  // BuildGraphs across a pool
   bool bitwise_equal = true;
 };
-
-sim::OwnerDataset MakeDataset(size_t strangers) {
-  sim::GeneratorConfig config;
-  config.num_friends = 60;
-  config.num_strangers = strangers;
-  config.num_communities = 5;
-  auto gen = sim::FacebookGenerator::Create(config).value();
-  Rng rng(7777);
-  return gen.Generate({sim::Gender::kMale, sim::Locale::kTR}, &rng).value();
-}
 
 // Per-attribute relative frequencies of the pool's values, keyed by the
 // value strings (missing values excluded from the denominators).
@@ -516,19 +519,9 @@ SimilarityTriangle FillMatrixBatched(const EncodedProfileTable& enc,
   for (size_t i = 1; i < n; ++i) {
     ps_kernels::ComputeBatch(enc.row(i), enc.row(0), enc.num_attributes(), i,
                              ps, freqs, row.data());
-    m.SetRowSpan(i, 0, row.data(), i);
+    m.SetRow(i, row.data());
   }
   return m;
-}
-
-// One dense pool's graph as ActiveLearner::Create builds it.
-SimilarityMatrix BuildDenseGraph(const EncodedProfileTable& enc,
-                                 const ProfileSimilarity& ps,
-                                 ThreadPool* tp) {
-  std::vector<SimilarityMatrix> graphs = ps_kernels::BuildGraphs(
-      {ps_kernels::PoolRows{enc.row(0), enc.num_rows()}}, ps, /*top_k=*/0,
-      tp);
-  return std::move(graphs.front());
 }
 
 bool MatricesBitwiseEqual(const SimilarityTriangle& a,
@@ -562,12 +555,11 @@ bool GraphMatchesTriangle(const SimilarityMatrix& graph,
   return true;
 }
 
-BuildRow RunBuildStudy(size_t n, const std::vector<size_t>& thread_counts) {
+BuildRow RunBuildStudy(const sim::OwnerDataset& ds, size_t n) {
   BuildRow row;
   row.n = n;
 
-  sim::OwnerDataset ds = MakeDataset(n);
-  std::vector<UserId> pool = ds.strangers;
+  const std::vector<UserId>& pool = ds.strangers;
   row.pairs = pool.size() * (pool.size() - 1) / 2;
   auto ps = ProfileSimilarity::Create(ds.profiles.schema()).value();
   StringFrequencies string_freqs = BuildStringFrequencies(ds.profiles, pool);
@@ -587,34 +579,25 @@ BuildRow RunBuildStudy(size_t n, const std::vector<size_t>& thread_counts) {
     freqs = FrequenciesOf(*enc);
   });
 
-  // The serial and threaded reps are interleaved (one of each per pass,
-  // best time per series): when ParallelFor falls back, the threaded
-  // points run the identical serial build, and measuring the two in
-  // separate blocks records clock drift between the blocks as a
-  // spurious ratio around 1.0. A dense graph at n=8000 holds about 1 GB
-  // of CSR, so each result is dropped before the next build, and the
-  // last pass checks every series against the string path.
-  std::vector<std::unique_ptr<ThreadPool>> pools;
-  row.threaded.resize(thread_counts.size());
-  for (size_t t = 0; t < thread_counts.size(); ++t) {
-    pools.push_back(std::make_unique<ThreadPool>(thread_counts[t]));
-    row.threaded[t].threads = thread_counts[t];
-    row.threaded[t].ms = std::numeric_limits<double>::infinity();
-  }
+  // The encoded and BuildGraphs reps are interleaved (one of each per
+  // pass, best time per series), so clock drift between two separate
+  // blocks does not show up in their ratio. A dense graph at n=8000
+  // holds about 1 GB of CSR, so each result is dropped before the next
+  // build, and the last pass checks both series against the string path.
   row.encoded_serial_ms = std::numeric_limits<double>::infinity();
   row.build_graphs_ms = std::numeric_limits<double>::infinity();
-  auto check = [&](bool equal, const char* series, size_t threads) {
+  auto check = [&](bool equal, const char* series) {
     if (equal) return;
     std::fprintf(stderr,
-                 "FATAL: %s matrix build (threads=%zu) diverges from the "
-                 "string path at n=%zu\n",
-                 series, threads, n);
+                 "FATAL: %s matrix build diverges from the string path at "
+                 "n=%zu\n",
+                 series, n);
     std::exit(1);
   };
-  // More reps than the (much slower) string baseline: the batched-over-
-  // encoded and threaded-over-serial ratios are the quantities of
-  // interest here, and best-of needs several passes per series before
-  // the minima stop wobbling around each other at the ±1% level.
+  // More reps than the (much slower) string baseline: the
+  // batched-over-encoded ratio is the quantity of interest here, and
+  // best-of needs several passes per series before the minima stop
+  // wobbling around each other at the ±1% level.
   const int encoded_reps = RepsFor(n) + 4;
   for (int rep = 0; rep < encoded_reps; ++rep) {
     const bool last = rep + 1 == encoded_reps;
@@ -623,24 +606,13 @@ BuildRow RunBuildStudy(size_t n, const std::vector<size_t>& thread_counts) {
         std::min(row.encoded_serial_ms, TimeMsBestOf(1, [&] {
           encoded = FillMatrixEncoded(*enc, ps, *freqs);
         }));
-    if (last) check(MatricesBitwiseEqual(reference, encoded), "encoded", 1);
+    if (last) check(MatricesBitwiseEqual(reference, encoded), "encoded");
     encoded = SimilarityTriangle(0);
     SimilarityMatrix graph;
     row.build_graphs_ms = std::min(row.build_graphs_ms, TimeMsBestOf(1, [&] {
-      graph = BuildDenseGraph(*enc, ps, nullptr);
+      graph = BuildGraph(*enc, ps, /*top_k=*/0);
     }));
-    if (last) check(GraphMatchesTriangle(graph, reference), "BuildGraphs", 1);
-    for (size_t t = 0; t < pools.size(); ++t) {
-      BuildThreadPoint& point = row.threaded[t];
-      graph = SimilarityMatrix();
-      point.ms = std::min(point.ms, TimeMsBestOf(1, [&] {
-        graph = BuildDenseGraph(*enc, ps, pools[t].get());
-      }));
-      if (last) {
-        check(GraphMatchesTriangle(graph, reference), "threaded BuildGraphs",
-              point.threads);
-      }
-    }
+    if (last) check(GraphMatchesTriangle(graph, reference), "BuildGraphs");
   }
   row.encoded_speedup = row.string_serial_ms / row.encoded_serial_ms;
   row.build_graphs_speedup = row.encoded_serial_ms / row.build_graphs_ms;
@@ -651,11 +623,6 @@ BuildRow RunBuildStudy(size_t n, const std::vector<size_t>& thread_counts) {
   std::printf("build     n=%-5zu BuildGraphs=%9.2fms (%.2fx vs encoded, %s)\n",
               n, row.build_graphs_ms, row.build_graphs_speedup,
               row.dispatch.c_str());
-  for (BuildThreadPoint& point : row.threaded) {
-    point.speedup = row.build_graphs_ms / point.ms;
-    std::printf("build     n=%-5zu threads=%zu       %9.2fms (%.2fx)\n", n,
-                point.threads, point.ms, point.speedup);
-  }
   return row;
 }
 
@@ -707,10 +674,9 @@ bool CsrBitwiseEqual(const SimilarityMatrix& a, const SimilarityMatrix& b) {
   return true;
 }
 
-TopKBuildRow RunTopKBuildStudy(size_t n) {
+TopKBuildRow RunTopKBuildStudy(const sim::OwnerDataset& ds, size_t n) {
   TopKBuildRow row;
   row.n = n;
-  sim::OwnerDataset ds = MakeDataset(n);
   auto ps = ProfileSimilarity::Create(ds.profiles.schema()).value();
   EncodedProfileTable enc =
       EncodedProfileTable::Build(ds.profiles, ds.strangers);
@@ -723,12 +689,8 @@ TopKBuildRow RunTopKBuildStudy(size_t n) {
         return FillMatrixBatched(enc, ps, freqs).SparsifyTopK(kTopK);
       });
   std::tie(row.streamed_ms, row.streamed_peak_bytes) =
-      TimeAndPeakBytes(RepsFor(n), &streamed, [&] {
-        std::vector<SimilarityMatrix> graphs = ps_kernels::BuildGraphs(
-            {ps_kernels::PoolRows{enc.row(0), enc.num_rows()}}, ps, kTopK,
-            nullptr);
-        return std::move(graphs.front());
-      });
+      TimeAndPeakBytes(RepsFor(n), &streamed,
+                       [&] { return BuildGraph(enc, ps, kTopK); });
   row.edges = streamed.NumEdges();
   row.speedup = row.dense_ms / row.streamed_ms;
   row.bitwise_equal = CsrBitwiseEqual(dense, streamed);
@@ -755,6 +717,10 @@ std::string JsonOpt(const std::optional<double>& v) {
   return buf;
 }
 
+std::string JsonCount(const std::optional<size_t>& v) {
+  return v ? std::to_string(*v) : "null";
+}
+
 bool WriteJson(const std::string& path, const std::vector<HarmonicRow>& solve,
                const std::vector<RoundSolveRow>& round_solve,
                const std::vector<BuildRow>& build,
@@ -768,14 +734,11 @@ bool WriteJson(const std::string& path, const std::vector<HarmonicRow>& solve,
   for (size_t i = 0; i < solve.size(); ++i) {
     const HarmonicRow& r = solve[i];
     out << "    {\"n\": " << r.n << ", \"graph\": \"" << r.graph
-        << "\", \"edges\": " << r.edges << ", \"compact_ms\": "
-        << JsonOpt(r.compact_ms) << ", \"csr_solve_ms\": "
-        << JsonOpt(r.csr_solve_ms) << ", \"reference_dense_ms\": "
-        << JsonOpt(r.reference_dense_ms) << ", \"speedup\": "
-        << JsonOpt(r.speedup);
-    if (!r.reference_dense_ms) {
-      out << ", \"skipped\": \"reference too slow\"";
-    }
+        << "\", \"edges\": " << JsonCount(r.edges)
+        << ", \"csr_solve_ms\": " << JsonOpt(r.csr_solve_ms)
+        << ", \"reference_dense_ms\": " << JsonOpt(r.reference_dense_ms)
+        << ", \"speedup\": " << JsonOpt(r.speedup);
+    if (!r.skipped.empty()) out << ", \"skipped\": \"" << r.skipped << "\"";
     out << ", \"hardware_concurrency\": "
         << std::thread::hardware_concurrency()
         << ", \"bitwise_equal\": " << (r.bitwise_equal ? "true" : "false")
@@ -811,14 +774,7 @@ bool WriteJson(const std::string& path, const std::vector<HarmonicRow>& solve,
         << ", \"build_graphs_speedup\": " << JsonOpt(r.build_graphs_speedup)
         << ", \"dispatch\": \"" << r.dispatch << "\""
         << ", \"hardware_concurrency\": " << r.hardware_concurrency
-        << ", \"threaded\": [";
-    for (size_t t = 0; t < r.threaded.size(); ++t) {
-      out << "{\"threads\": " << r.threaded[t].threads << ", \"ms\": "
-          << JsonOpt(r.threaded[t].ms) << ", \"speedup\": "
-          << JsonOpt(r.threaded[t].speedup) << "}"
-          << (t + 1 < r.threaded.size() ? ", " : "");
-    }
-    out << "], \"bitwise_equal\": " << (r.bitwise_equal ? "true" : "false")
+        << ", \"bitwise_equal\": " << (r.bitwise_equal ? "true" : "false")
         << "}" << (i + 1 < build.size() ? "," : "") << "\n";
   }
   out << "  ],\n";
@@ -859,7 +815,6 @@ bool WriteJson(const std::string& path, const std::vector<HarmonicRow>& solve,
   std::optional<double> encoded_2000;
   std::optional<double> build_graphs_2000;
   std::optional<double> build_graphs_8000;
-  std::optional<double> build_2000_t2;
   std::string dispatch = "scalar";
   for (const BuildRow& r : build) {
     dispatch = r.dispatch;
@@ -867,9 +822,6 @@ bool WriteJson(const std::string& path, const std::vector<HarmonicRow>& solve,
     if (r.n != 2000) continue;
     encoded_2000 = r.encoded_speedup;
     build_graphs_2000 = r.build_graphs_speedup;
-    for (const BuildThreadPoint& p : r.threaded) {
-      if (p.threads == 2) build_2000_t2 = p.speedup;
-    }
   }
   out << "  \"summary\": {\n";
   out << "    \"harmonic_csr_speedup_topk8_n2000\": " << JsonOpt(harmonic_2000)
@@ -893,8 +845,6 @@ bool WriteJson(const std::string& path, const std::vector<HarmonicRow>& solve,
                            static_cast<double>(r.streamed_peak_bytes);
   }
   out << "    \"ps_kernel_dispatch\": \"" << dispatch << "\",\n";
-  out << "    \"matrix_build_speedup_2threads_n2000\": "
-      << JsonOpt(build_2000_t2) << ",\n";
   out << "    \"topk_build_speedup_n8000\": " << JsonOpt(topk_speedup_8000)
       << ",\n";
   out << "    \"topk_build_peak_bytes_ratio_n8000\": "
@@ -921,42 +871,27 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Thread counts for the threaded build points; SIGHT_BENCH_THREADS
-  // (comma-separated, e.g. "2,4,8") overrides the default {2, 4} so
-  // multi-core hosts can record a fuller scaling curve.
-  std::vector<size_t> thread_counts = {2, 4};
-  if (const char* env = std::getenv("SIGHT_BENCH_THREADS")) {
-    std::vector<size_t> parsed;
-    for (const char* p = env; *p != '\0';) {
-      char* end = nullptr;
-      unsigned long long v = std::strtoull(p, &end, 10);
-      if (end == p) break;
-      if (v > 0) parsed.push_back(static_cast<size_t>(v));
-      p = *end == ',' ? end + 1 : end;
-    }
-    if (!parsed.empty()) thread_counts = std::move(parsed);
-  }
-
   std::vector<sight::HarmonicRow> solve;
   std::vector<sight::RoundSolveRow> round_solve;
   std::vector<sight::BuildRow> build;
   std::vector<sight::TopKBuildRow> topk;
   for (size_t n : sight::kPoolSizes) {
     if (n > max_n) continue;
-    solve.push_back(sight::RunHarmonicStudy(n, /*sparsify=*/false));
-    solve.push_back(sight::RunHarmonicStudy(n, /*sparsify=*/true));
+    const sight::sim::OwnerDataset ds = sight::MakeDataset(n);
+    solve.push_back(sight::RunHarmonicStudy(ds, n, /*sparsify=*/false));
+    solve.push_back(sight::RunHarmonicStudy(ds, n, /*sparsify=*/true));
     // The warm-start study covers the sizes with a dense reference; at
     // n=8000 a six-round cold replay of dense CG adds minutes for no
     // extra signal.
     if (n <= sight::kMaxDenseReference) {
       for (bool sparsify : {false, true}) {
         std::vector<sight::RoundSolveRow> rows =
-            sight::RunRoundSolveStudy(n, sparsify);
+            sight::RunRoundSolveStudy(ds, n, sparsify);
         round_solve.insert(round_solve.end(), rows.begin(), rows.end());
       }
     }
-    build.push_back(sight::RunBuildStudy(n, thread_counts));
-    topk.push_back(sight::RunTopKBuildStudy(n));
+    build.push_back(sight::RunBuildStudy(ds, n));
+    topk.push_back(sight::RunTopKBuildStudy(ds, n));
   }
   if (!sight::WriteJson(out_path, solve, round_solve, build, topk)) {
     std::fprintf(stderr, "error: cannot write %s\n", out_path.c_str());

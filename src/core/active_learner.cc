@@ -421,13 +421,12 @@ Result<ActiveLearner> ActiveLearner::Create(
   }
 
   // Edge weights: the O(n^2) pairwise profile-similarity fill runs on
-  // the batched kernels over column stripes (similarity/ps_kernels.h),
-  // bitwise-identical to per-pair ProfileSimilarity::Compute, across
-  // every pool at once. With sparsify_top_k > 0 a pool never gets a
-  // triangle: its pairs stream into the top-k selection that emits its
-  // graph.
-  std::vector<SimilarityMatrix> graphs = ps_kernels::BuildGraphs(
-      inputs, ps, config.sparsify_top_k, config.thread_pool);
+  // the batched kernels row by row (similarity/ps_kernels.h),
+  // bitwise-identical to per-pair ProfileSimilarity::Compute. With
+  // sparsify_top_k > 0 a pool never gets a triangle: its rows stream
+  // into the top-k selection that emits its graph.
+  std::vector<SimilarityMatrix> graphs =
+      ps_kernels::BuildGraphs(inputs, ps, config.sparsify_top_k);
 
   // One learner per pool, in pool order. Carried learners only
   // rebaseline their per-tick counters.

@@ -43,8 +43,6 @@
 
 namespace sight {
 
-class ThreadPool;
-
 /// The annotator of the active-learning loop — in production the human
 /// owner behind the Sight UI, in experiments a simulated OwnerModel.
 class LabelOracle {
@@ -80,13 +78,6 @@ struct ActiveLearnerConfig {
   /// RoundRecord::unstabilized is 0 or 1 on unstable rounds. fig6-style
   /// consumers that need the exact count set this to true.
   bool count_all_unstabilized = false;
-  /// Optional worker pool (non-owning; must outlive the learner) for
-  /// ActiveLearner::Create's graph build: every pool's O(n^2)
-  /// similarity fill and its compaction (ps_kernels::BuildGraphs). The
-  /// learning rounds themselves stay serial, and predictions are
-  /// identical with any pool (including none).
-  ThreadPool* thread_pool = nullptr;
-
   [[nodiscard]] Status Validate() const;
 
   /// Definition 5 tolerance derived from `confidence`.

@@ -178,12 +178,10 @@ Result<RiskReport> RiskEngine::AssessImpl(
     report.carry.encode_rows_appended = refreshed.rows_appended;
   }
 
-  ActiveLearnerConfig learner_config = config_.learner;
-  learner_config.thread_pool = effective_pool();
   SIGHT_ASSIGN_OR_RETURN(
       ActiveLearner learner,
       ActiveLearner::Create(pools, profiles, std::move(benefits),
-                            learner_config, classifier_.get(), sampler_.get(),
+                            config_.learner, classifier_.get(), sampler_.get(),
                             known_labels, prior_scores, &stages->learners,
                             &stages->encode));
 

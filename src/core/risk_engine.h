@@ -72,8 +72,9 @@ struct RiskEngineConfig {
   HarmonicConfig harmonic;
   size_t knn_k = 5;
   SamplerKind sampler = SamplerKind::kRandom;
-  /// Worker threads for the parallel pipeline phases (NS batches,
-  /// every pool's similarity-graph build, per-class harmonic solves).
+  /// Worker threads for the parallel pipeline phases: the NS batches
+  /// and the per-class harmonic (CMN) solves. The similarity-graph
+  /// build runs on the calling thread (ps_kernels::BuildGraphs).
   /// 1 = fully serial, no pool at all (the default);
   /// 0 = hardware concurrency. Ignored when `thread_pool` is set.
   /// Assessments are deterministic and identical at every setting.

@@ -107,17 +107,7 @@ bool ProfileTable::Has(UserId user) const {
 }
 
 const Profile& ProfileTable::Get(UserId user) const {
-  if (!Has(user)) {
-    if (missing_profile_.values.size() != schema_.num_attributes()) {
-      // Lazily size the shared all-missing profile. Safe: const_cast-free
-      // because missing_profile_ is mutable only through this path before
-      // first use.
-      const_cast<ProfileTable*>(this)->missing_profile_.values.assign(
-          schema_.num_attributes(), kMissingValue);
-    }
-    return missing_profile_;
-  }
-  return profiles_[user];
+  return Has(user) ? profiles_[user] : missing_profile_;
 }
 
 const std::string& ProfileTable::Value(UserId user, AttributeId attr) const {

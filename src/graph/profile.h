@@ -71,7 +71,10 @@ struct Profile {
 /// read as all-missing profiles.
 class ProfileTable {
  public:
-  explicit ProfileTable(ProfileSchema schema) : schema_(std::move(schema)) {}
+  explicit ProfileTable(ProfileSchema schema)
+      : schema_(std::move(schema)),
+        missing_profile_{std::vector<std::string>(schema_.num_attributes(),
+                                                  kMissingValue)} {}
 
   const ProfileSchema& schema() const { return schema_; }
 
@@ -114,6 +117,8 @@ class ProfileTable {
   size_t count_ = 0;
   uint64_t mutation_epoch_ = 0;
   VersionStamp stamp_;
+  // What Get returns for a user without a profile. Built with the schema
+  // and never written after, so concurrent reads need no lock.
   Profile missing_profile_;
 };
 

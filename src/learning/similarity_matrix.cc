@@ -41,14 +41,12 @@ void SimilarityTriangle::Set(size_t i, size_t j, double value) {
   data_[Index(i, j)] = value;
 }
 
-void SimilarityTriangle::SetRowSpan(size_t i, size_t j0, const double* values,
-                                    size_t count) {
-  if (count == 0) return;
-  SIGHT_CHECK(i < n_ && j0 + count <= i);
-  // Index(i, j) = i * (i + 1) / 2 + j for j < i, so the span is
-  // contiguous in the packed lower-triangle store.
-  std::copy(values, values + count, data_.begin() +
-                                        static_cast<ptrdiff_t>(Index(i, j0)));
+void SimilarityTriangle::SetRow(size_t i, const double* values) {
+  SIGHT_CHECK(i < n_);
+  // Index(i, j) = i * (i + 1) / 2 + j for j < i, so row i's pairs are
+  // one contiguous run of the packed store.
+  std::copy(values, values + i,
+            data_.begin() + static_cast<ptrdiff_t>(Index(i, 0)));
 }
 
 double SimilarityTriangle::Get(size_t i, size_t j) const {
@@ -107,12 +105,10 @@ SimilarityMatrix SimilarityTriangle::Compact() && {
 }
 
 SimilarityMatrix SimilarityTriangle::SparsifyTopK(size_t k) const {
-  if (n_ < 2) return SimilarityMatrix(n_);
-  // One stripe over every column: row i's packed run [0, i) is its span.
-  TopKSelection selection(n_, k, {0});
-  for (size_t i = n_; --i > 0;) {
-    selection.AddRowSpan(0, i, 0, &data_[Index(i, 0)], i);
-  }
+  // Row i's packed run [0, i) is its row of pairs; rows go in descending
+  // order (see TopKSelection::AddRow).
+  TopKSelection selection(n_, k);
+  for (size_t i = n_; i-- > 1;) selection.AddRow(i, &data_[Index(i, 0)]);
   return selection.Finish();
 }
 

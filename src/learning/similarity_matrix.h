@@ -8,7 +8,7 @@
 //    keeps only its edges resident. It has no writers; ps_kernels::
 //    BuildGraphs (similarity/ps_kernels.h) builds every pool's graph.
 //  * SimilarityTriangle is a dense packed lower triangle, the simplest
-//    write target while pairs are being computed (Set / SetRowSpan). It
+//    write target while pairs are being computed (Set / SetRow). It
 //    becomes a graph through Compact() (every positive entry) or
 //    SparsifyTopK(k) (each node's strongest edges; learning/
 //    top_k_selection.h owns that rule).
@@ -76,14 +76,11 @@ class SimilarityTriangle {
   /// Sets w(i, j) = w(j, i) = value. Diagonal writes are ignored.
   void Set(size_t i, size_t j, double value);
 
-  /// Sets w(i, j0 + k) = values[k] for k in [0, count). Requires
-  /// j0 + count <= i (a strictly-lower-triangle span), which makes the
-  /// destination one contiguous run of the packed store — this is how a
-  /// dense pool's column stripes write their rows in
-  /// ps_kernels::BuildGraphs (similarity/ps_kernels.h), one bounds check
-  /// per span instead of per pair. Concurrent SetRowSpan calls on
-  /// disjoint spans are safe.
-  void SetRowSpan(size_t i, size_t j0, const double* values, size_t count);
+  /// Sets w(i, j) = values[j] for every j < i: row i of the strictly
+  /// lower triangle, one contiguous run of the packed store. This is how
+  /// ps_kernels::BuildGraphs (similarity/ps_kernels.h) writes a dense
+  /// pool's rows, one bounds check per row instead of per pair.
+  void SetRow(size_t i, const double* values);
 
   double Get(size_t i, size_t j) const;
 

@@ -8,34 +8,23 @@
 
 namespace sight {
 
-TopKSelection::TopKSelection(size_t n, size_t k,
-                             std::vector<size_t> stripe_starts)
-    : n_(n), cap_(n > 0 ? std::min(k, n - 1) : 0) {
-  stripes_.resize(stripe_starts.size());
-  for (size_t s = 0; s < stripes_.size(); ++s) {
-    Stripe& stripe = stripes_[s];
-    stripe.begin = stripe_starts[s];
-    stripe.end = s + 1 < stripe_starts.size() ? stripe_starts[s + 1] : n;
-    SIGHT_CHECK(stripe.begin + 1 < n && stripe.begin < stripe.end);
-    SIGHT_CHECK(s > 0 || stripe.begin == 0);
-    const size_t rows = n - stripe.begin;
-    stripe.floor.assign(rows, std::numeric_limits<double>::denorm_min());
-    stripe.size.assign(rows, 0);
-    stripe.slots.resize(rows * cap_);
-  }
-}
+TopKSelection::TopKSelection(size_t n, size_t k)
+    : n_(n),
+      cap_(n > 0 ? std::min(k, n - 1) : 0),
+      floor_(n, std::numeric_limits<double>::denorm_min()),
+      size_(n, 0),
+      slots_(n * cap_) {}
 
-void TopKSelection::Offer(Stripe* stripe, size_t r, double weight,
-                          size_t neighbor) const {
+void TopKSelection::Offer(size_t r, double weight, size_t neighbor) {
   if (!(weight > 0.0)) return;  // NaN is never an edge
   // A min-heap under the ranking: heap[0] is the lowest-ranked candidate.
-  Candidate* heap = stripe->slots.data() + r * cap_;
-  size_t& size = stripe->size[r];
+  Candidate* heap = slots_.data() + r * cap_;
+  size_t& size = size_[r];
   const Candidate candidate{weight, neighbor};
   if (size < cap_) {
     heap[size++] = candidate;
     std::push_heap(heap, heap + size, RanksAbove);
-    if (size == cap_) stripe->floor[r] = heap[0].weight;
+    if (size == cap_) floor_[r] = heap[0].weight;
     return;
   }
   if (!RanksAbove(candidate, heap[0])) return;
@@ -48,71 +37,50 @@ void TopKSelection::Offer(Stripe* stripe, size_t r, double weight,
     hole = child;
   }
   heap[hole] = candidate;
-  stripe->floor[r] = heap[0].weight;
+  floor_[r] = heap[0].weight;
 }
 
-void TopKSelection::AddRowSpan(size_t stripe, size_t i, size_t j0,
-                               const double* values, size_t count) {
-  if (count == 0 || cap_ == 0) return;
-  SIGHT_CHECK(stripe < stripes_.size());
-  Stripe* s = &stripes_[stripe];
-  SIGHT_CHECK(i < n_ && j0 >= s->begin && j0 + count <= std::min(s->end, i));
-  // Row i's heap and the heaps of columns j0.. by local row, behind the
-  // floor check that turns most offers away without touching a heap.
-  // Columns go in descending order (see the header on feed order).
-  const size_t row = i - s->begin;
-  const size_t col = j0 - s->begin;
-  double* floor = s->floor.data();
-  double row_floor = floor[row];  // only row-side offers move it
-  for (size_t t = count; t-- > 0;) {
-    const double w = values[t];
+void TopKSelection::AddRow(size_t i, const double* values) {
+  SIGHT_CHECK(i < n_);
+  if (cap_ == 0) return;
+  // Row i's heap and the heaps of nodes j < i, behind the floor check
+  // that turns most offers away without touching a heap. Columns go in
+  // descending order (see the header on row order).
+  const double* floor = floor_.data();
+  double row_floor = floor[i];  // only row-side offers move it
+  for (size_t j = i; j-- > 0;) {
+    const double w = values[j];
     if (!(w < row_floor)) {
-      Offer(s, row, w, j0 + t);
-      row_floor = floor[row];
+      Offer(i, w, j);
+      row_floor = floor[i];
     }
-    if (!(w < floor[col + t])) Offer(s, col + t, w, i);
+    if (!(w < floor[j])) Offer(j, w, i);
   }
 }
 
 SimilarityMatrix TopKSelection::Finish() {
-  // Each row's top k: the best of its stripe heaps.
-  std::vector<size_t> kept_offsets(n_ + 1, 0);
-  std::vector<Candidate> kept;
-  std::vector<Candidate> merged;
-  for (size_t r = 0; r < n_; ++r) {
-    merged.clear();
-    for (const Stripe& stripe : stripes_) {
-      if (stripe.begin > r) break;
-      const size_t local = r - stripe.begin;
-      const Candidate* heap = stripe.slots.data() + local * cap_;
-      merged.insert(merged.end(), heap, heap + stripe.size[local]);
-    }
-    const auto take =
-        static_cast<ptrdiff_t>(std::min(cap_, merged.size()));
-    std::nth_element(merged.begin(), merged.begin() + take, merged.end(),
-                     RanksAbove);
-    kept.insert(kept.end(), merged.begin(), merged.begin() + take);
-    kept_offsets[r + 1] = kept.size();
-  }
-  stripes_ = {};
-
   // An edge survives in either endpoint's top k: list every kept edge in
   // both of its rows.
   std::vector<size_t> offsets(n_ + 1, 0);
-  for (const Candidate& c : kept) ++offsets[c.index + 1];
   for (size_t r = 0; r < n_; ++r) {
-    offsets[r + 1] += offsets[r] + (kept_offsets[r + 1] - kept_offsets[r]);
+    const Candidate* heap = slots_.data() + r * cap_;
+    for (size_t t = 0; t < size_[r]; ++t) ++offsets[heap[t].index + 1];
   }
+  for (size_t r = 0; r < n_; ++r) offsets[r + 1] += offsets[r] + size_[r];
   std::vector<Neighbor> neighbors(offsets[n_]);
   std::vector<size_t> cursor(offsets.begin(), offsets.end() - 1);
   for (size_t r = 0; r < n_; ++r) {
-    for (size_t t = kept_offsets[r]; t < kept_offsets[r + 1]; ++t) {
-      const Candidate& c = kept[t];
+    const Candidate* heap = slots_.data() + r * cap_;
+    for (size_t t = 0; t < size_[r]; ++t) {
+      const Candidate& c = heap[t];
       neighbors[cursor[r]++] = Neighbor{c.index, c.weight};
       neighbors[cursor[c.index]++] = Neighbor{r, c.weight};
     }
   }
-  kept = {};
+  // Move-assign empty vectors: `= {}` would keep the capacity allocated.
+  floor_ = std::vector<double>();
+  size_ = std::vector<size_t>();
+  slots_ = std::vector<Candidate>();
 
   // Sort each row by neighbor index. An edge both endpoints kept is now
   // listed twice in each of its rows, with equal bits; keep one copy.

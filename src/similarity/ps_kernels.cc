@@ -181,111 +181,44 @@ void ComputeBatch(const uint32_t* a, const uint32_t* b, size_t stride,
   ActiveBatchFn()(ctx, b, stride, count, out);
 }
 
-namespace {
-
-// Width of a column stripe: the b-rows every a-row below the stripe is
-// scored against. Budget half a typical 32 KiB L1d for them (the other
-// half covers the output span, the frequency arrays' hot entries and the
-// a-row), rounded down to a multiple of 8 and clamped to [32, 512]: 512
-// columns up to 8 attributes.
-size_t StripeWidth(size_t num_attributes) {
-  constexpr size_t kStripeBudgetBytes = 16 * 1024;
-  const size_t row_bytes =
-      std::max<size_t>(1, num_attributes) * sizeof(uint32_t);
-  return std::clamp<size_t>((kStripeBudgetBytes / row_bytes) & ~size_t{7},
-                            32, 512);
-}
-
-// Column-stripe starts of an n-node pool (0, width, 2 * width, ...
-// below n - 1): every pair (i, j < i) lies in exactly one stripe. Empty
-// when n < 2.
-std::vector<size_t> StripeStarts(size_t n, size_t width) {
-  std::vector<size_t> starts;
-  for (size_t j0 = 0; j0 + 1 < n; j0 += width) starts.push_back(j0);
-  return starts;
-}
-
-// Scores column stripe `stripe` of one pool — every pair (i, j) with j in
-// [stripe * width, (stripe + 1) * width) and j < i — one a-row at a time
-// against the stripe's block of b-rows. A dense pool (`selection` null)
-// writes each row's span into its triangle, rows ascending; a top-k pool
-// feeds it to its selection, rows descending: the order TopKSelection
-// turns ties away fastest in. The values do not depend on the order.
-// Distinct stripes write disjoint spans of a triangle and own disjoint
-// selection state, so concurrent calls on distinct stripes of one pool
-// are safe.
-void ScoreStripe(const PoolRows& pool, const ProfileSimilarity& ps,
-                 const ValueFrequencyTable& freqs, size_t stripe, size_t width,
-                 SimilarityTriangle* triangle, TopKSelection* selection) {
-  const size_t n = pool.num_rows;
-  const size_t j0 = stripe * width;
-  const size_t j1 = std::min(n, j0 + width);
-  const size_t stride = ps.normalized_weights().size();
-  const BatchFn batch = ActiveBatchFn();
-  RowContext ctx;
-  std::vector<double> buf(j1 - j0);
-  const uint32_t* b = pool.rows + j0 * stride;
-  for (size_t r = j0 + 1; r < n; ++r) {
-    const size_t i = selection != nullptr ? n - (r - j0) : r;
-    const size_t count = std::min(j1, i) - j0;
-    ctx.Pack(pool.rows + i * stride, ps.normalized_weights(), freqs);
-    batch(ctx, b, stride, count, buf.data());
-    if (selection != nullptr) {
-      selection->AddRowSpan(stripe, i, j0, buf.data(), count);
-    } else {
-      triangle->SetRowSpan(i, j0, buf.data(), count);
-    }
-  }
-}
-
-}  // namespace
-
 std::vector<SimilarityMatrix> BuildGraphs(const std::vector<PoolRows>& pools,
                                           const ProfileSimilarity& ps,
-                                          size_t top_k, ThreadPool* pool) {
-  const size_t num_attributes = ps.normalized_weights().size();
-  const size_t width = StripeWidth(num_attributes);
-  const size_t num_pools = pools.size();
-  // Value frequencies come from the pool itself (Section III-C). A work
-  // item is one (pool, column stripe): a dense pool's stripes write into
-  // its triangle, a streamed pool's each own their share of its
-  // selection state. Distinct items cover disjoint pairs, so they run
-  // without synchronization.
-  std::vector<ValueFrequencyTable> freqs;
-  freqs.reserve(num_pools);
-  std::vector<std::optional<SimilarityTriangle>> triangles(num_pools);
-  std::vector<std::optional<TopKSelection>> selections(num_pools);
-  std::vector<std::pair<size_t, size_t>> stripes;
-  size_t total_pairs = 0;
-  for (size_t p = 0; p < num_pools; ++p) {
-    const size_t n = pools[p].num_rows;
-    freqs.push_back(
-        ValueFrequencyTable::BuildFromCodes(pools[p].rows, n, num_attributes));
-    if (n > 1) total_pairs += n * (n - 1) / 2;
-    std::vector<size_t> starts = StripeStarts(n, width);
-    for (size_t s = 0; s < starts.size(); ++s) stripes.emplace_back(p, s);
+                                          size_t top_k) {
+  const std::vector<double>& weights = ps.normalized_weights();
+  const size_t stride = weights.size();
+  const BatchFn batch = ActiveBatchFn();
+  RowContext ctx;
+  std::vector<double> row;
+  std::vector<SimilarityMatrix> graphs;
+  graphs.reserve(pools.size());
+  for (const PoolRows& pool : pools) {
+    const size_t n = pool.num_rows;
+    // Value frequencies come from the pool itself (Section III-C).
+    const ValueFrequencyTable freqs =
+        ValueFrequencyTable::BuildFromCodes(pool.rows, n, stride);
+    row.resize(n);
+    std::optional<SimilarityTriangle> triangle;
+    std::optional<TopKSelection> selection;
     if (top_k > 0) {
-      selections[p].emplace(n, top_k, std::move(starts));
+      selection.emplace(n, top_k);
     } else {
-      triangles[p].emplace(n);
+      triangle.emplace(n);
     }
+    // Row i against rows [0, i), rows descending: the order in which
+    // TopKSelection turns ties away fastest. The values do not depend on
+    // the order.
+    for (size_t i = n; i-- > 1;) {
+      ctx.Pack(pool.rows + i * stride, weights, freqs);
+      batch(ctx, pool.rows, stride, i, row.data());
+      if (selection.has_value()) {
+        selection->AddRow(i, row.data());
+      } else {
+        triangle->SetRow(i, row.data());
+      }
+    }
+    graphs.push_back(selection.has_value() ? selection->Finish()
+                                           : std::move(*triangle).Compact());
   }
-
-  ParallelForOptions options;
-  options.total_work = total_pairs;
-  ParallelFor(pool, stripes.size(), [&](size_t t) {
-    const auto [p, s] = stripes[t];
-    ScoreStripe(pools[p], ps, freqs[p], s, width,
-                top_k > 0 ? nullptr : &*triangles[p],
-                top_k > 0 ? &*selections[p] : nullptr);
-  }, options);
-
-  // The top-k merge or the CSR compaction is independent across pools.
-  std::vector<SimilarityMatrix> graphs(num_pools);
-  ParallelFor(pool, num_pools, [&](size_t p) {
-    graphs[p] = top_k > 0 ? selections[p]->Finish()
-                          : std::move(*triangles[p]).Compact();
-  });
   return graphs;
 }
 

@@ -10,13 +10,11 @@
 //  * ComputeBatch is a one-vs-many kernel: the a-row's per-attribute
 //    state (code, weight, frequency-array pointer/size, and the a-side
 //    frequency) is packed once and reused across a whole run of b-rows.
-//  * BuildGraphs is the one entry point. It cuts each pool's columns
-//    into stripes sized so a stripe's b-rows stay resident in L1, and
-//    scores every row below a stripe against it, one a-row at a time.
-//    One (pool, column stripe) is one work item, and every pool's
-//    stripes run in a single ParallelFor. A dense pool's stripes write
-//    their row spans into its SimilarityTriangle, which is compacted
-//    into its graph; a top-k pool's feed a TopKSelection
+//  * BuildGraphs is the one entry point, a serial loop over the pools.
+//    For each pool it builds the value frequencies, then scores each
+//    row, from the last down, against every row before it with the
+//    batch kernel. A dense pool's rows go into its SimilarityTriangle,
+//    which is compacted into its graph; a top-k pool's feed a TopKSelection
 //    (learning/top_k_selection.h) instead, so a sparsified pool is built
 //    straight into its CSR. The graphs are the classifier graphs
 //    ActiveLearner::Create gives each PoolLearner; a dense pool's
@@ -41,7 +39,6 @@
 
 #include "learning/similarity_matrix.h"
 #include "similarity/profile_similarity.h"
-#include "util/thread_pool.h"
 
 namespace sight {
 namespace ps_kernels {
@@ -82,12 +79,10 @@ struct PoolRows {
 /// (SimilarityTriangle::Compact); with top_k > 0 it is each node's top_k
 /// strongest edges (learning/top_k_selection.h), streamed straight into
 /// the CSR without ever holding the triangle — bitwise what the full
-/// triangle's SparsifyTopK(top_k) gives. Every pool's column stripes run
-/// in one ParallelFor across `pool`, and the results are identical with
-/// any thread pool, none included.
+/// triangle's SparsifyTopK(top_k) gives. Runs on the calling thread.
 std::vector<SimilarityMatrix> BuildGraphs(const std::vector<PoolRows>& pools,
                                           const ProfileSimilarity& ps,
-                                          size_t top_k, ThreadPool* pool);
+                                          size_t top_k);
 
 }  // namespace ps_kernels
 }  // namespace sight

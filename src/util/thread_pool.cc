@@ -65,26 +65,15 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
-namespace {
-
-// With the total work known, ParallelFor runs inline below this many
-// units (32768) and sizes chunks to carry at least 1/8 of it each.
-constexpr size_t kMinParallelWork = 32768;
-
-}  // namespace
-
 bool ParallelFor(ThreadPool* pool, size_t n,
-                 const std::function<void(size_t)>& fn,
-                 const ParallelForOptions& options) {
+                 const std::function<void(size_t)>& fn) {
   // Workers beyond the machine's cores cannot speed up a CPU-bound loop;
   // they only add context-switch and cache-migration overhead (measured
   // as a 0.89-0.94x "speedup" on a single-core host).
   size_t hardware = std::thread::hardware_concurrency();
   size_t workers = pool == nullptr ? 1 : pool->num_threads();
   if (hardware > 0) workers = std::min(workers, hardware);
-  bool too_little_work =
-      options.total_work > 0 && options.total_work < kMinParallelWork;
-  if (workers <= 1 || n <= 1 || too_little_work) {
+  if (workers <= 1 || n <= 1) {
     for (size_t i = 0; i < n; ++i) fn(i);
     // Preserve the parallel path's post-condition that follow-up tasks
     // submitted by fn have finished when ParallelFor returns.
@@ -93,16 +82,8 @@ bool ParallelFor(ThreadPool* pool, size_t n,
   }
   // Contiguous chunks, several per worker: one task per index would pay
   // queue traffic per call, and exactly one chunk per worker would stall
-  // on uneven per-index cost (e.g. the triangular row loop of the
-  // similarity-matrix build). With a known total, the grain is derived
-  // from it instead so no chunk carries less than ~1/8 of the minimum
-  // parallel work.
+  // on uneven per-index cost.
   size_t chunks = std::min(n, workers * 8);
-  if (options.total_work > 0) {
-    size_t min_chunk_work = kMinParallelWork / 8;
-    chunks = std::min(chunks,
-                      std::max<size_t>(1, options.total_work / min_chunk_work));
-  }
   size_t base = n / chunks;
   size_t remainder = n % chunks;
   size_t start = 0;

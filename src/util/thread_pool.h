@@ -1,5 +1,6 @@
-// Fixed-size worker pool for embarrassingly parallel work (the benches'
-// per-owner study runs; any caller with independent tasks).
+// Fixed-size worker pool for embarrassingly parallel work: the engine's
+// NS batches and per-class CMN solves, the service's drain workers, the
+// benches' per-owner study runs.
 
 #ifndef SIGHT_UTIL_THREAD_POOL_H_
 #define SIGHT_UTIL_THREAD_POOL_H_
@@ -49,32 +50,18 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
-/// Tuning knobs for ParallelFor's dispatch decision.
-struct ParallelForOptions {
-  /// Total work units across all n indices when the caller knows it (e.g.
-  /// the pair count of a triangular row loop, where per-row cost varies).
-  /// 0 = unknown; each index then counts as one unit and no work-based
-  /// serial fallback applies (indices may be expensive). When known, the
-  /// loop runs inline below 32768 units (queue and wakeup traffic
-  /// dominates loops cheaper than that), and each chunk carries at least
-  /// 1/8 of that minimum.
-  size_t total_work = 0;
-};
-
 /// Runs fn(0..n-1) across `pool` and blocks until all calls finish.
 /// Indices are dispatched as contiguous chunks (several per worker), so
 /// within a chunk calls run in ascending order on one thread. Runs inline
-/// with a null pool, when the pool cannot help (a single worker, or more
-/// workers than the machine has cores counts as the core count — a
-/// CPU-bound loop gains nothing from oversubscription), or when
-/// options.total_work is known and below the minimum; results are
+/// with a null pool or when the pool cannot help (a single worker, or
+/// more workers than the machine has cores counts as the core count — a
+/// CPU-bound loop gains nothing from oversubscription); results are
 /// identical either way, and any tasks fn submits to `pool` are still
 /// awaited. Returns true when the work was dispatched to the pool.
 /// Must not be called from inside a pool task (Wait() from a worker can
 /// deadlock once every worker is blocked waiting).
 bool ParallelFor(ThreadPool* pool, size_t n,
-                 const std::function<void(size_t)>& fn,
-                 const ParallelForOptions& options = {});
+                 const std::function<void(size_t)>& fn);
 
 }  // namespace sight
 

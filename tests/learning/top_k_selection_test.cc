@@ -1,0 +1,263 @@
+// The streamed top-k build against the keep-matrix body it replaced.
+//
+// For random pools — duplicate-heavy, so PS ties are common, and with
+// all-missing profiles, which give zero rows — from empty up to 1,100
+// rows and every k from 1 past n, the streamed CSR must equal the
+// reference sparsified triangle's Compact() in row offsets, neighbor
+// indices and weight bits. So must SimilarityTriangle::SparsifyTopK, the
+// other feeder of the same rule, and a TopKSelection fed the reference's
+// rows directly in descending, ascending and shuffled order. A last case
+// builds pools of mixed sizes in one BuildGraphs call, dense and top-k,
+// against each pool's reference.
+
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <functional>
+#include <memory>
+#include <numeric>
+#include <span>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "graph/profile.h"
+#include "graph/profile_codec.h"
+#include "learning/similarity_matrix.h"
+#include "learning/top_k_selection.h"
+#include "similarity/profile_similarity.h"
+#include "similarity/ps_kernels.h"
+#include "util/random.h"
+
+namespace sight {
+namespace {
+
+// The keep-matrix SparsifyTopK body the streamed selection replaced:
+// mark each node's k strongest positive neighbors, ranked by (weight,
+// index) descending, then zero every pair neither endpoint marked.
+void ReferenceSparsifyTopK(SimilarityTriangle* m, size_t k) {
+  const size_t n = m->size();
+  if (n == 0) return;
+  std::vector<std::vector<bool>> keep(n, std::vector<bool>(n, false));
+  std::vector<std::pair<double, size_t>> row;
+  for (size_t i = 0; i < n; ++i) {
+    row.clear();
+    for (size_t j = 0; j < n; ++j) {
+      if (j == i) continue;
+      double w = m->Get(i, j);
+      if (w > 0.0) row.emplace_back(w, j);
+    }
+    size_t take = std::min(k, row.size());
+    std::partial_sort(row.begin(), row.begin() + static_cast<ptrdiff_t>(take),
+                      row.end(), std::greater<>());
+    for (size_t t = 0; t < take; ++t) keep[i][row[t].second] = true;
+  }
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < i; ++j) {
+      if (!keep[i][j] && !keep[j][i]) m->Set(i, j, 0.0);
+    }
+  }
+}
+
+// Row offsets, neighbor indices and weight bits of two graphs.
+void ExpectSameCsr(const SimilarityMatrix& got, const SimilarityMatrix& want,
+                   const std::string& label) {
+  ASSERT_EQ(got.size(), want.size()) << label;
+  size_t got_offset = 0;
+  size_t want_offset = 0;
+  for (size_t i = 0; i < got.size(); ++i) {
+    std::span<const Neighbor> g = got.Neighbors(i);
+    std::span<const Neighbor> w = want.Neighbors(i);
+    ASSERT_EQ(got_offset, want_offset) << label << " row " << i;
+    ASSERT_EQ(g.size(), w.size()) << label << " row " << i;
+    for (size_t t = 0; t < g.size(); ++t) {
+      ASSERT_EQ(g[t].index, w[t].index) << label << " row " << i;
+      ASSERT_EQ(std::bit_cast<uint64_t>(g[t].weight),
+                std::bit_cast<uint64_t>(w[t].weight))
+          << label << " row " << i << " neighbor " << g[t].index;
+    }
+    got_offset += g.size();
+    want_offset += w.size();
+  }
+}
+
+// Users 0..n-1 over four attributes with 2-5 values each, so many
+// profiles repeat and PS values tie; about one user in six has no
+// profile (an all-missing row, PS 0 with everyone) and one value in ten
+// is missing.
+ProfileTable RandomTable(size_t n, uint64_t seed) {
+  ProfileTable table(ProfileSchema::Create({"a", "b", "c", "d"}).value());
+  Rng rng(seed);
+  for (UserId u = 0; u < n; ++u) {
+    if (rng.Bernoulli(1.0 / 6.0)) continue;
+    Profile p;
+    for (int64_t a = 0; a < 4; ++a) {
+      p.values.push_back(rng.Bernoulli(0.1)
+                             ? std::string(kMissingValue)
+                             : "v" + std::to_string(rng.UniformInt(0, a + 1)));
+    }
+    EXPECT_TRUE(table.Set(u, p).ok());
+  }
+  return table;
+}
+
+struct Pool {
+  explicit Pool(size_t n, uint64_t seed)
+      : table(RandomTable(n, seed)),
+        enc(EncodedProfileTable::Build(table, Users(n))),
+        freqs(ValueFrequencyTable::BuildFromCodes(enc.row(0), enc.num_rows(),
+                                                 enc.num_attributes())),
+        ps(ProfileSimilarity::Create(table.schema()).value()) {}
+
+  static std::vector<UserId> Users(size_t n) {
+    std::vector<UserId> users(n);
+    for (size_t u = 0; u < n; ++u) users[u] = static_cast<UserId>(u);
+    return users;
+  }
+
+  ps_kernels::PoolRows Rows() const { return {enc.row(0), enc.num_rows()}; }
+
+  // The dense triangle, one ProfileSimilarity::Compute per pair: no
+  // batch kernel is shared with the builds it is the reference for.
+  SimilarityTriangle ReferenceFill() const {
+    SimilarityTriangle dense(enc.num_rows());
+    for (size_t i = 0; i < enc.num_rows(); ++i) {
+      for (size_t j = 0; j < i; ++j) {
+        dense.Set(i, j, ps.Compute(enc.row(i), enc.row(j), freqs));
+      }
+    }
+    return dense;
+  }
+
+  ProfileTable table;
+  EncodedProfileTable enc;
+  ValueFrequencyTable freqs;
+  ProfileSimilarity ps;
+};
+
+// The order a direct feed adds the rows in.
+enum class RowOrder { kDescending, kAscending, kShuffled };
+
+std::string OrderLabel(RowOrder order) {
+  switch (order) {
+    case RowOrder::kDescending:
+      return "descending";
+    case RowOrder::kAscending:
+      return "ascending";
+    case RowOrder::kShuffled:
+      return "shuffled";
+  }
+  return "?";
+}
+
+// Feeds the reference triangle's rows straight into a selection, in
+// `order`.
+SimilarityMatrix SelectDirect(const SimilarityTriangle& dense, size_t k,
+                              RowOrder order) {
+  const size_t n = dense.size();
+  std::vector<size_t> rows(n > 1 ? n - 1 : 0);
+  std::iota(rows.begin(), rows.end(), size_t{1});
+  if (order == RowOrder::kDescending) std::reverse(rows.begin(), rows.end());
+  if (order == RowOrder::kShuffled) {
+    Rng rng(31 * n + k);
+    rng.Shuffle(&rows);
+  }
+  TopKSelection selection(n, k);
+  std::vector<double> row(n);
+  for (size_t i : rows) {
+    for (size_t j = 0; j < i; ++j) row[j] = dense.Get(i, j);
+    selection.AddRow(i, row.data());
+  }
+  return selection.Finish();
+}
+
+// Checks every k against the reference on one pool: SparsifyTopK, the
+// streamed BuildGraphs and a direct feed in each row order. Returns the
+// number of graphs compared.
+size_t CheckPool(const Pool& pool, const std::vector<size_t>& ks) {
+  const size_t n = pool.enc.num_rows();
+  const SimilarityTriangle dense = pool.ReferenceFill();
+  size_t compared = 0;
+  for (size_t k : ks) {
+    SimilarityTriangle kept = dense;
+    ReferenceSparsifyTopK(&kept, k);
+    const SimilarityMatrix reference = std::move(kept).Compact();
+    const std::string label =
+        "n=" + std::to_string(n) + " k=" + std::to_string(k);
+
+    ExpectSameCsr(dense.SparsifyTopK(k), reference, "SparsifyTopK " + label);
+    std::vector<SimilarityMatrix> streamed =
+        ps_kernels::BuildGraphs({pool.Rows()}, pool.ps, k);
+    EXPECT_EQ(streamed.size(), 1u) << label;
+    ExpectSameCsr(streamed.at(0), reference, "BuildGraphs " + label);
+    compared += 2;
+    for (RowOrder order :
+         {RowOrder::kDescending, RowOrder::kAscending, RowOrder::kShuffled}) {
+      ExpectSameCsr(SelectDirect(dense, k, order), reference,
+                    label + " " + OrderLabel(order));
+      ++compared;
+    }
+  }
+  return compared;
+}
+
+// Sizes 0, 1, 2 and a few small pools; k from 1 to past n.
+TEST(TopKSelectionTest, SmallPoolsMatchTheReferenceBitwise) {
+  size_t compared = 0;
+  for (size_t n : {size_t{0}, size_t{1}, size_t{2}, size_t{7}, size_t{8},
+                   size_t{9}, size_t{17}, size_t{40}}) {
+    for (uint64_t seed : {uint64_t{1}, uint64_t{2}, uint64_t{3}}) {
+      Pool pool(n, 1000 * n + seed);
+      std::vector<size_t> ks = {1, 2, 8, n + 3};
+      if (n > 1) ks.push_back(n - 1);
+      ks.push_back(n);
+      compared += CheckPool(pool, ks);
+    }
+  }
+  EXPECT_GT(compared, 0u);
+}
+
+// Pools of a few hundred up to 1,100 rows, top-1 and top-8.
+TEST(TopKSelectionTest, LargePoolsMatchBitwise) {
+  for (size_t n : {size_t{300}, size_t{513}, size_t{1100}}) {
+    Pool pool(n, 77 + n);
+    CheckPool(pool, {1, 8});
+  }
+}
+
+// Every k up to n - 1 and past it, on one pool.
+TEST(TopKSelectionTest, LargeKMatchesBitwise) {
+  Pool pool(300, 4242);
+  CheckPool(pool, {1, 3, 8, 299, 300, 1000});
+}
+
+// Pools of mixed sizes — empty, 1 and 2 members, and larger ones —
+// built in one BuildGraphs call, dense and top-8. Every pool's graph
+// must be bitwise its own per-pool reference.
+TEST(TopKSelectionTest, MixedPoolsInOneBuildMatchPerPoolReferences) {
+  std::vector<std::unique_ptr<Pool>> pools;
+  std::vector<ps_kernels::PoolRows> rows;
+  for (size_t n : {size_t{0}, size_t{1}, size_t{2}, size_t{65}, size_t{300},
+                   size_t{549}}) {
+    pools.push_back(std::make_unique<Pool>(n, 9000 + n));
+    rows.push_back(pools.back()->Rows());
+  }
+  for (size_t k : {size_t{0}, size_t{8}}) {
+    std::vector<SimilarityMatrix> graphs =
+        ps_kernels::BuildGraphs(rows, pools.front()->ps, k);
+    ASSERT_EQ(graphs.size(), pools.size());
+    for (size_t p = 0; p < pools.size(); ++p) {
+      SimilarityTriangle dense = pools[p]->ReferenceFill();
+      if (k > 0) ReferenceSparsifyTopK(&dense, k);
+      ExpectSameCsr(graphs[p], std::move(dense).Compact(),
+                    "pool " + std::to_string(p) + " n=" +
+                        std::to_string(pools[p]->enc.num_rows()) +
+                        " k=" + std::to_string(k));
+    }
+  }
+}
+
+}  // namespace
+}  // namespace sight

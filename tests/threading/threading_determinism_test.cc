@@ -2,12 +2,13 @@
 // (labeled `threading` in ctest so TSan runs can target them:
 // `ctest -L threading` in a -DSIGHT_SANITIZE=thread build).
 //
-// The contract under test: every parallel phase — NS batches,
-// similarity-matrix construction, per-pool learner setup, per-class
-// harmonic solves — produces results bitwise identical to the serial
-// path, for any thread count.
+// The contract under test: every parallel phase — NS batches and
+// per-class harmonic solves — produces results bitwise identical to the
+// serial path, for any thread count; and the tables the service's drain
+// workers share are safe to read from several threads at once.
 
 #include <atomic>
+#include <latch>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -15,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "core/risk_engine.h"
+#include "graph/profile.h"
 #include "learning/multiclass_harmonic.h"
 #include "sim/facebook_generator.h"
 #include "sim/owner_model.h"
@@ -170,6 +172,29 @@ TEST(ThreadingStressTest, ParallelForHandlesAwkwardShapes) {
     std::vector<std::atomic<int>> hits(n);
     ParallelFor(&pool, n, [&hits](size_t i) { hits[i].fetch_add(1); });
     for (size_t i = 0; i < n; ++i) ASSERT_EQ(hits[i].load(), 1);
+  }
+}
+
+// A RiskService with several drain workers assesses owners of different
+// shards at once over one shared ProfileTable, so a read must not
+// write. Threads released together make the first reads of absent
+// users on a fresh table; each must see an all-missing profile of the
+// schema's arity.
+TEST(ThreadingStressTest, ConcurrentReadsOfAbsentProfiles) {
+  constexpr size_t kReaders = 4;
+  for (int trial = 0; trial < 8; ++trial) {
+    const ProfileTable table(ProfileSchema::Create({"a", "b", "c"}).value());
+    std::latch start(kReaders);
+    std::vector<size_t> arity(kReaders, 0);
+    std::vector<std::thread> readers;
+    for (size_t t = 0; t < kReaders; ++t) {
+      readers.emplace_back([&, t] {
+        start.arrive_and_wait();
+        arity[t] = table.Get(static_cast<UserId>(100 + t)).values.size();
+      });
+    }
+    for (std::thread& reader : readers) reader.join();
+    for (size_t a : arity) EXPECT_EQ(a, 3u);
   }
 }
 

@@ -131,6 +131,11 @@ def main():
               '#include "clustering/squeezer.h"\n', "layering")
     lint_case("a module outside the layers is flagged", "extras/foo.cc",
               '#include "util/status.h"\n', "layering")
+    lint_case("const_cast in library code", "graph/foo.cc",
+              "const Profile& Table::Get(UserId u) const {\n"
+              "  const_cast<Table*>(this)->missing_.values.resize(n_);\n"
+              "  return missing_;\n"
+              "}\n", "no-const-cast")
 
     # --- multiline + commented-out hardening -----------------------------
     lint_case("multiline RiskEngine::Create is caught", "core/foo.cc",
@@ -257,6 +262,9 @@ def main():
     lint_case("commented-out upward include is clean", "graph/foo.cc",
               '// #include "core/risk_engine.h"\n'
               'const char* k = "#include \\"io/labels_io.h\\"";\n', None)
+    lint_case("const_cast in a comment or a string is clean", "graph/foo.cc",
+              "// No const_cast<Table*>(this) here: reads never write.\n"
+              'const char* kWhy = "const_cast is not allowed";\n', None)
     lint_case("comments and strings are ignored", "core/foo.cc",
               "// try to throw std::cout at a std::thread\n"
               'const char* k = "throw try std::cerr";\n', None)

@@ -39,6 +39,10 @@ Enforces the Sight library conventions documented in DESIGN.md §10:
                      other, so dependencies point one way (ROADMAP aim 2).
                      A new src/ module is placed in LAYERS before it can
                      include anything.
+  no-const-cast      No `const_cast` in src/. A const method must not
+                     write: concurrent reads of a shared table are safe
+                     only while reads never write (DESIGN.md §8), so state
+                     a read needs is built before the object is shared.
   no-sleep-in-tests  No `std::this_thread::sleep_for/sleep_until` in
                      tests/ — sleeping for "long enough" is the classic
                      flake; wait on the condition instead (WaitFor,
@@ -386,6 +390,15 @@ def check_layering(rel, lines, violations):
                 " → io (DESIGN.md §10)"))
 
 
+def check_const_cast(rel, lines, violations):
+    for line_no in multiline_matches(lines, r"\bconst_cast\b"):
+        violations.append(Violation(
+            rel, line_no, "no-const-cast",
+            "const_cast lets a const read write, which races when"
+            " several threads read a shared object — build the state"
+            " before the object is shared (DESIGN.md §8)"))
+
+
 def check_sleep_in_tests(rel, lines, violations):
     for line_no in multiline_matches(
             lines, r"std\s*::\s*this_thread\s*::\s*sleep_(?:for|until)\b"):
@@ -407,6 +420,7 @@ RULES = {
     "no-hot-rebuild": check_hot_rebuild,
     "nan-interval": check_nan_interval,
     "layering": check_layering,
+    "no-const-cast": check_const_cast,
 }
 
 # Rules applied to the tests/ tree (tests legitimately use raw stdio,
