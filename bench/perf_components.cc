@@ -104,9 +104,11 @@ void BM_PsKernelComputeBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_PsKernelComputeBatch)->Arg(400)->Arg(2000);
 
-// One dense pool's classifier graph as ActiveLearner::Create asks for
-// it: the pool's value frequencies, the row-by-row pairwise fill and the
-// compaction (BuildGraphs).
+// One top-8 pool's classifier graph as ActiveLearner::Create asks for
+// it (BuildGraphs): the pool's value frequencies, the row-by-row
+// pairwise scoring on the dispatched batch kernel, and the streamed
+// top-k selection. A dense pool scores no pair (its graph is factored),
+// so the top-k build is what drives the kernel end to end.
 void BM_PsKernelBuildGraphs(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
   sim::OwnerDataset ds = MakeDataset(n);
@@ -116,8 +118,8 @@ void BM_PsKernelBuildGraphs(benchmark::State& state) {
   const std::vector<ps_kernels::PoolRows> pools = {
       {enc.row(0), enc.num_rows()}};
   for (auto _ : state) {
-    std::vector<SimilarityMatrix> graphs =
-        ps_kernels::BuildGraphs(pools, ps, /*top_k=*/0);
+    std::vector<PoolGraph> graphs =
+        ps_kernels::BuildGraphs(pools, ps, /*top_k=*/8);
     benchmark::DoNotOptimize(graphs);
   }
   state.SetLabel(ps_kernels::DispatchName(ps_kernels::ActiveDispatch()));
@@ -151,7 +153,7 @@ LabeledSet MakeLabels(size_t n) {
 // the solve alone.
 void BM_HarmonicPredict(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
-  SimilarityMatrix m = MakeRandomTriangle(n).Compact();
+  const PoolGraph m = MakeRandomTriangle(n).Compact();
   LabeledSet labeled = MakeLabels(n);
   HarmonicConfig gs_config;
   auto classifier = HarmonicFunctionClassifier::Create(gs_config).value();
@@ -165,7 +167,7 @@ BENCHMARK(BM_HarmonicPredict)->Arg(100)->Arg(400)->Arg(2000);
 
 void BM_HarmonicPredictCg(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
-  SimilarityMatrix m = MakeRandomTriangle(n).Compact();
+  const PoolGraph m = MakeRandomTriangle(n).Compact();
   LabeledSet labeled = MakeLabels(n);
   HarmonicConfig config;
   config.solver = HarmonicSolver::kConjugateGradient;
@@ -183,7 +185,7 @@ BENCHMARK(BM_HarmonicPredictCg)->Arg(100)->Arg(400)->Arg(2000);
 // perf_pipeline's harmonic_solve rows solve on PS pool graphs.
 void BM_HarmonicPredictSparsified(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
-  SimilarityMatrix m = MakeRandomTriangle(n).SparsifyTopK(8);
+  const PoolGraph m = MakeRandomTriangle(n).SparsifyTopK(8);
   LabeledSet labeled = MakeLabels(n);
   HarmonicConfig config;
   config.solver = HarmonicSolver::kGaussSeidel;
@@ -198,7 +200,7 @@ BENCHMARK(BM_HarmonicPredictSparsified)->Arg(400)->Arg(2000)->Arg(8000);
 
 void BM_HarmonicPredictCgSparsified(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
-  SimilarityMatrix m = MakeRandomTriangle(n).SparsifyTopK(8);
+  const PoolGraph m = MakeRandomTriangle(n).SparsifyTopK(8);
   LabeledSet labeled = MakeLabels(n);
   HarmonicConfig config;
   config.solver = HarmonicSolver::kConjugateGradient;
@@ -232,7 +234,7 @@ std::vector<LabeledSet> MakeLabelChain(size_t n) {
 // round pays only its own incremental solve.
 void BM_HarmonicWarmChain(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
-  SimilarityMatrix m = MakeRandomTriangle(n).SparsifyTopK(8);
+  const PoolGraph m = MakeRandomTriangle(n).SparsifyTopK(8);
   std::vector<LabeledSet> chain = MakeLabelChain(n);
   auto classifier =
       HarmonicFunctionClassifier::Create(HarmonicConfig{}).value();
@@ -254,7 +256,7 @@ BENCHMARK(BM_HarmonicWarmChain)->Arg(400)->Arg(2000);
 // re-solving history each round.
 void BM_HarmonicColdReplayChain(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
-  SimilarityMatrix m = MakeRandomTriangle(n).SparsifyTopK(8);
+  const PoolGraph m = MakeRandomTriangle(n).SparsifyTopK(8);
   std::vector<LabeledSet> chain = MakeLabelChain(n);
   auto classifier =
       HarmonicFunctionClassifier::Create(HarmonicConfig{}).value();

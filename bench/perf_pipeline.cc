@@ -1,37 +1,41 @@
-// Pipeline performance study: quantifies the CSR neighbor-list solve
-// inside HarmonicFunctionClassifier, the warm-start round re-solve and
-// the pairwise PS graph build, and writes the measured numbers to
-// BENCH_pipeline.json.
+// Pipeline performance study: quantifies the harmonic solve on both pool
+// graph representations, the warm-start round re-solve and the PS graph
+// build, and writes the measured numbers to BENCH_pipeline.json.
 //
 // The harmonic_solve and round_solve rows solve on PS pool graphs: one
 // generated pool's classifier graph as ActiveLearner::Create builds it,
-// by ps_kernels::BuildGraphs with top_k = 0 ("dense", every pair with a
-// positive PS — a complete graph on generated pools) or top_k = 8
-// ("topk8"). The dense graph at n=8000 holds about 1 GB of CSR, so its
-// harmonic row is skipped and says so.
+// by ps_kernels::BuildGraphs with top_k = 0 ("dense": the factored PS
+// graph, complete on generated pools) or top_k = 8 ("topk8", a CSR).
 //
-// The harmonic baseline is a faithful copy of the pre-CSR dense-scan
-// Gauss-Seidel (every sweep reads all n entries of each unlabeled row),
-// run on a triangle holding the graph's weights, so the reported speedup
-// isolates the data-structure change; both implementations visit
-// neighbors in ascending index order and the harness asserts their
-// outputs are bitwise identical.
+// A dense row times the factored solve against the solve on the CSR of
+// the same pool, which the batched fill plus Compact() builds. The two
+// differ by rounding only: each row reports both times, the largest
+// score difference and the label flips, and FATALs when the difference
+// exceeds 1e-9 or any rounded label differs. At n=8000 the dense CSR
+// would hold about 1 GB, so only its CSR side is skipped, and the row
+// says so. A topk8 row times the CSR solve against a faithful copy of
+// the pre-CSR dense-scan Gauss-Seidel (every sweep reads all n entries
+// of each unlabeled row), run on a triangle holding the graph's
+// weights, so the reported speedup isolates the data-structure change;
+// both visit neighbors in ascending index order and the harness asserts
+// their outputs are bitwise identical.
 //
 // The round_solve section measures the warm-start incremental re-solve
 // across active-learning rounds: one HarmonicSolveState carried through
 // an append-only label chain versus a stateless cold replay of the
 // whole chain each round. Both paths run the same arithmetic, so every
 // round is checked bitwise and the per-round speedup isolates the cost
-// of re-solving history.
+// of re-solving history. A dense row also runs the warm chain on the
+// pool's CSR, and checks it against the factored chain as above.
 //
 // Matrix construction is timed three ways: the string path (Profile
 // values compared as std::string, frequencies via hashed lookup), the
 // dictionary-encoded per-pair path (EncodedProfileTable codes,
 // code-indexed frequency arrays), and ps_kernels::BuildGraphs on the
-// pool (the batched kernel row by row, then the compaction into the
-// pool's graph — rows record which SIMD dispatch ran). All three must
-// agree bitwise. The JSON records hardware_concurrency in every row so
-// the numbers are interpretable.
+// pool, which builds its factored graph and scores no pair. Every pair
+// the encoded fill scores and the factored graph's Get() reads must
+// equal the string path bit for bit. The JSON records
+// hardware_concurrency in every row so the numbers are interpretable.
 //
 // The topk_build section times a pool's top-8 classifier graph built
 // two ways — a batched fill into the triangle, then its SparsifyTopK, versus
@@ -69,6 +73,7 @@
 
 #include "graph/profile_codec.h"
 #include "learning/harmonic.h"
+#include "learning/pool_graph.h"
 #include "learning/similarity_matrix.h"
 #include "sim/facebook_generator.h"
 #include "similarity/profile_similarity.h"
@@ -117,10 +122,12 @@ constexpr size_t kPoolSizes[] = {400, 2000, 8000};
 // Dense-scan reference above this size takes minutes; CSR numbers are
 // still recorded and the JSON marks the baseline as skipped.
 constexpr size_t kMaxDenseReference = 2000;
-// A dense PS graph above this size is about 1 GB of CSR; its harmonic
-// row is skipped, and the JSON says why.
-constexpr size_t kMaxDenseSolve = 2000;
+// A dense PS graph above this size is about 1 GB of CSR; a dense row
+// skips its CSR side, and the JSON says why.
+constexpr size_t kMaxDenseCsr = 2000;
 constexpr size_t kTopK = 8;
+// The factored and CSR solves of one pool may differ by rounding only.
+constexpr double kMaxScoreDiff = 1e-9;
 
 double TimeMsBestOf(int reps, const std::function<void()>& fn) {
   double best = std::numeric_limits<double>::infinity();
@@ -146,20 +153,66 @@ sim::OwnerDataset MakeDataset(size_t strangers) {
   return gen.Generate({sim::Gender::kMale, sim::Locale::kTR}, &rng).value();
 }
 
-// One pool's graph as ActiveLearner::Create builds it: dense with
-// top_k = 0, each node's top_k strongest edges otherwise.
-SimilarityMatrix BuildGraph(const EncodedProfileTable& enc,
-                            const ProfileSimilarity& ps, size_t top_k) {
-  std::vector<SimilarityMatrix> graphs = ps_kernels::BuildGraphs(
+// One pool's graph as ActiveLearner::Create builds it: factored with
+// top_k = 0, the CSR of each node's top_k strongest edges otherwise.
+PoolGraph BuildGraph(const EncodedProfileTable& enc,
+                     const ProfileSimilarity& ps, size_t top_k) {
+  std::vector<PoolGraph> graphs = ps_kernels::BuildGraphs(
       {ps_kernels::PoolRows{enc.row(0), enc.num_rows()}}, ps, top_k);
   return std::move(graphs.front());
 }
 
 // The strangers of `ds` as one pool's classifier graph.
-SimilarityMatrix PoolGraph(const sim::OwnerDataset& ds, size_t top_k) {
+PoolGraph StrangerPoolGraph(const sim::OwnerDataset& ds, size_t top_k) {
   return BuildGraph(EncodedProfileTable::Build(ds.profiles, ds.strangers),
                     ProfileSimilarity::Create(ds.profiles.schema()).value(),
                     top_k);
+}
+
+SimilarityTriangle FillMatrixBatched(const EncodedProfileTable& enc,
+                                     const ProfileSimilarity& ps,
+                                     const ValueFrequencyTable& freqs);
+
+// The strangers of `ds` as one dense pool's CSR: the batched fill, then
+// Compact(). The factored solves are checked against solves on it.
+PoolGraph StrangerPoolCsr(const sim::OwnerDataset& ds) {
+  const EncodedProfileTable enc =
+      EncodedProfileTable::Build(ds.profiles, ds.strangers);
+  const ProfileSimilarity ps =
+      ProfileSimilarity::Create(ds.profiles.schema()).value();
+  return FillMatrixBatched(
+             enc, ps,
+             ValueFrequencyTable::BuildFromCodes(enc.row(0), enc.num_rows(),
+                                                 enc.num_attributes()))
+      .Compact();
+}
+
+// How far two solves of one pool are apart: the largest score
+// difference, and the nodes whose rounded labels differ.
+struct SolveDiff {
+  double max_abs = 0.0;
+  size_t label_flips = 0;
+};
+
+SolveDiff CompareSolves(const std::vector<double>& f,
+                        const std::vector<double>& g) {
+  SolveDiff diff;
+  for (size_t i = 0; i < f.size(); ++i) {
+    diff.max_abs = std::max(diff.max_abs, std::fabs(f[i] - g[i]));
+    if (RoundToLabel(f[i], 1, 3) != RoundToLabel(g[i], 1, 3)) {
+      ++diff.label_flips;
+    }
+  }
+  return diff;
+}
+
+void CheckSolveDiff(const SolveDiff& diff, const char* section, size_t n) {
+  if (diff.max_abs <= kMaxScoreDiff && diff.label_flips == 0) return;
+  std::fprintf(stderr,
+               "FATAL: %s factored solve diverges from the CSR solve at "
+               "n=%zu (max |diff| %.3g, %zu label flips)\n",
+               section, n, diff.max_abs, diff.label_flips);
+  std::exit(1);
 }
 
 // A triangle holding exactly the graph's weights (0 where it has no
@@ -234,37 +287,79 @@ std::vector<double> ReferenceDensePredict(const SimilarityTriangle& w,
 struct HarmonicRow {
   size_t n = 0;
   std::string graph;  // "dense" or "topk8"
-  std::optional<size_t> edges;
+  std::optional<size_t> edges;  // of the CSR
   std::optional<double> csr_solve_ms;
+  // Dense rows: the factored solve, its speedup over the CSR solve, and
+  // how far the two are apart.
+  std::optional<double> factored_solve_ms;
+  std::optional<double> factored_speedup;
+  std::optional<double> max_score_diff;
+  std::optional<size_t> label_flips;
+  // Topk8 rows: the dense-scan reference and the CSR's speedup over it.
   std::optional<double> reference_dense_ms;
   std::optional<double> speedup;
   std::string skipped;  // why a timing is missing; empty when none is
   bool bitwise_equal = true;
 };
 
-HarmonicRow RunHarmonicStudy(const sim::OwnerDataset& ds, size_t n,
-                             bool sparsify) {
+// A dense row: the factored Gauss-Seidel solve against the solve on the
+// CSR of the same pool.
+HarmonicRow RunDenseHarmonicStudy(const sim::OwnerDataset& ds, size_t n,
+                                  const HarmonicFunctionClassifier& classifier,
+                                  const LabeledSet& labeled) {
   HarmonicRow row;
   row.n = n;
-  row.graph = sparsify ? "topk8" : "dense";
-  if (!sparsify && n > kMaxDenseSolve) {
-    row.skipped = "dense graph too large (about 1 GB of CSR)";
-    std::printf("harmonic  n=%-5zu %-6s skipped: %s\n", n, row.graph.c_str(),
+  row.graph = "dense";
+  const PoolGraph factored = StrangerPoolGraph(ds, 0);
+  std::vector<double> factored_f;
+  row.factored_solve_ms = TimeMsBestOf(RepsFor(n), [&] {
+    factored_f = classifier.Predict(factored, labeled).value();
+  });
+  if (n > kMaxDenseCsr) {
+    row.skipped = "CSR side skipped: the dense CSR is about 1 GB";
+    std::printf("harmonic  n=%-5zu %-6s factored=%9.2fms  %s\n", n,
+                row.graph.c_str(), *row.factored_solve_ms,
                 row.skipped.c_str());
     return row;
   }
+  const PoolGraph csr = StrangerPoolCsr(ds);
+  row.edges = csr.csr()->NumEdges();
+  std::vector<double> csr_f;
+  row.csr_solve_ms = TimeMsBestOf(RepsFor(n), [&] {
+    csr_f = classifier.Predict(csr, labeled).value();
+  });
+  const SolveDiff diff = CompareSolves(factored_f, csr_f);
+  CheckSolveDiff(diff, "harmonic", n);
+  row.factored_speedup = *row.csr_solve_ms / *row.factored_solve_ms;
+  row.max_score_diff = diff.max_abs;
+  row.label_flips = diff.label_flips;
+  std::printf(
+      "harmonic  n=%-5zu %-6s edges=%-8zu factored=%9.2fms  csr=%9.2fms "
+      "(%.2fx)  max|diff|=%.3g  flips=%zu\n",
+      n, row.graph.c_str(), *row.edges, *row.factored_solve_ms,
+      *row.csr_solve_ms, *row.factored_speedup, diff.max_abs,
+      diff.label_flips);
+  return row;
+}
 
-  const SimilarityMatrix m = PoolGraph(ds, sparsify ? kTopK : 0);
-  row.edges = m.NumEdges();
+HarmonicRow RunHarmonicStudy(const sim::OwnerDataset& ds, size_t n,
+                             bool sparsify) {
   LabeledSet labeled = MakeLabels(n);
-
   HarmonicConfig config;
   config.solver = HarmonicSolver::kGaussSeidel;
   auto classifier = HarmonicFunctionClassifier::Create(config).value();
+  if (!sparsify) return RunDenseHarmonicStudy(ds, n, classifier, labeled);
+
+  HarmonicRow row;
+  row.n = n;
+  row.graph = "topk8";
+  const PoolGraph graph = StrangerPoolGraph(ds, kTopK);
+  const SimilarityMatrix& m = *graph.csr();
+  row.edges = m.NumEdges();
 
   std::vector<double> csr_f;
   row.csr_solve_ms = TimeMsBestOf(RepsFor(n), [&] {
-    csr_f = classifier.Predict(m, labeled).value();
+    csr_f = classifier.Predict(graph, labeled).value();
   });
 
   if (n <= kMaxDenseReference) {
@@ -306,7 +401,9 @@ HarmonicRow RunHarmonicStudy(const sim::OwnerDataset& ds, size_t n,
 // (seed solve included) from a fresh state, which is what a stateless
 // learner effectively does — so cold at round k runs k+1 solves. Both
 // paths run identical arithmetic on identical inputs, so the harness
-// asserts bitwise equality per round and FATALs on divergence.
+// asserts bitwise equality per round and FATALs on divergence. A dense
+// row's graph is factored; the same warm chain on the pool's CSR is
+// timed beside it and checked against it within kMaxScoreDiff.
 struct RoundSolveRow {
   size_t n = 0;
   std::string graph;  // "dense" or "topk8"
@@ -318,12 +415,19 @@ struct RoundSolveRow {
   double warm_ms = std::numeric_limits<double>::infinity();
   double cold_ms = std::numeric_limits<double>::infinity();
   double warm_speedup = 0.0;
+  // Dense rows: the warm step on the CSR, and its distance from the
+  // factored warm step.
+  std::optional<double> csr_warm_ms;
+  std::optional<double> max_score_diff;
+  std::optional<size_t> label_flips;
   bool bitwise_equal = true;
 };
 
 std::vector<RoundSolveRow> RunRoundSolveStudy(const sim::OwnerDataset& ds,
                                               size_t n, bool sparsify) {
-  const SimilarityMatrix m = PoolGraph(ds, sparsify ? kTopK : 0);
+  const PoolGraph m = StrangerPoolGraph(ds, sparsify ? kTopK : 0);
+  std::optional<PoolGraph> csr;
+  if (!sparsify) csr.emplace(StrangerPoolCsr(ds));
 
   // Production solver configuration (kAuto resolves per chain step).
   auto classifier =
@@ -355,6 +459,13 @@ std::vector<RoundSolveRow> RunRoundSolveStudy(const sim::OwnerDataset& ds,
     std::vector<double> warm_f =
         classifier.PredictWithState(m, chain[0], warm_state.get(), nullptr)
             .value();
+    auto csr_state = classifier.MakeState();
+    std::vector<double> csr_f;
+    if (csr.has_value()) {
+      csr_f = classifier
+                  .PredictWithState(*csr, chain[0], csr_state.get(), nullptr)
+                  .value();
+    }
     for (size_t k = 1; k <= kRounds; ++k) {
       SolveStats warm_stats;
       double warm_ms = TimeMsBestOf(1, [&] {
@@ -387,6 +498,20 @@ std::vector<RoundSolveRow> RunRoundSolveStudy(const sim::OwnerDataset& ds,
         std::exit(1);
       }
       RoundSolveRow& row = rows[k - 1];
+      if (csr.has_value()) {
+        const double csr_ms = TimeMsBestOf(1, [&] {
+          csr_f = classifier
+                      .PredictWithState(*csr, chain[k], csr_state.get(),
+                                        nullptr)
+                      .value();
+        });
+        const SolveDiff diff = CompareSolves(warm_f, csr_f);
+        CheckSolveDiff(diff, "round", n);
+        row.csr_warm_ms = std::min(row.csr_warm_ms.value_or(csr_ms), csr_ms);
+        row.max_score_diff =
+            std::max(row.max_score_diff.value_or(0.0), diff.max_abs);
+        row.label_flips = diff.label_flips;
+      }
       row.n = n;
       row.graph = sparsify ? "topk8" : "dense";
       row.round = k;
@@ -402,10 +527,15 @@ std::vector<RoundSolveRow> RunRoundSolveStudy(const sim::OwnerDataset& ds,
     row.warm_speedup = row.cold_ms / row.warm_ms;
     std::printf(
         "round     n=%-5zu %-6s round=%zu labels=%-3zu %-18s warm=%8.2fms "
-        "(%zu it)  cold=%8.2fms (%zu it)  speedup=%.2fx\n",
+        "(%zu it)  cold=%8.2fms (%zu it)  speedup=%.2fx",
         row.n, row.graph.c_str(), row.round, row.labels, row.solver.c_str(),
         row.warm_ms, row.warm_iterations, row.cold_ms, row.cold_iterations,
         row.warm_speedup);
+    if (row.csr_warm_ms.has_value()) {
+      std::printf("  csr=%8.2fms  max|diff|=%.3g", *row.csr_warm_ms,
+                  *row.max_score_diff);
+    }
+    std::printf("\n");
   }
   return rows;
 }
@@ -417,7 +547,8 @@ struct BuildRow {
   double encode_ms = 0.0;  // EncodedProfileTable + frequency-array build
   double encoded_serial_ms = 0.0;
   double encoded_speedup = 0.0;  // string_serial_ms / encoded_serial_ms
-  // ps_kernels::BuildGraphs on the pool, serially (similarity/ps_kernels.h).
+  // ps_kernels::BuildGraphs on the pool: its factored graph, no pair
+  // scored (similarity/ps_kernels.h).
   double build_graphs_ms = 0.0;
   double build_graphs_speedup = 0.0;  // encoded_serial_ms / build_graphs_ms
   std::string dispatch;  // "scalar" / "avx2"
@@ -509,7 +640,8 @@ SimilarityTriangle FillMatrixEncoded(const EncodedProfileTable& enc,
 
 // A dense pool's triangle filled by the batched kernel, one ComputeBatch
 // of each row against every row before it: the fill of the fill +
-// SparsifyTopK reference the streamed top-k build is gated against.
+// SparsifyTopK reference the streamed top-k build is gated against, and
+// of the dense CSR the factored solves are gated against.
 SimilarityTriangle FillMatrixBatched(const EncodedProfileTable& enc,
                                      const ProfileSimilarity& ps,
                                      const ValueFrequencyTable& freqs) {
@@ -534,23 +666,18 @@ bool MatricesBitwiseEqual(const SimilarityTriangle& a,
   return true;
 }
 
-// Every pair of `graph` against the triangle, bit for bit; a pair with
-// no edge must read 0 there.
-bool GraphMatchesTriangle(const SimilarityMatrix& graph,
+// Every pair of `graph`, read through Get(), against the triangle, bit
+// for bit.
+bool GraphMatchesTriangle(const PoolGraph& graph,
                           const SimilarityTriangle& m) {
   if (graph.size() != m.size()) return false;
   for (size_t i = 0; i < m.size(); ++i) {
-    std::span<const Neighbor> row = graph.Neighbors(i);
-    size_t t = 0;
-    for (size_t j = 0; j < m.size(); ++j) {
-      if (j == i) continue;
-      double w = 0.0;
-      if (t < row.size() && row[t].index == j) w = row[t++].weight;
-      if (std::bit_cast<uint64_t>(w) != std::bit_cast<uint64_t>(m.Get(i, j))) {
+    for (size_t j = 0; j < i; ++j) {
+      if (std::bit_cast<uint64_t>(graph.Get(i, j)) !=
+          std::bit_cast<uint64_t>(m.Get(i, j))) {
         return false;
       }
     }
-    if (t != row.size()) return false;
   }
   return true;
 }
@@ -581,9 +708,9 @@ BuildRow RunBuildStudy(const sim::OwnerDataset& ds, size_t n) {
 
   // The encoded and BuildGraphs reps are interleaved (one of each per
   // pass, best time per series), so clock drift between two separate
-  // blocks does not show up in their ratio. A dense graph at n=8000
-  // holds about 1 GB of CSR, so each result is dropped before the next
-  // build, and the last pass checks both series against the string path.
+  // blocks does not show up in their ratio. The encoded triangle at
+  // n=8000 is 256 MB, so each result is dropped before the next build,
+  // and the last pass checks both series against the string path.
   row.encoded_serial_ms = std::numeric_limits<double>::infinity();
   row.build_graphs_ms = std::numeric_limits<double>::infinity();
   auto check = [&](bool equal, const char* series) {
@@ -608,7 +735,7 @@ BuildRow RunBuildStudy(const sim::OwnerDataset& ds, size_t n) {
         }));
     if (last) check(MatricesBitwiseEqual(reference, encoded), "encoded");
     encoded = SimilarityTriangle(0);
-    SimilarityMatrix graph;
+    PoolGraph graph;
     row.build_graphs_ms = std::min(row.build_graphs_ms, TimeMsBestOf(1, [&] {
       graph = BuildGraph(*enc, ps, /*top_k=*/0);
     }));
@@ -620,9 +747,8 @@ BuildRow RunBuildStudy(const sim::OwnerDataset& ds, size_t n) {
   row.hardware_concurrency = std::thread::hardware_concurrency();
   std::printf("build     n=%-5zu encode=%8.2fms encoded=%9.2fms (%.2fx)\n", n,
               row.encode_ms, row.encoded_serial_ms, row.encoded_speedup);
-  std::printf("build     n=%-5zu BuildGraphs=%9.2fms (%.2fx vs encoded, %s)\n",
-              n, row.build_graphs_ms, row.build_graphs_speedup,
-              row.dispatch.c_str());
+  std::printf("build     n=%-5zu BuildGraphs=%9.2fms (%.2fx vs encoded)\n", n,
+              row.build_graphs_ms, row.build_graphs_speedup);
   return row;
 }
 
@@ -643,12 +769,12 @@ struct TopKBuildRow {
 // Best time of `build` over `reps` runs, and the most heap it ever held
 // above what was live when it started, its result included.
 template <typename Build>
-std::pair<double, int64_t> TimeAndPeakBytes(int reps, SimilarityMatrix* out,
+std::pair<double, int64_t> TimeAndPeakBytes(int reps, PoolGraph* out,
                                             const Build& build) {
   double best = std::numeric_limits<double>::infinity();
   int64_t peak = 0;
   for (int r = 0; r < reps; ++r) {
-    *out = SimilarityMatrix();
+    *out = PoolGraph();
     const int64_t base = g_live_bytes.load();
     g_peak_bytes.store(base);
     best = std::min(best, TimeMsBestOf(1, [&] { *out = build(); }));
@@ -682,18 +808,18 @@ TopKBuildRow RunTopKBuildStudy(const sim::OwnerDataset& ds, size_t n) {
       EncodedProfileTable::Build(ds.profiles, ds.strangers);
   ValueFrequencyTable freqs = FrequenciesOf(enc);
 
-  SimilarityMatrix dense;
-  SimilarityMatrix streamed;
+  PoolGraph dense;
+  PoolGraph streamed;
   std::tie(row.dense_ms, row.dense_peak_bytes) =
       TimeAndPeakBytes(RepsFor(n), &dense, [&] {
-        return FillMatrixBatched(enc, ps, freqs).SparsifyTopK(kTopK);
+        return PoolGraph(FillMatrixBatched(enc, ps, freqs).SparsifyTopK(kTopK));
       });
   std::tie(row.streamed_ms, row.streamed_peak_bytes) =
       TimeAndPeakBytes(RepsFor(n), &streamed,
                        [&] { return BuildGraph(enc, ps, kTopK); });
-  row.edges = streamed.NumEdges();
+  row.edges = streamed.csr()->NumEdges();
   row.speedup = row.dense_ms / row.streamed_ms;
-  row.bitwise_equal = CsrBitwiseEqual(dense, streamed);
+  row.bitwise_equal = CsrBitwiseEqual(*dense.csr(), *streamed.csr());
   if (!row.bitwise_equal) {
     std::fprintf(stderr,
                  "FATAL: streamed top-k build diverges from fill + "
@@ -721,6 +847,14 @@ std::string JsonCount(const std::optional<size_t>& v) {
   return v ? std::to_string(*v) : "null";
 }
 
+// Small magnitudes (score differences) in scientific notation.
+std::string JsonSci(const std::optional<double>& v) {
+  if (!v) return "null";
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.3e", *v);
+  return buf;
+}
+
 bool WriteJson(const std::string& path, const std::vector<HarmonicRow>& solve,
                const std::vector<RoundSolveRow>& round_solve,
                const std::vector<BuildRow>& build,
@@ -735,14 +869,21 @@ bool WriteJson(const std::string& path, const std::vector<HarmonicRow>& solve,
     const HarmonicRow& r = solve[i];
     out << "    {\"n\": " << r.n << ", \"graph\": \"" << r.graph
         << "\", \"edges\": " << JsonCount(r.edges)
-        << ", \"csr_solve_ms\": " << JsonOpt(r.csr_solve_ms)
-        << ", \"reference_dense_ms\": " << JsonOpt(r.reference_dense_ms)
-        << ", \"speedup\": " << JsonOpt(r.speedup);
+        << ", \"csr_solve_ms\": " << JsonOpt(r.csr_solve_ms);
+    if (r.graph == "dense") {
+      out << ", \"factored_solve_ms\": " << JsonOpt(r.factored_solve_ms)
+          << ", \"factored_speedup\": " << JsonOpt(r.factored_speedup)
+          << ", \"max_score_diff\": " << JsonSci(r.max_score_diff)
+          << ", \"label_flips\": " << JsonCount(r.label_flips);
+    } else {
+      out << ", \"reference_dense_ms\": " << JsonOpt(r.reference_dense_ms)
+          << ", \"speedup\": " << JsonOpt(r.speedup)
+          << ", \"bitwise_equal\": " << (r.bitwise_equal ? "true" : "false");
+    }
     if (!r.skipped.empty()) out << ", \"skipped\": \"" << r.skipped << "\"";
     out << ", \"hardware_concurrency\": "
-        << std::thread::hardware_concurrency()
-        << ", \"bitwise_equal\": " << (r.bitwise_equal ? "true" : "false")
-        << "}" << (i + 1 < solve.size() ? "," : "") << "\n";
+        << std::thread::hardware_concurrency() << "}"
+        << (i + 1 < solve.size() ? "," : "") << "\n";
   }
   out << "  ],\n";
   out << "  \"round_solve\": [\n";
@@ -755,8 +896,13 @@ bool WriteJson(const std::string& path, const std::vector<HarmonicRow>& solve,
         << ", \"cold_iterations\": " << r.cold_iterations
         << ", \"warm_ms\": " << JsonOpt(r.warm_ms)
         << ", \"cold_ms\": " << JsonOpt(r.cold_ms)
-        << ", \"warm_speedup\": " << JsonOpt(r.warm_speedup)
-        << ", \"hardware_concurrency\": "
+        << ", \"warm_speedup\": " << JsonOpt(r.warm_speedup);
+    if (r.csr_warm_ms.has_value()) {
+      out << ", \"csr_warm_ms\": " << JsonOpt(r.csr_warm_ms)
+          << ", \"max_score_diff\": " << JsonSci(r.max_score_diff)
+          << ", \"label_flips\": " << JsonCount(r.label_flips);
+    }
+    out << ", \"hardware_concurrency\": "
         << std::thread::hardware_concurrency()
         << ", \"bitwise_equal\": " << (r.bitwise_equal ? "true" : "false")
         << "}" << (i + 1 < round_solve.size() ? "," : "") << "\n";
@@ -796,8 +942,23 @@ bool WriteJson(const std::string& path, const std::vector<HarmonicRow>& solve,
   out << "  ],\n";
 
   std::optional<double> harmonic_2000;
+  std::optional<double> harmonic_factored_2000;
+  std::optional<double> max_score_diff;
   for (const HarmonicRow& r : solve) {
     if (r.n == 2000 && r.graph == "topk8") harmonic_2000 = r.speedup;
+    if (r.n == 2000 && r.graph == "dense") {
+      harmonic_factored_2000 = r.factored_speedup;
+    }
+    if (r.max_score_diff.has_value()) {
+      max_score_diff = std::max(max_score_diff.value_or(0.0),
+                                *r.max_score_diff);
+    }
+  }
+  for (const RoundSolveRow& r : round_solve) {
+    if (r.max_score_diff.has_value()) {
+      max_score_diff = std::max(max_score_diff.value_or(0.0),
+                                *r.max_score_diff);
+    }
   }
   // Minimum per-round warm speedup over rounds 2+ at n=2000 — the
   // weakest case of the incremental re-solve on the headline pool size.
@@ -825,6 +986,10 @@ bool WriteJson(const std::string& path, const std::vector<HarmonicRow>& solve,
   }
   out << "  \"summary\": {\n";
   out << "    \"harmonic_csr_speedup_topk8_n2000\": " << JsonOpt(harmonic_2000)
+      << ",\n";
+  out << "    \"harmonic_factored_speedup_dense_n2000\": "
+      << JsonOpt(harmonic_factored_2000) << ",\n";
+  out << "    \"factored_vs_csr_max_score_diff\": " << JsonSci(max_score_diff)
       << ",\n";
   out << "    \"round_solve_warm_speedup_round2_topk8_n2000\": "
       << JsonOpt(round_2000_round2_topk8) << ",\n";
@@ -881,8 +1046,7 @@ int main(int argc, char** argv) {
     solve.push_back(sight::RunHarmonicStudy(ds, n, /*sparsify=*/false));
     solve.push_back(sight::RunHarmonicStudy(ds, n, /*sparsify=*/true));
     // The warm-start study covers the sizes with a dense reference; at
-    // n=8000 a six-round cold replay of dense CG adds minutes for no
-    // extra signal.
+    // n=8000 a dense row's CSR side would hold about 1 GB.
     if (n <= sight::kMaxDenseReference) {
       for (bool sparsify : {false, true}) {
         std::vector<sight::RoundSolveRow> rows =

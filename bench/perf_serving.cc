@@ -21,7 +21,11 @@
 //
 // The headline number is steady-state throughput: once discovery is
 // exhausted and the owner's answers have reached a fixpoint, a serving
-// workload keeps asking "what is my risk now". The harness FATALs
+// workload keeps asking "what is my risk now". Each arm's steady loop
+// runs kSteadyPasses times and keeps its fastest pass. The full arm's
+// loop is about 2 ms of work with two thread handoffs a tick, so a
+// single scheduler stall on a shared host can outweigh it. The harness
+// FATALs
 // unless the full arm sustains >= 6x the rebuild baseline and >= 2x
 // the learner-carry-only arm on the unchanged-stranger-set trace,
 // FATALs if the carried partition/encode paths ever diverge bitwise
@@ -40,12 +44,14 @@
 // Env:   SIGHT_BENCH_THREADS=2,4,8 overrides the multi-owner thread
 //        counts.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -121,8 +127,11 @@ struct CrawlRow {
   unsigned hardware_concurrency = 0;
 };
 
+// Passes of each arm's steady loop; the fastest counts.
+constexpr int kSteadyPasses = 3;
+
 struct SteadyResult {
-  size_t ticks = 0;
+  size_t ticks = 0;  // per pass
   size_t pools_total = 0;
   size_t pools_carried = 0;  // in the last full-arm tick
   double service_ms_total = 0.0;
@@ -133,7 +142,7 @@ struct SteadyResult {
   double baseline_per_sec = 0.0;
   double speedup = 0.0;              // full arm vs rebuild baseline
   double speedup_vs_carried = 0.0;   // full arm vs learner-carry-only
-  // Partition/encode cache hits of the full arm during the steady loop.
+  // Partition/encode cache hits of the full arm over every steady pass.
   size_t partition_hits = 0;
   size_t encode_hits = 0;
   unsigned hardware_concurrency = 0;
@@ -377,8 +386,15 @@ TraceStudy RunTraceStudy(size_t num_strangers, size_t batch_size,
   SteadyResult& steady = study.steady;
   steady.ticks = steady_ticks;
   steady.hardware_concurrency = hc;
+  auto fastest_pass = [](const std::function<void()>& loop) {
+    double best = std::numeric_limits<double>::infinity();
+    for (int pass = 0; pass < kSteadyPasses; ++pass) {
+      best = std::min(best, TimeMs(loop));
+    }
+    return best;
+  };
   RiskService::Stats steady_stats_before = service->stats();
-  steady.service_ms_total = TimeMs([&] {
+  steady.service_ms_total = fastest_pass([&] {
     for (size_t i = 0; i < steady_ticks; ++i) {
       OwnerEvent event;
       event.owner = ds.owner;
@@ -395,7 +411,7 @@ TraceStudy RunTraceStudy(size_t num_strangers, size_t batch_size,
       steady_stats_now.partition_hits - steady_stats_before.partition_hits;
   steady.encode_hits =
       steady_stats_now.encode_hits - steady_stats_before.encode_hits;
-  steady.carried_ms_total = TimeMs([&] {
+  steady.carried_ms_total = fastest_pass([&] {
     for (size_t i = 0; i < steady_ticks; ++i) {
       OwnerEvent event;
       event.owner = ds.owner;
@@ -405,7 +421,7 @@ TraceStudy RunTraceStudy(size_t num_strangers, size_t batch_size,
       SIGHT_CHECK(snapshot->status.ok());
     }
   });
-  steady.baseline_ms_total = TimeMs([&] {
+  steady.baseline_ms_total = fastest_pass([&] {
     for (size_t i = 0; i < steady_ticks; ++i) {
       RiskReport report =
           baseline->AssessSync(ds.owner, &baseline_oracle, &baseline_rng)
@@ -430,10 +446,11 @@ TraceStudy RunTraceStudy(size_t num_strangers, size_t batch_size,
                             steady.baseline_ms_total;
   steady.speedup = steady.service_per_sec / steady.baseline_per_sec;
   steady.speedup_vs_carried = steady.service_per_sec / steady.carried_per_sec;
-  std::printf("steady    %zu ticks: service=%9.2fms (%.1f/s, %zu/%zu pools "
-              "carried, %zu part hits, %zu enc hits)  learner-only="
-              "%9.2fms (%.1f/s)  baseline=%9.2fms (%.1f/s)\n",
-              steady.ticks, steady.service_ms_total, steady.service_per_sec,
+  std::printf("steady    %zu ticks, best of %d passes: service=%9.2fms "
+              "(%.1f/s, %zu/%zu pools carried, %zu part hits, %zu enc hits)  "
+              "learner-only=%9.2fms (%.1f/s)  baseline=%9.2fms (%.1f/s)\n",
+              steady.ticks, kSteadyPasses, steady.service_ms_total,
+              steady.service_per_sec,
               steady.pools_carried, steady.pools_total, steady.partition_hits,
               steady.encode_hits, steady.carried_ms_total,
               steady.carried_per_sec, steady.baseline_ms_total,
@@ -568,6 +585,7 @@ bool WriteJson(const std::string& path, const TraceStudy& study,
   out << "  ],\n";
   const SteadyResult& s = study.steady;
   out << "  \"steady_state\": {\"ticks\": " << s.ticks
+      << ", \"passes\": " << kSteadyPasses
       << ", \"pools_total\": " << s.pools_total
       << ", \"pools_carried\": " << s.pools_carried
       << ", \"partition_hits\": " << s.partition_hits

@@ -67,7 +67,7 @@ void PoolLearner::MarkCarried() {
 }
 
 Result<PoolLearner> PoolLearner::Create(
-    const StrangerPool& pool, SimilarityMatrix weights,
+    const StrangerPool& pool, PoolGraph graph,
     std::vector<double> display_similarity,
     std::vector<double> display_benefit, const ActiveLearnerConfig& config,
     const GraphClassifier* classifier, const Sampler* sampler,
@@ -76,9 +76,9 @@ Result<PoolLearner> PoolLearner::Create(
   if (pool.members.empty()) {
     return Status::InvalidArgument("pool has no members");
   }
-  if (weights.size() != pool.members.size()) {
+  if (graph.size() != pool.members.size()) {
     return Status::InvalidArgument(
-        StrFormat("weights matrix size %zu != pool size %zu", weights.size(),
+        StrFormat("graph size %zu != pool size %zu", graph.size(),
                   pool.members.size()));
   }
   if (display_similarity.size() != pool.members.size() ||
@@ -89,7 +89,7 @@ Result<PoolLearner> PoolLearner::Create(
   if (classifier == nullptr || sampler == nullptr) {
     return Status::InvalidArgument("classifier and sampler are required");
   }
-  PoolLearner learner(pool, std::move(weights),
+  PoolLearner learner(pool, std::move(graph),
                       std::move(display_similarity),
                       std::move(display_benefit), config, classifier,
                       sampler);
@@ -133,13 +133,13 @@ Result<PoolLearner> PoolLearner::Create(
   return learner;
 }
 
-PoolLearner::PoolLearner(const StrangerPool& pool, SimilarityMatrix weights,
+PoolLearner::PoolLearner(const StrangerPool& pool, PoolGraph graph,
                          std::vector<double> display_similarity,
                          std::vector<double> display_benefit,
                          const ActiveLearnerConfig& config,
                          const GraphClassifier* classifier,
                          const Sampler* sampler)
-    : members_(pool.members), weights_(std::move(weights)),
+    : members_(pool.members), graph_(std::move(graph)),
       display_similarity_(std::move(display_similarity)),
       display_benefit_(std::move(display_benefit)), config_(config),
       classifier_(classifier), sampler_(sampler),
@@ -158,7 +158,7 @@ Status PoolLearner::Repredict() {
     }
   }
   SIGHT_ASSIGN_OR_RETURN(
-      predictions_, classifier_->PredictWithState(weights_, labeled_,
+      predictions_, classifier_->PredictWithState(graph_, labeled_,
                                                   solve_state_.get(),
                                                   &last_solve_));
   has_predictions_ = true;
@@ -338,7 +338,7 @@ Result<ActiveLearner> ActiveLearner::Create(
 
   // Cross-tick carry-over: a pool whose membership fingerprint matches a
   // retained learner (and whose carried labels it already holds) reuses
-  // that learner wholesale and skips the matrix build below. Retained
+  // that learner wholesale and skips the graph build below. Retained
   // learners are consumed either way — unmatched ones are stale (their
   // pool changed shape) and are dropped with the carry.
   std::vector<std::optional<PoolLearner>> carried(num_pools);
@@ -361,12 +361,13 @@ Result<ActiveLearner> ActiveLearner::Create(
 
   // Every pool gathers its member rows from one owner-level encode: the
   // caller's (refreshed against `profiles` this tick), or a fresh one
-  // that dies with the call. BuildGraphs scores each pool against value
-  // frequencies of its own rows (Section III-C), indexed by those codes.
-  // Carried pools keep all of this from their previous tick. Profile
-  // similarity only sees code equality and per-value counts, which no
-  // injective re-coding changes, so every pool scores as it would under
-  // a dictionary of its own.
+  // that dies with the call. BuildGraphs builds each pool's graph against
+  // value frequencies of its own rows (Section III-C), indexed by those
+  // codes. Carried pools keep all of this from their previous tick.
+  // Profile similarity only sees code equality and per-value counts, and
+  // a factored graph orders its sums by member, never by code, so no
+  // injective re-coding changes a bit: every pool builds and solves as it
+  // would under a dictionary of its own.
   StrangerEncodeCache fresh;
   if (encode == nullptr) {
     fresh.Refresh(profiles, pools.strangers);
@@ -420,12 +421,11 @@ Result<ActiveLearner> ActiveLearner::Create(
     inputs[p] = ps_kernels::PoolRows{rows[p].data(), n};
   }
 
-  // Edge weights: the O(n^2) pairwise profile-similarity fill runs on
-  // the batched kernels row by row (similarity/ps_kernels.h),
-  // bitwise-identical to per-pair ProfileSimilarity::Compute. With
-  // sparsify_top_k > 0 a pool never gets a triangle: its rows stream
-  // into the top-k selection that emits its graph.
-  std::vector<SimilarityMatrix> graphs =
+  // The classifier graphs (similarity/ps_kernels.h): a dense pool's is
+  // its factored PS graph, with no pair scored; with sparsify_top_k > 0
+  // a pool's rows are scored on the batched kernel and stream into the
+  // top-k selection that emits its CSR.
+  std::vector<PoolGraph> graphs =
       ps_kernels::BuildGraphs(inputs, ps, config.sparsify_top_k);
 
   // One learner per pool, in pool order. Carried learners only

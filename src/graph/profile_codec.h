@@ -9,7 +9,7 @@
 // per-attribute dictionaries; an EncodedProfileTable is a user list's
 // profiles re-expressed as flat code rows. The assessment pipeline keeps
 // one per owner (StrangerEncodeCache) and gathers each pool's rows from
-// it for the O(n^2) similarity kernels.
+// it for the pool graph build (similarity/ps_kernels.h).
 //
 // Code space per attribute: kMissingCode (0) is the sentinel for missing
 // values; observed values get codes 1..NumCodes-1 in first-seen order.

@@ -12,8 +12,8 @@ Result<KnnClassifier> KnnClassifier::Create(size_t k) {
 }
 
 Result<std::vector<double>> KnnClassifier::Predict(
-    const SimilarityMatrix& weights, const LabeledSet& labeled) const {
-  size_t n = weights.size();
+    const PoolGraph& graph, const LabeledSet& labeled) const {
+  size_t n = graph.size();
   SIGHT_RETURN_IF_ERROR(internal::ValidateLabeledSet(n, labeled));
 
   double label_mean =
@@ -32,7 +32,7 @@ Result<std::vector<double>> KnnClassifier::Predict(
     if (is_labeled[u]) continue;
     sims.clear();
     for (size_t i = 0; i < labeled.size(); ++i) {
-      double w = weights.Get(u, labeled.indices[i]);
+      double w = graph.Get(u, labeled.indices[i]);
       if (w > 0.0) sims.emplace_back(w, labeled.values[i]);
     }
     if (sims.empty()) continue;  // stays at mean
@@ -51,8 +51,8 @@ Result<std::vector<double>> KnnClassifier::Predict(
 }
 
 Result<std::vector<double>> MajorityClassifier::Predict(
-    const SimilarityMatrix& weights, const LabeledSet& labeled) const {
-  size_t n = weights.size();
+    const PoolGraph& graph, const LabeledSet& labeled) const {
+  size_t n = graph.size();
   SIGHT_RETURN_IF_ERROR(internal::ValidateLabeledSet(n, labeled));
 
   std::map<double, size_t> counts;

@@ -20,7 +20,7 @@ class KnnClassifier : public GraphClassifier {
   [[nodiscard]] static Result<KnnClassifier> Create(size_t k);
 
   [[nodiscard]]
-  Result<std::vector<double>> Predict(const SimilarityMatrix& weights,
+  Result<std::vector<double>> Predict(const PoolGraph& graph,
                                       const LabeledSet& labeled) const override;
 
   std::string name() const override { return "knn"; }
@@ -39,7 +39,7 @@ class MajorityClassifier : public GraphClassifier {
   MajorityClassifier() = default;
 
   [[nodiscard]]
-  Result<std::vector<double>> Predict(const SimilarityMatrix& weights,
+  Result<std::vector<double>> Predict(const PoolGraph& graph,
                                       const LabeledSet& labeled) const override;
 
   std::string name() const override { return "majority"; }

@@ -8,7 +8,7 @@
 namespace sight {
 
 Result<std::vector<double>> GraphClassifier::PredictWithState(
-    const SimilarityMatrix& weights, const LabeledSet& labeled,
+    const PoolGraph& graph, const LabeledSet& labeled,
     ClassifierState* state, SolveStats* stats) const {
   (void)state;  // Stateless by default: every predict is a cold solve.
   if (stats != nullptr) {
@@ -17,7 +17,7 @@ Result<std::vector<double>> GraphClassifier::PredictWithState(
     stats->warm = false;
     stats->residual = 0.0;
   }
-  return Predict(weights, labeled);
+  return Predict(graph, labeled);
 }
 
 std::unique_ptr<ClassifierState> GraphClassifier::MakeState() const {

@@ -36,6 +36,238 @@ Status ValidateStateExtends(const LabeledSet& prev, const LabeledSet& now) {
   return Status::OK();
 }
 
+// CG's system is (D_uu - W_uu + eps I) x = W_ul f_l + eps * mean. The tiny
+// ridge keeps it SPD even when an unlabeled component has no labeled
+// attachment (which would otherwise make the Laplacian block singular);
+// such components settle at the initialization mean.
+constexpr double kRidge = 1e-8;
+
+// The unlabeled block of a solve: its nodes ascending, and each node's
+// position in it (kLabeled for labeled nodes), so a product can map
+// neighbor indices in O(1).
+constexpr size_t kLabeled = static_cast<size_t>(-1);
+struct UnlabeledBlock {
+  std::vector<size_t> nodes;
+  std::vector<size_t> position;
+
+  explicit UnlabeledBlock(const std::vector<bool>& is_labeled)
+      : position(is_labeled.size(), kLabeled) {
+    for (size_t i = 0; i < is_labeled.size(); ++i) {
+      if (!is_labeled[i]) {
+        position[i] = nodes.size();
+        nodes.push_back(i);
+      }
+    }
+  }
+};
+
+// What the two loops read of a graph, one class per representation.
+// Gauss-Seidel: Degree(u), then per sweep BeginSweep(f), and per node
+// Row(u, f) = (W f)_u followed by Moved(u, delta) once f[u] changes.
+// Conjugate gradient: System() fills the diagonal and right-hand side of
+// the unlabeled block, Product() one matvec of it.
+
+// A CSR graph: per-row neighbor lists, summed in index order.
+class CsrOperator {
+ public:
+  explicit CsrOperator(const SimilarityMatrix& w) : w_(w) {}
+
+  double Degree(size_t u) const {
+    double sum = 0.0;
+    for (const Neighbor& nb : w_.Neighbors(u)) sum += nb.weight;
+    return sum;
+  }
+  void BeginSweep(const std::vector<double>& /*f*/) {}
+  double Row(size_t u, const std::vector<double>& f) const {
+    double acc = 0.0;
+    for (const Neighbor& nb : w_.Neighbors(u)) acc += nb.weight * f[nb.index];
+    return acc;
+  }
+  void Moved(size_t /*u*/, double /*delta*/) {}
+
+  void System(const UnlabeledBlock& block, const std::vector<double>& f,
+              double label_mean, std::vector<double>* diag,
+              std::vector<double>* b) {
+    const size_t m = block.nodes.size();
+    diag->assign(m, kRidge);
+    b->assign(m, kRidge * label_mean);
+    for (size_t a = 0; a < m; ++a) {
+      for (const Neighbor& nb : w_.Neighbors(block.nodes[a])) {
+        (*diag)[a] += nb.weight;
+        if (block.position[nb.index] == kLabeled) {
+          (*b)[a] += nb.weight * f[nb.index];
+        }
+      }
+    }
+  }
+  void Product(const UnlabeledBlock& block, const std::vector<double>& diag,
+               const std::vector<double>& x, std::vector<double>* out) {
+    for (size_t a = 0; a < block.nodes.size(); ++a) {
+      double acc = diag[a] * x[a];
+      for (const Neighbor& nb : w_.Neighbors(block.nodes[a])) {
+        size_t c = block.position[nb.index];
+        if (c != kLabeled) acc -= nb.weight * x[c];
+      }
+      (*out)[a] = acc;
+    }
+  }
+
+ private:
+  const SimilarityMatrix& w_;
+};
+
+// A factored PS graph: degrees from the graph, products through it. The
+// scratch lives here, so it is the solve's own and is reused across its
+// iterations.
+class FactoredOperator {
+ public:
+  explicit FactoredOperator(const FactoredPsGraph& g) : g_(g), running_(g) {}
+
+  double Degree(size_t u) const { return g_.Degrees()[u]; }
+  void BeginSweep(const std::vector<double>& f) { running_.Reset(f); }
+  double Row(size_t u, const std::vector<double>& f) const {
+    return running_.Row(u, f[u]);
+  }
+  void Moved(size_t u, double delta) { running_.Move(u, delta); }
+
+  // b is W_ul f_l: one product of the labeled values.
+  void System(const UnlabeledBlock& block, const std::vector<double>& f,
+              double label_mean, std::vector<double>* diag,
+              std::vector<double>* b) {
+    const size_t m = block.nodes.size();
+    z_.assign(g_.size(), 0.0);
+    wz_.resize(g_.size());
+    for (size_t i = 0; i < g_.size(); ++i) {
+      if (block.position[i] == kLabeled) z_[i] = f[i];
+    }
+    g_.Apply(z_, wz_, &scratch_);
+    diag->resize(m);
+    b->resize(m);
+    for (size_t a = 0; a < m; ++a) {
+      (*diag)[a] = kRidge + g_.Degrees()[block.nodes[a]];
+      (*b)[a] = kRidge * label_mean + wz_[block.nodes[a]];
+    }
+  }
+  // (D_uu - W_uu + eps I) x: W applied to x spread over the unlabeled
+  // nodes, zero on the labeled ones.
+  void Product(const UnlabeledBlock& block, const std::vector<double>& diag,
+               const std::vector<double>& x, std::vector<double>* out) {
+    std::fill(z_.begin(), z_.end(), 0.0);
+    for (size_t a = 0; a < block.nodes.size(); ++a) z_[block.nodes[a]] = x[a];
+    g_.Apply(z_, wz_, &scratch_);
+    for (size_t a = 0; a < block.nodes.size(); ++a) {
+      (*out)[a] = diag[a] * x[a] - wz_[block.nodes[a]];
+    }
+  }
+
+ private:
+  const FactoredPsGraph& g_;
+  FactoredPsGraph::RunningProduct running_;
+  FactoredPsGraph::Scratch scratch_;
+  std::vector<double> z_;
+  std::vector<double> wz_;
+};
+
+template <typename Operator>
+std::vector<double> SolveGaussSeidel(Operator& w, const HarmonicConfig& config,
+                                     const std::vector<bool>& is_labeled,
+                                     std::vector<double> f, double label_mean,
+                                     SolveStats* stats) {
+  size_t n = f.size();
+  std::vector<size_t> unlabeled;
+  for (size_t i = 0; i < n; ++i) {
+    if (!is_labeled[i]) unlabeled.push_back(i);
+  }
+  std::vector<double> row_sums(n, 0.0);
+  for (size_t u : unlabeled) {
+    double sum = w.Degree(u);
+    row_sums[u] = sum;
+    // Isolated nodes take the mean of the current labels. On a cold
+    // start f[u] is already the mean, so this only moves values when a
+    // warm start carried in a stale mean from an earlier labeled set.
+    if (sum <= 0.0) f[u] = label_mean;
+  }
+
+  stats->solver = "gauss-seidel";
+  stats->iterations = 0;
+  stats->residual = 0.0;
+  for (size_t iter = 0; iter < config.max_iterations; ++iter) {
+    w.BeginSweep(f);
+    double max_delta = 0.0;
+    for (size_t u : unlabeled) {
+      if (row_sums[u] <= 0.0) continue;  // isolated: stays at label mean
+      double next = w.Row(u, f) / row_sums[u];
+      max_delta = std::max(max_delta, std::fabs(next - f[u]));
+      w.Moved(u, next - f[u]);
+      f[u] = next;
+    }
+    ++stats->iterations;
+    stats->residual = max_delta;
+    if (max_delta < config.tolerance) break;
+  }
+  return f;
+}
+
+template <typename Operator>
+std::vector<double> SolveConjugateGradient(
+    Operator& w, const HarmonicConfig& config,
+    const std::vector<bool>& is_labeled, std::vector<double> f,
+    double label_mean, SolveStats* stats) {
+  stats->solver = "conjugate-gradient";
+  stats->iterations = 0;
+  stats->residual = 0.0;
+  const UnlabeledBlock block(is_labeled);
+  const std::vector<size_t>& unlabeled = block.nodes;
+  size_t m = unlabeled.size();
+  if (m == 0) return f;
+
+  std::vector<double> diag;
+  std::vector<double> b;
+  w.System(block, f, label_mean, &diag, &b);
+
+  // Start from the incoming f (cold: the label mean everywhere; warm: the
+  // prior solution) so the initial residual measures distance from it.
+  std::vector<double> x(m);
+  for (size_t a = 0; a < m; ++a) x[a] = f[unlabeled[a]];
+  std::vector<double> ax(m);
+  w.Product(block, diag, x, &ax);
+  std::vector<double> r(m);
+  for (size_t a = 0; a < m; ++a) r[a] = b[a] - ax[a];
+  std::vector<double> p = r;
+  std::vector<double> ap(m);
+
+  // Converge on the residual relative to ||b|| so the stopping point does
+  // not drift with pool size or label scale; the max(1, ...) floor keeps
+  // near-zero right-hand sides (no labeled attachment anywhere) from
+  // demanding impossible absolute accuracy.
+  double b_norm = std::sqrt(std::inner_product(b.begin(), b.end(), b.begin(),
+                                               0.0));
+  const double stop_threshold = config.tolerance * std::max(1.0, b_norm);
+
+  double rs_old = std::inner_product(r.begin(), r.end(), r.begin(), 0.0);
+  for (size_t iter = 0; iter < config.max_iterations && iter < m + 8;
+       ++iter) {
+    if (std::sqrt(rs_old) < stop_threshold) break;
+    w.Product(block, diag, p, &ap);
+    double p_ap = std::inner_product(p.begin(), p.end(), ap.begin(), 0.0);
+    if (p_ap <= 0.0) break;  // numerical safety
+    double alpha = rs_old / p_ap;
+    for (size_t a = 0; a < m; ++a) {
+      x[a] += alpha * p[a];
+      r[a] -= alpha * ap[a];
+    }
+    double rs_new = std::inner_product(r.begin(), r.end(), r.begin(), 0.0);
+    double beta = rs_new / rs_old;
+    for (size_t a = 0; a < m; ++a) p[a] = r[a] + beta * p[a];
+    rs_old = rs_new;
+    ++stats->iterations;
+  }
+  stats->residual = std::sqrt(rs_old);
+
+  for (size_t a = 0; a < m; ++a) f[unlabeled[a]] = x[a];
+  return f;
+}
+
 }  // namespace
 
 void HarmonicSolveState::SeedSolution(std::vector<double> f) {
@@ -56,13 +288,13 @@ Result<HarmonicFunctionClassifier> HarmonicFunctionClassifier::Create(
 }
 
 Result<std::vector<double>> HarmonicFunctionClassifier::Predict(
-    const SimilarityMatrix& weights, const LabeledSet& labeled) const {
+    const PoolGraph& graph, const LabeledSet& labeled) const {
   SolveStats stats;
-  return Solve(weights, labeled, nullptr, &stats);
+  return Solve(graph, labeled, nullptr, &stats);
 }
 
 Result<std::vector<double>> HarmonicFunctionClassifier::PredictWithState(
-    const SimilarityMatrix& weights, const LabeledSet& labeled,
+    const PoolGraph& graph, const LabeledSet& labeled,
     ClassifierState* state, SolveStats* stats) const {
   HarmonicSolveState* harmonic_state = nullptr;
   if (state != nullptr) {
@@ -75,7 +307,7 @@ Result<std::vector<double>> HarmonicFunctionClassifier::PredictWithState(
   SolveStats local_stats;
   SIGHT_ASSIGN_OR_RETURN(
       std::vector<double> f,
-      Solve(weights, labeled, harmonic_state, &local_stats));
+      Solve(graph, labeled, harmonic_state, &local_stats));
   if (stats != nullptr) *stats = local_stats;
   return f;
 }
@@ -86,9 +318,9 @@ std::unique_ptr<ClassifierState> HarmonicFunctionClassifier::MakeState()
 }
 
 Result<std::vector<double>> HarmonicFunctionClassifier::Solve(
-    const SimilarityMatrix& weights, const LabeledSet& labeled,
+    const PoolGraph& graph, const LabeledSet& labeled,
     HarmonicSolveState* state, SolveStats* stats) const {
-  size_t n = weights.size();
+  size_t n = graph.size();
   SIGHT_RETURN_IF_ERROR(internal::ValidateLabeledSet(n, labeled));
 
   double label_mean =
@@ -123,19 +355,16 @@ Result<std::vector<double>> HarmonicFunctionClassifier::Solve(
                  : HarmonicSolver::kGaussSeidel;
   }
   stats->warm = warm;
-  std::vector<double> result;
-  switch (solver) {
-    case HarmonicSolver::kGaussSeidel:
-      result = SolveGaussSeidel(weights, is_labeled, std::move(f),
-                                label_mean, stats);
-      break;
-    case HarmonicSolver::kConjugateGradient:
-      result = SolveConjugateGradient(weights, is_labeled, std::move(f),
-                                      label_mean, stats);
-      break;
-    case HarmonicSolver::kAuto:
-      return Status::Internal("unknown harmonic solver");
-  }
+  auto run = [&](auto w) {
+    return solver == HarmonicSolver::kGaussSeidel
+               ? SolveGaussSeidel(w, config_, is_labeled, std::move(f),
+                                  label_mean, stats)
+               : SolveConjugateGradient(w, config_, is_labeled, std::move(f),
+                                        label_mean, stats);
+  };
+  std::vector<double> result = graph.factored() != nullptr
+                                   ? run(FactoredOperator(*graph.factored()))
+                                   : run(CsrOperator(*graph.csr()));
   if (state != nullptr) {
     state->f_ = result;
     state->labeled_ = labeled;
@@ -144,137 +373,6 @@ Result<std::vector<double>> HarmonicFunctionClassifier::Solve(
     state->last_residual_ = stats->residual;
   }
   return result;
-}
-
-std::vector<double> HarmonicFunctionClassifier::SolveGaussSeidel(
-    const SimilarityMatrix& w, const std::vector<bool>& is_labeled,
-    std::vector<double> f, double label_mean, SolveStats* stats) const {
-  size_t n = w.size();
-  std::vector<size_t> unlabeled;
-  for (size_t i = 0; i < n; ++i) {
-    if (!is_labeled[i]) unlabeled.push_back(i);
-  }
-  std::vector<double> row_sums(n, 0.0);
-  for (size_t u : unlabeled) {
-    double sum = 0.0;
-    for (const Neighbor& nb : w.Neighbors(u)) sum += nb.weight;
-    row_sums[u] = sum;
-    // Isolated nodes take the mean of the current labels. On a cold
-    // start f[u] is already the mean, so this only moves values when a
-    // warm start carried in a stale mean from an earlier labeled set.
-    if (sum <= 0.0) f[u] = label_mean;
-  }
-
-  stats->solver = "gauss-seidel";
-  stats->iterations = 0;
-  stats->residual = 0.0;
-  for (size_t iter = 0; iter < config_.max_iterations; ++iter) {
-    double max_delta = 0.0;
-    for (size_t u : unlabeled) {
-      if (row_sums[u] <= 0.0) continue;  // isolated: stays at label mean
-      double acc = 0.0;
-      for (const Neighbor& nb : w.Neighbors(u)) acc += nb.weight * f[nb.index];
-      double next = acc / row_sums[u];
-      max_delta = std::max(max_delta, std::fabs(next - f[u]));
-      f[u] = next;
-    }
-    ++stats->iterations;
-    stats->residual = max_delta;
-    if (max_delta < config_.tolerance) break;
-  }
-  return f;
-}
-
-std::vector<double> HarmonicFunctionClassifier::SolveConjugateGradient(
-    const SimilarityMatrix& w, const std::vector<bool>& is_labeled,
-    std::vector<double> f, double label_mean, SolveStats* stats) const {
-  stats->solver = "conjugate-gradient";
-  stats->iterations = 0;
-  stats->residual = 0.0;
-  size_t n = w.size();
-  std::vector<size_t> unlabeled;
-  // Position of node v in the unlabeled block, or SIZE_MAX for labeled
-  // nodes, so the sparse matvec can map neighbor indices in O(1).
-  constexpr size_t kLabeled = static_cast<size_t>(-1);
-  std::vector<size_t> position(n, kLabeled);
-  for (size_t i = 0; i < n; ++i) {
-    if (!is_labeled[i]) {
-      position[i] = unlabeled.size();
-      unlabeled.push_back(i);
-    }
-  }
-  size_t m = unlabeled.size();
-  if (m == 0) return f;
-
-  // System (D_uu - W_uu + eps I) x = W_ul f_l + eps * mean.
-  // The tiny ridge keeps the system SPD even when an unlabeled component
-  // has no labeled attachment (which would otherwise make the Laplacian
-  // block singular); such components settle at the initialization mean.
-  constexpr double kRidge = 1e-8;
-
-  std::vector<double> diag(m, kRidge);
-  std::vector<double> b(m, kRidge * label_mean);
-  for (size_t a = 0; a < m; ++a) {
-    size_t u = unlabeled[a];
-    for (const Neighbor& nb : w.Neighbors(u)) {
-      diag[a] += nb.weight;
-      if (position[nb.index] == kLabeled) b[a] += nb.weight * f[nb.index];
-    }
-  }
-
-  auto matvec = [&](const std::vector<double>& x, std::vector<double>* out) {
-    for (size_t a = 0; a < m; ++a) {
-      double acc = diag[a] * x[a];
-      size_t u = unlabeled[a];
-      for (const Neighbor& nb : w.Neighbors(u)) {
-        size_t c = position[nb.index];
-        if (c != kLabeled) acc -= nb.weight * x[c];
-      }
-      (*out)[a] = acc;
-    }
-  };
-
-  // Start from the incoming f (cold: the label mean everywhere; warm: the
-  // prior solution) so the initial residual measures distance from it.
-  std::vector<double> x(m);
-  for (size_t a = 0; a < m; ++a) x[a] = f[unlabeled[a]];
-  std::vector<double> ax(m);
-  matvec(x, &ax);
-  std::vector<double> r(m);
-  for (size_t a = 0; a < m; ++a) r[a] = b[a] - ax[a];
-  std::vector<double> p = r;
-  std::vector<double> ap(m);
-
-  // Converge on the residual relative to ||b|| so the stopping point does
-  // not drift with pool size or label scale; the max(1, ...) floor keeps
-  // near-zero right-hand sides (no labeled attachment anywhere) from
-  // demanding impossible absolute accuracy.
-  double b_norm = std::sqrt(std::inner_product(b.begin(), b.end(), b.begin(),
-                                               0.0));
-  const double stop_threshold = config_.tolerance * std::max(1.0, b_norm);
-
-  double rs_old = std::inner_product(r.begin(), r.end(), r.begin(), 0.0);
-  for (size_t iter = 0; iter < config_.max_iterations && iter < m + 8;
-       ++iter) {
-    if (std::sqrt(rs_old) < stop_threshold) break;
-    matvec(p, &ap);
-    double p_ap = std::inner_product(p.begin(), p.end(), ap.begin(), 0.0);
-    if (p_ap <= 0.0) break;  // numerical safety
-    double alpha = rs_old / p_ap;
-    for (size_t a = 0; a < m; ++a) {
-      x[a] += alpha * p[a];
-      r[a] -= alpha * ap[a];
-    }
-    double rs_new = std::inner_product(r.begin(), r.end(), r.begin(), 0.0);
-    double beta = rs_new / rs_old;
-    for (size_t a = 0; a < m; ++a) p[a] = r[a] + beta * p[a];
-    rs_old = rs_new;
-    ++stats->iterations;
-  }
-  stats->residual = std::sqrt(rs_old);
-
-  for (size_t a = 0; a < m; ++a) f[unlabeled[a]] = x[a];
-  return f;
 }
 
 }  // namespace sight

@@ -21,9 +21,9 @@ Result<MulticlassHarmonicClassifier> MulticlassHarmonicClassifier::Create(
 }
 
 Result<std::vector<std::vector<double>>>
-MulticlassHarmonicClassifier::ClassScores(const SimilarityMatrix& weights,
+MulticlassHarmonicClassifier::ClassScores(const PoolGraph& graph,
                                           const LabeledSet& labeled) const {
-  size_t n = weights.size();
+  size_t n = graph.size();
   SIGHT_RETURN_IF_ERROR(internal::ValidateLabeledSet(n, labeled));
 
   size_t classes = num_classes();
@@ -57,7 +57,7 @@ MulticlassHarmonicClassifier::ClassScores(const SimilarityMatrix& weights,
     for (size_t i = 0; i < labeled.size(); ++i) {
       one_hot.Add(labeled.indices[i], class_of_label[i] == c ? 1.0 : 0.0);
     }
-    solved[c].emplace(base_.Predict(weights, one_hot));
+    solved[c].emplace(base_.Predict(graph, one_hot));
   });
 
   std::vector<std::vector<double>> scores(n,
@@ -83,10 +83,10 @@ MulticlassHarmonicClassifier::ClassScores(const SimilarityMatrix& weights,
 }
 
 Result<std::vector<double>> MulticlassHarmonicClassifier::Predict(
-    const SimilarityMatrix& weights, const LabeledSet& labeled) const {
+    const PoolGraph& graph, const LabeledSet& labeled) const {
   SIGHT_ASSIGN_OR_RETURN(std::vector<std::vector<double>> scores,
-                         ClassScores(weights, labeled));
-  size_t n = weights.size();
+                         ClassScores(graph, labeled));
+  size_t n = graph.size();
   size_t classes = num_classes();
 
   double label_mean = 0.0;

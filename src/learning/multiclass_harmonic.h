@@ -51,7 +51,7 @@ class MulticlassHarmonicClassifier : public GraphClassifier {
   /// Labeled values must be (numerically) integers within the configured
   /// label range; InvalidArgument otherwise.
   [[nodiscard]]
-  Result<std::vector<double>> Predict(const SimilarityMatrix& weights,
+  Result<std::vector<double>> Predict(const PoolGraph& graph,
                                       const LabeledSet& labeled) const override;
 
   std::string name() const override {
@@ -61,10 +61,11 @@ class MulticlassHarmonicClassifier : public GraphClassifier {
 
   /// Per-class scores for unlabeled nodes (row-major: node-major, one
   /// entry per class), exposed for tests and diagnostics. Labeled nodes
-  /// get a one-hot row.
+  /// get a one-hot row. The per-class solves share `graph`, which every
+  /// representation allows: a solve keeps its scratch to itself.
   [[nodiscard]]
   Result<std::vector<std::vector<double>>> ClassScores(
-      const SimilarityMatrix& weights, const LabeledSet& labeled) const;
+      const PoolGraph& graph, const LabeledSet& labeled) const;
 
  private:
   explicit MulticlassHarmonicClassifier(MulticlassHarmonicConfig config,

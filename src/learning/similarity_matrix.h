@@ -1,17 +1,21 @@
-// The weighted graph Zhu's harmonic classifier solves on, and the dense
+// The CSR representation of a pool's classifier graph, and the dense
 // triangle a pairwise fill writes before it becomes one.
 //
-//  * SimilarityMatrix is the graph: a symmetric weighted graph over a
-//    pool's members, held as compressed sparse rows — per-row (index,
-//    weight) lists of the positive edges, sorted by neighbor index — so
-//    solvers iterate O(degree) neighbors per node and a carried learner
-//    keeps only its edges resident. It has no writers; ps_kernels::
-//    BuildGraphs (similarity/ps_kernels.h) builds every pool's graph.
+//  * SimilarityMatrix is a symmetric weighted graph over a pool's
+//    members, held as compressed sparse rows — per-row (index, weight)
+//    lists of the positive edges, sorted by neighbor index — so solvers
+//    iterate O(degree) neighbors per node and a carried learner keeps
+//    only its edges resident. It has no writers; ps_kernels::BuildGraphs
+//    (similarity/ps_kernels.h) builds a top-k pool's graph in this form.
+//    A dense pool's graph is a FactoredPsGraph instead
+//    (learning/factored_ps_graph.h); learning/pool_graph.h holds either.
 //  * SimilarityTriangle is a dense packed lower triangle, the simplest
 //    write target while pairs are being computed (Set / SetRow). It
 //    becomes a graph through Compact() (every positive entry) or
 //    SparsifyTopK(k) (each node's strongest edges; learning/
-//    top_k_selection.h owns that rule).
+//    top_k_selection.h owns that rule). No assessment fills one: it is
+//    the dense reference the tests and bench/perf_pipeline hold the
+//    factored and streamed top-k graphs against.
 //
 // A streamed top-k build never holds a triangle: TopKSelection emits its
 // survivors straight into a graph.
@@ -77,9 +81,8 @@ class SimilarityTriangle {
   void Set(size_t i, size_t j, double value);
 
   /// Sets w(i, j) = values[j] for every j < i: row i of the strictly
-  /// lower triangle, one contiguous run of the packed store. This is how
-  /// ps_kernels::BuildGraphs (similarity/ps_kernels.h) writes a dense
-  /// pool's rows, one bounds check per row instead of per pair.
+  /// lower triangle, one contiguous run of the packed store, with one
+  /// bounds check per row instead of per pair.
   void SetRow(size_t i, const double* values);
 
   double Get(size_t i, size_t j) const;

@@ -91,7 +91,7 @@ struct RiskServiceConfig {
   /// AssessSync; AssessNow always runs on fresh caches.
   ///
   /// Keep finished PoolLearners for pools whose member list and owner
-  /// labels are unchanged (skips the matrix/round rebuild for them).
+  /// labels are unchanged (skips the graph/round rebuild for them).
   /// Stale carried state is rejected by fingerprint checks, never
   /// silently reused. The one knob that changes which questions are
   /// asked.

@@ -1,7 +1,7 @@
 #include "similarity/ps_kernels.h"
 
 #include <algorithm>
-#include <optional>
+#include <span>
 #include <utility>
 
 #include "graph/profile_codec.h"
@@ -181,43 +181,40 @@ void ComputeBatch(const uint32_t* a, const uint32_t* b, size_t stride,
   ActiveBatchFn()(ctx, b, stride, count, out);
 }
 
-std::vector<SimilarityMatrix> BuildGraphs(const std::vector<PoolRows>& pools,
-                                          const ProfileSimilarity& ps,
-                                          size_t top_k) {
+std::vector<PoolGraph> BuildGraphs(const std::vector<PoolRows>& pools,
+                                   const ProfileSimilarity& ps, size_t top_k) {
   const std::vector<double>& weights = ps.normalized_weights();
   const size_t stride = weights.size();
   const BatchFn batch = ActiveBatchFn();
   RowContext ctx;
   std::vector<double> row;
-  std::vector<SimilarityMatrix> graphs;
+  std::vector<std::span<const double>> frequencies(stride);
+  std::vector<PoolGraph> graphs;
   graphs.reserve(pools.size());
   for (const PoolRows& pool : pools) {
     const size_t n = pool.num_rows;
     // Value frequencies come from the pool itself (Section III-C).
     const ValueFrequencyTable freqs =
         ValueFrequencyTable::BuildFromCodes(pool.rows, n, stride);
-    row.resize(n);
-    std::optional<SimilarityTriangle> triangle;
-    std::optional<TopKSelection> selection;
-    if (top_k > 0) {
-      selection.emplace(n, top_k);
-    } else {
-      triangle.emplace(n);
+    if (top_k == 0) {
+      for (size_t a = 0; a < stride; ++a) {
+        frequencies[a] = freqs.FrequencyArray(static_cast<AttributeId>(a));
+      }
+      graphs.emplace_back(
+          FactoredPsGraph(pool.rows, n, weights, frequencies));
+      continue;
     }
+    row.resize(n);
+    TopKSelection selection(n, top_k);
     // Row i against rows [0, i), rows descending: the order in which
     // TopKSelection turns ties away fastest. The values do not depend on
     // the order.
     for (size_t i = n; i-- > 1;) {
       ctx.Pack(pool.rows + i * stride, weights, freqs);
       batch(ctx, pool.rows, stride, i, row.data());
-      if (selection.has_value()) {
-        selection->AddRow(i, row.data());
-      } else {
-        triangle->SetRow(i, row.data());
-      }
+      selection.AddRow(i, row.data());
     }
-    graphs.push_back(selection.has_value() ? selection->Finish()
-                                           : std::move(*triangle).Compact());
+    graphs.emplace_back(selection.Finish());
   }
   return graphs;
 }

@@ -65,7 +65,7 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
-bool ParallelFor(ThreadPool* pool, size_t n,
+void ParallelFor(ThreadPool* pool, size_t n,
                  const std::function<void(size_t)>& fn) {
   // Workers beyond the machine's cores cannot speed up a CPU-bound loop;
   // they only add context-switch and cache-migration overhead (measured
@@ -78,7 +78,7 @@ bool ParallelFor(ThreadPool* pool, size_t n,
     // Preserve the parallel path's post-condition that follow-up tasks
     // submitted by fn have finished when ParallelFor returns.
     if (pool != nullptr) pool->Wait();
-    return false;
+    return;
   }
   // Contiguous chunks, several per worker: one task per index would pay
   // queue traffic per call, and exactly one chunk per worker would stall
@@ -95,7 +95,6 @@ bool ParallelFor(ThreadPool* pool, size_t n,
     start = end;
   }
   pool->Wait();
-  return true;
 }
 
 }  // namespace sight

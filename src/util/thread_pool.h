@@ -57,10 +57,9 @@ class ThreadPool {
 /// more workers than the machine has cores counts as the core count — a
 /// CPU-bound loop gains nothing from oversubscription); results are
 /// identical either way, and any tasks fn submits to `pool` are still
-/// awaited. Returns true when the work was dispatched to the pool.
-/// Must not be called from inside a pool task (Wait() from a worker can
-/// deadlock once every worker is blocked waiting).
-bool ParallelFor(ThreadPool* pool, size_t n,
+/// awaited. Must not be called from inside a pool task (Wait() from a
+/// worker can deadlock once every worker is blocked waiting).
+void ParallelFor(ThreadPool* pool, size_t n,
                  const std::function<void(size_t)>& fn);
 
 }  // namespace sight

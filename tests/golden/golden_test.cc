@@ -8,7 +8,10 @@
 //  * Every field, carry telemetry included, of every tick of a growing
 //    crawl driven through RiskService::AssessSync: once with all three
 //    cross-tick carries on, once with all of them off (the
-//    rebuild-per-tick semantics).
+//    rebuild-per-tick semantics). Each crawl is pinned twice: in full,
+//    and in its policy form, which drops the predicted-score bits and
+//    the solve iteration counts. A change that only re-rounds the solve
+//    moves the full digests and keeps the policy ones.
 //  * The stdout of bench/headline_accuracy and of every figure/table
 //    harness at its default arguments.
 //  * Every gain ratio and importance that Definition 6 mining returns
@@ -47,8 +50,10 @@ namespace {
 
 constexpr uint64_t kColdTopKDigest = 0x358a7565a3266f27;
 constexpr uint64_t kHeadlineDigest = 0x7391f7709a468af7;
-constexpr uint64_t kCrawlCarriedDigest = 0xb1b3be8226010243;
-constexpr uint64_t kCrawlRebuiltDigest = 0xd98b50d0299de47c;
+constexpr uint64_t kCrawlCarriedDigest = 0xc4475d893cd5f17f;
+constexpr uint64_t kCrawlRebuiltDigest = 0x73d3d22acb4f85c1;
+constexpr uint64_t kCrawlCarriedPolicyDigest = 0xf7ba8674031db8c4;
+constexpr uint64_t kCrawlRebuiltPolicyDigest = 0xab2c6cfe2615eb79;
 constexpr uint64_t kCliLabelsDigest = 0xf65d08f52d3d95be;
 constexpr uint64_t kImportanceDigest = 0x49740137f3c8c17e;
 
@@ -67,7 +72,7 @@ constexpr HarnessDigest kReproDigests[] = {
     {"table4_visibility_gender", 0x89eaa2223720fe63},
     {"table5_visibility_locale", 0x665e828729e33113},
     {"ext_accuracy_by_nsg", 0xd387f764910598db},
-    {"ablation_design_choices", 0xdd335860c48a8491},
+    {"ablation_design_choices", 0x657331aaf2dfa74a},
 };
 
 // FNV-1a, 64-bit.
@@ -112,7 +117,14 @@ class Fields {
   std::string text_;
 };
 
-std::string Serialize(const RiskReport& report) {
+// kFull writes every field. kPolicy writes what the assessment decided
+// — queries, labels, stopping, carries — and leaves out the two fields
+// that record how the solve got there: each stranger's predicted-score
+// bits and each round's solve iteration count.
+enum class Form { kFull, kPolicy };
+
+std::string Serialize(const RiskReport& report, Form form = Form::kFull) {
+  const bool full = form == Form::kFull;
   Fields f;
   const AssessmentResult& a = report.assessment;
   f.Add("num_strangers", uint64_t{report.num_strangers})
@@ -143,17 +155,17 @@ std::string Serialize(const RiskReport& report) {
         .Add("rmse", r.rmse)
         .Add("unstabilized", uint64_t{r.unstabilized})
         .Add("stabilized", r.stabilized)
-        .Add("solver", r.solver)
-        .Add("solve_iterations", uint64_t{r.solve_iterations})
-        .EndRecord();
+        .Add("solver", r.solver);
+    if (full) f.Add("solve_iterations", uint64_t{r.solve_iterations});
+    f.EndRecord();
   }
   for (const StrangerAssessment& s : a.strangers) {
     f.Add("stranger", uint64_t{s.stranger})
         .Add("network_similarity", s.network_similarity)
         .Add("benefit", s.benefit)
-        .Add("pool_index", uint64_t{s.pool_index})
-        .Add("predicted_score", s.predicted_score)
-        .Add("predicted_label", static_cast<uint64_t>(s.predicted_label))
+        .Add("pool_index", uint64_t{s.pool_index});
+    if (full) f.Add("predicted_score", s.predicted_score);
+    f.Add("predicted_label", static_cast<uint64_t>(s.predicted_label))
         .Add("owner_labeled", s.owner_labeled)
         .EndRecord();
   }
@@ -212,8 +224,8 @@ TEST(GoldenTest, ColdTopKAssessmentOnFourThreads) {
 // A generated 1,000-stranger owner discovered in five waves through
 // RiskService::AssessSync, then re-assessed once unchanged and once after
 // a profile edit, with dense pools. Every tick's report is serialized,
-// carry telemetry included.
-uint64_t CrawlDigest(bool carries) {
+// carry telemetry included, in `form`.
+uint64_t CrawlDigest(bool carries, Form form) {
   sim::GeneratorConfig gen_config;
   gen_config.num_strangers = 1000;
   auto generator = sim::FacebookGenerator::Create(gen_config).value();
@@ -247,7 +259,7 @@ uint64_t CrawlDigest(bool carries) {
   auto tick = [&] {
     Result<RiskReport> report = service->AssessSync(ds.owner, &oracle, &rng);
     EXPECT_TRUE(report.ok());
-    if (report.ok()) text += Serialize(report.value());
+    if (report.ok()) text += Serialize(report.value(), form);
     text += "--\n";
   };
   const size_t waves = 5;
@@ -270,13 +282,25 @@ uint64_t CrawlDigest(bool carries) {
 }
 
 TEST(GoldenTest, CrawlWithCarriesOn) {
-  uint64_t digest = CrawlDigest(true);
+  uint64_t digest = CrawlDigest(true, Form::kFull);
   EXPECT_EQ(digest, kCrawlCarriedDigest) << "digest is now " << Hex(digest);
 }
 
 TEST(GoldenTest, CrawlWithCarriesOff) {
-  uint64_t digest = CrawlDigest(false);
+  uint64_t digest = CrawlDigest(false, Form::kFull);
   EXPECT_EQ(digest, kCrawlRebuiltDigest) << "digest is now " << Hex(digest);
+}
+
+TEST(GoldenTest, CrawlPolicyWithCarriesOn) {
+  uint64_t digest = CrawlDigest(true, Form::kPolicy);
+  EXPECT_EQ(digest, kCrawlCarriedPolicyDigest)
+      << "digest is now " << Hex(digest);
+}
+
+TEST(GoldenTest, CrawlPolicyWithCarriesOff) {
+  uint64_t digest = CrawlDigest(false, Form::kPolicy);
+  EXPECT_EQ(digest, kCrawlRebuiltPolicyDigest)
+      << "digest is now " << Hex(digest);
 }
 
 // Runs `command` and returns its stdout; `status` receives pclose's.

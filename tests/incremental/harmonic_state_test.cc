@@ -1,14 +1,16 @@
 // HarmonicSolveState: warm-started solves must reproduce the chained
-// replay bit for bit, and stale/foreign state must be rejected before it
-// can corrupt a solve.
+// replay bit for bit — on a CSR graph and on a factored PS graph — and
+// stale/foreign state must be rejected before it can corrupt a solve.
 
 #include "learning/harmonic.h"
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "learning/pool_graph_testing.h"
 #include "learning/similarity_matrix.h"
 
 namespace sight {
@@ -51,11 +53,10 @@ std::vector<LabeledSet> LabelChain(size_t n,
   return chain;
 }
 
-class HarmonicStateTest : public ::testing::TestWithParam<HarmonicSolver> {};
+// The checks that run on both representations, each on graph `w`.
 
-TEST_P(HarmonicStateTest, NullStateMatchesPredictBitwise) {
-  HarmonicFunctionClassifier classifier = Make(GetParam());
-  SimilarityMatrix w = RandomGraph(60, 7, 0.2);
+void CheckNullStateMatchesPredict(HarmonicSolver solver, const PoolGraph& w) {
+  HarmonicFunctionClassifier classifier = Make(solver);
   LabeledSet labeled;
   labeled.Add(0, 1.0);
   labeled.Add(30, 3.0);
@@ -68,10 +69,10 @@ TEST_P(HarmonicStateTest, NullStateMatchesPredictBitwise) {
   EXPECT_GT(stats.iterations, 0u);
 }
 
-TEST_P(HarmonicStateTest, WarmChainMatchesColdReplayBitwise) {
-  HarmonicFunctionClassifier classifier = Make(GetParam());
-  const size_t n = 60;
-  SimilarityMatrix w = RandomGraph(n, 11, 0.2);
+void CheckWarmChainMatchesColdReplay(HarmonicSolver solver,
+                                    const PoolGraph& w) {
+  HarmonicFunctionClassifier classifier = Make(solver);
+  const size_t n = w.size();
   std::vector<LabeledSet> chain = LabelChain(n, {4, 7, 10, 13});
 
   // Warm: one state carried across all steps.
@@ -100,10 +101,10 @@ TEST_P(HarmonicStateTest, WarmChainMatchesColdReplayBitwise) {
   }
 }
 
-TEST_P(HarmonicStateTest, StateAccumulatesIterations) {
-  HarmonicFunctionClassifier classifier = Make(GetParam());
-  const size_t n = 60;
-  SimilarityMatrix w = RandomGraph(n, 13, 0.2);
+void CheckStateAccumulatesIterations(HarmonicSolver solver,
+                                     const PoolGraph& w) {
+  HarmonicFunctionClassifier classifier = Make(solver);
+  const size_t n = w.size();
   std::vector<LabeledSet> chain = LabelChain(n, {4, 7});
 
   auto state = classifier.MakeState();
@@ -124,6 +125,42 @@ TEST_P(HarmonicStateTest, StateAccumulatesIterations) {
   EXPECT_EQ(harmonic_state->labeled_fingerprint().size(),
             chain.back().size());
   EXPECT_EQ(harmonic_state->solution().size(), n);
+}
+
+void CheckSeedSolutionStartsTheChain(HarmonicSolver solver,
+                                     const PoolGraph& w) {
+  HarmonicFunctionClassifier classifier = Make(solver);
+  const size_t n = w.size();
+  LabeledSet labeled;
+  labeled.Add(1, 1.0);
+  labeled.Add(20, 3.0);
+
+  // A seeded state accepts any labeled set (no fingerprint yet), and two
+  // identically seeded states produce identical solves.
+  auto a = classifier.MakeState();
+  auto b = classifier.MakeState();
+  std::vector<double> seed(n, 2.0);
+  a->SeedSolution(seed);
+  b->SeedSolution(seed);
+  SolveStats stats;
+  auto fa = classifier.PredictWithState(w, labeled, a.get(), &stats).value();
+  auto fb = classifier.PredictWithState(w, labeled, b.get(), nullptr).value();
+  EXPECT_TRUE(stats.warm);
+  EXPECT_EQ(fa, fb);
+}
+
+class HarmonicStateTest : public ::testing::TestWithParam<HarmonicSolver> {};
+
+TEST_P(HarmonicStateTest, NullStateMatchesPredictBitwise) {
+  CheckNullStateMatchesPredict(GetParam(), RandomGraph(60, 7, 0.2));
+}
+
+TEST_P(HarmonicStateTest, WarmChainMatchesColdReplayBitwise) {
+  CheckWarmChainMatchesColdReplay(GetParam(), RandomGraph(60, 11, 0.2));
+}
+
+TEST_P(HarmonicStateTest, StateAccumulatesIterations) {
+  CheckStateAccumulatesIterations(GetParam(), RandomGraph(60, 13, 0.2));
 }
 
 TEST_P(HarmonicStateTest, RejectsPoolSizeMismatch) {
@@ -198,25 +235,20 @@ TEST_P(HarmonicStateTest, RejectsForeignStateType) {
 }
 
 TEST_P(HarmonicStateTest, SeedSolutionStartsTheChainWithoutHistory) {
-  HarmonicFunctionClassifier classifier = Make(GetParam());
-  const size_t n = 40;
-  SimilarityMatrix w = RandomGraph(n, 17, 0.25);
-  LabeledSet labeled;
-  labeled.Add(1, 1.0);
-  labeled.Add(20, 3.0);
+  CheckSeedSolutionStartsTheChain(GetParam(), RandomGraph(40, 17, 0.25));
+}
 
-  // A seeded state accepts any labeled set (no fingerprint yet), and two
-  // identically seeded states produce identical solves.
-  auto a = classifier.MakeState();
-  auto b = classifier.MakeState();
-  std::vector<double> seed(n, 2.0);
-  a->SeedSolution(seed);
-  b->SeedSolution(seed);
-  SolveStats stats;
-  auto fa = classifier.PredictWithState(w, labeled, a.get(), &stats).value();
-  auto fb = classifier.PredictWithState(w, labeled, b.get(), nullptr).value();
-  EXPECT_TRUE(stats.warm);
-  EXPECT_EQ(fa, fb);
+std::string SolverName(
+    const ::testing::TestParamInfo<HarmonicSolver>& param_info) {
+  switch (param_info.param) {
+    case HarmonicSolver::kGaussSeidel:
+      return "GaussSeidel";
+    case HarmonicSolver::kConjugateGradient:
+      return "ConjugateGradient";
+    case HarmonicSolver::kAuto:
+      return "Auto";
+  }
+  return "Unknown";
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -224,17 +256,37 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(HarmonicSolver::kGaussSeidel,
                       HarmonicSolver::kConjugateGradient,
                       HarmonicSolver::kAuto),
-    [](const auto& param_info) {
-      switch (param_info.param) {
-        case HarmonicSolver::kGaussSeidel:
-          return "GaussSeidel";
-        case HarmonicSolver::kConjugateGradient:
-          return "ConjugateGradient";
-        case HarmonicSolver::kAuto:
-          return "Auto";
-      }
-      return "Unknown";
-    });
+    SolverName);
+
+// The same chains on a dense pool's factored PS graph. The 160-member
+// graph puts kAuto on conjugate gradient; the 60-member one on
+// Gauss-Seidel.
+class FactoredHarmonicStateTest
+    : public ::testing::TestWithParam<HarmonicSolver> {};
+
+TEST_P(FactoredHarmonicStateTest, NullStateMatchesPredictBitwise) {
+  CheckNullStateMatchesPredict(GetParam(), RandomFactoredGraph(60, 7));
+}
+
+TEST_P(FactoredHarmonicStateTest, WarmChainMatchesColdReplayBitwise) {
+  CheckWarmChainMatchesColdReplay(GetParam(), RandomFactoredGraph(60, 11));
+  CheckWarmChainMatchesColdReplay(GetParam(), RandomFactoredGraph(160, 19));
+}
+
+TEST_P(FactoredHarmonicStateTest, StateAccumulatesIterations) {
+  CheckStateAccumulatesIterations(GetParam(), RandomFactoredGraph(60, 13));
+}
+
+TEST_P(FactoredHarmonicStateTest, SeedSolutionStartsTheChainWithoutHistory) {
+  CheckSeedSolutionStartsTheChain(GetParam(), RandomFactoredGraph(40, 17));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Solvers, FactoredHarmonicStateTest,
+    ::testing::Values(HarmonicSolver::kGaussSeidel,
+                      HarmonicSolver::kConjugateGradient,
+                      HarmonicSolver::kAuto),
+    SolverName);
 
 TEST(HarmonicStatsTest, AutoReportsTheSolverActuallyUsed) {
   HarmonicFunctionClassifier classifier = Make(HarmonicSolver::kAuto);

@@ -3,7 +3,8 @@
 // round's state. After every round this test rebuilds the label chain the
 // learner has seen, replays every solved prefix from a fresh classifier
 // state, and requires the last replayed solve to equal the learner's
-// predictions bit for bit, with the round's solver and iteration count.
+// predictions bit for bit, with the round's solver and iteration count —
+// on random CSR graphs, dense and top-k, and on factored PS graphs.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 #include "core/active_learner.h"
 #include "core/risk_label.h"
 #include "learning/harmonic.h"
+#include "learning/pool_graph_testing.h"
 #include "learning/sampling.h"
 
 namespace sight {
@@ -43,8 +45,11 @@ class IdOracle : public LabelOracle {
 };
 
 // A random graph; with top_k > 0 it is top-k sparsified, the graph
-// ActiveLearner's streamed build would hand the learner.
-SimilarityMatrix RandomWeights(size_t n, uint64_t seed, size_t top_k) {
+// ActiveLearner's streamed build would hand the learner. With `factored`
+// it is instead a dense pool's factored PS graph over random code rows.
+PoolGraph RandomWeights(size_t n, uint64_t seed, size_t top_k,
+                        bool factored) {
+  if (factored) return RandomFactoredGraph(n, seed);
   SimilarityTriangle t(n);
   uint64_t state = seed;
   auto next_unit = [&state]() {
@@ -79,7 +84,7 @@ LabeledSet Prefix(const LabeledSet& chain, size_t size) {
 // Runs one learner to completion, checking every round against a cold
 // replay of the chain so far; returns the round records.
 std::vector<RoundRecord> RunAndReplay(
-    HarmonicSolver solver, size_t n, size_t top_k,
+    HarmonicSolver solver, size_t n, size_t top_k, bool factored,
     const PoolLearner::KnownLabels* known_labels,
     const PoolLearner::KnownLabels* prior_scores) {
   HarmonicConfig harmonic_config;
@@ -89,7 +94,7 @@ std::vector<RoundRecord> RunAndReplay(
   RandomSampler sampler;
   ActiveLearnerConfig config;
 
-  const SimilarityMatrix weights = RandomWeights(n, 77, top_k);
+  const PoolGraph weights = RandomWeights(n, 77, top_k, factored);
   StrangerPool pool = MakePool(n);
   PoolLearner learner =
       PoolLearner::Create(pool, weights, std::vector<double>(n, 0.5),
@@ -151,6 +156,7 @@ std::vector<RoundRecord> RunAndReplay(
 
 struct EquivalenceCase {
   HarmonicSolver solver;
+  bool factored;  // a factored PS graph instead of a random CSR
   size_t n;
   size_t top_k;
   const char* name;
@@ -161,8 +167,10 @@ class WarmColdEquivalenceTest
 
 TEST_P(WarmColdEquivalenceTest, FullRunHistoriesMatch) {
   const EquivalenceCase& c = GetParam();
-  EXPECT_GT(RunAndReplay(c.solver, c.n, c.top_k, nullptr, nullptr).size(),
-            1u);
+  EXPECT_GT(
+      RunAndReplay(c.solver, c.n, c.top_k, c.factored, nullptr, nullptr)
+          .size(),
+      1u);
 }
 
 TEST_P(WarmColdEquivalenceTest, SeededRunHistoriesMatch) {
@@ -179,7 +187,8 @@ TEST_P(WarmColdEquivalenceTest, SeededRunHistoriesMatch) {
         1.0 + static_cast<double>((i * 13) % 200) / 100.0;
   }
   EXPECT_GT(
-      RunAndReplay(c.solver, c.n, c.top_k, &known_labels, &prior_scores)
+      RunAndReplay(c.solver, c.n, c.top_k, c.factored, &known_labels,
+                   &prior_scores)
           .size(),
       0u);
 }
@@ -187,13 +196,21 @@ TEST_P(WarmColdEquivalenceTest, SeededRunHistoriesMatch) {
 INSTANTIATE_TEST_SUITE_P(
     SolversAndGraphs, WarmColdEquivalenceTest,
     ::testing::Values(
-        EquivalenceCase{HarmonicSolver::kGaussSeidel, 60, 0, "GsDense"},
-        EquivalenceCase{HarmonicSolver::kGaussSeidel, 60, 8, "GsTopK8"},
-        EquivalenceCase{HarmonicSolver::kConjugateGradient, 60, 0,
+        EquivalenceCase{HarmonicSolver::kGaussSeidel, false, 60, 0,
+                        "GsDense"},
+        EquivalenceCase{HarmonicSolver::kGaussSeidel, false, 60, 8,
+                        "GsTopK8"},
+        EquivalenceCase{HarmonicSolver::kConjugateGradient, false, 60, 0,
                         "CgDense"},
-        EquivalenceCase{HarmonicSolver::kConjugateGradient, 60, 8,
+        EquivalenceCase{HarmonicSolver::kConjugateGradient, false, 60, 8,
                         "CgTopK8"},
-        EquivalenceCase{HarmonicSolver::kAuto, 160, 8, "AutoTopK8"}),
+        EquivalenceCase{HarmonicSolver::kAuto, false, 160, 8, "AutoTopK8"},
+        EquivalenceCase{HarmonicSolver::kGaussSeidel, true, 60, 0,
+                        "GsFactored"},
+        EquivalenceCase{HarmonicSolver::kConjugateGradient, true, 60, 0,
+                        "CgFactored"},
+        EquivalenceCase{HarmonicSolver::kAuto, true, 160, 0,
+                        "AutoFactored"}),
     [](const auto& param_info) { return param_info.param.name; });
 
 TEST(WarmColdRecordTest, RoundRecordsNameTheSolverUsed) {
@@ -201,7 +218,7 @@ TEST(WarmColdRecordTest, RoundRecordsNameTheSolverUsed) {
   // unlabeled set shrinks below the threshold; every record must name a
   // concrete solver either way.
   std::vector<RoundRecord> rounds =
-      RunAndReplay(HarmonicSolver::kAuto, 160, 8, nullptr, nullptr);
+      RunAndReplay(HarmonicSolver::kAuto, 160, 8, false, nullptr, nullptr);
   ASSERT_FALSE(rounds.empty());
   EXPECT_EQ(rounds.front().solver, "conjugate-gradient");
   for (const RoundRecord& record : rounds) {

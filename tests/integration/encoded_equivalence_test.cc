@@ -2,7 +2,11 @@
 // not approximately, but bitwise: PS values and end-to-end learner
 // predictions against a naive string PS, Squeezer assignments against a
 // naive string Squeezer, including all-missing profiles and values
-// outside the pool the frequencies were built from.
+// outside the pool the frequencies were built from. The one exception is
+// a dense pool's solve: its graph is factored, and sums the same PS
+// values in another order. There every pair the graph reads must still
+// be the string PS bit for bit, the queries and labels must match
+// exactly, and the scores within 1e-9.
 
 #include <algorithm>
 #include <cstdint>
@@ -18,9 +22,11 @@
 #include "core/pool_builder.h"
 #include "graph/profile_codec.h"
 #include "learning/harmonic.h"
+#include "learning/pool_graph_testing.h"
 #include "learning/sampling.h"
 #include "sim/facebook_generator.h"
 #include "similarity/profile_similarity.h"
+#include "similarity/ps_kernels.h"
 
 namespace sight {
 namespace {
@@ -239,9 +245,12 @@ class CyclicOracle : public LabelOracle {
 
 // Runs the production ActiveLearner over `strategy` pools and replays the
 // same pools on matrices from the naive string PS; expects identical
-// queries and bitwise-identical predictions. With top_k > 0 the learner
-// streams each pool's pairs into its top-k graph, and the string side
-// cuts its full triangle with SparsifyTopK.
+// queries and labels. With top_k > 0 the learner streams each pool's
+// pairs into its top-k graph, the string side cuts its full triangle
+// with SparsifyTopK, and the predictions must match bitwise. With
+// top_k == 0 the learner solves on each pool's factored graph: every
+// pair it reads must equal the string PS bit for bit, and the
+// predictions the solves on the string side's CSR within 1e-9.
 void ExpectLearnerMatchesStringPath(const OwnerDataset& ds,
                                     PoolStrategy strategy, size_t top_k) {
   PoolBuilderConfig pool_config;
@@ -294,6 +303,15 @@ void ExpectLearnerMatchesStringPath(const OwnerDataset& ds,
       bens[i] = benefits[pos];
     }
     largest_pool = std::max(largest_pool, n);
+    if (top_k == 0) {
+      // The factored graph ActiveLearner builds for this pool.
+      const EncodedProfileTable enc =
+          EncodedProfileTable::Build(ds.profiles, pool.members);
+      std::vector<PoolGraph> graphs = ps_kernels::BuildGraphs(
+          {ps_kernels::PoolRows{enc.row(0), enc.num_rows()}}, ps, 0);
+      ASSERT_NE(graphs.at(0).factored(), nullptr);
+      ExpectSamePairs(graphs.at(0), dense, "pool " + std::to_string(p));
+    }
     SimilarityMatrix weights;
     if (top_k > 0) {
       weights = dense.SparsifyTopK(top_k);
@@ -317,15 +335,21 @@ void ExpectLearnerMatchesStringPath(const OwnerDataset& ds,
     }
   }
 
-  // Identical matrices mean identical sampling, identical queries, and
-  // bitwise-identical predictions.
+  // Identical weights mean identical sampling, identical queries, and
+  // predictions that are bitwise identical on one representation and
+  // differ by rounding only across the two.
   EXPECT_EQ(encoded_result.total_queries, string_queries);
   ASSERT_EQ(encoded_result.strangers.size(), string_strangers.size());
   for (size_t i = 0; i < string_strangers.size(); ++i) {
     const StrangerAssessment& a = encoded_result.strangers[i];
     const StrangerAssessment& b = string_strangers[i];
     EXPECT_EQ(a.stranger, b.stranger);
-    EXPECT_EQ(a.predicted_score, b.predicted_score) << "stranger " << i;
+    if (top_k > 0) {
+      EXPECT_EQ(a.predicted_score, b.predicted_score) << "stranger " << i;
+    } else {
+      EXPECT_NEAR(a.predicted_score, b.predicted_score, kSolveTolerance)
+          << "stranger " << i;
+    }
     EXPECT_EQ(a.predicted_label, b.predicted_label);
     EXPECT_EQ(a.owner_labeled, b.owner_labeled);
   }

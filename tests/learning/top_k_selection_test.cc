@@ -8,7 +8,8 @@
 // other feeder of the same rule, and a TopKSelection fed the reference's
 // rows directly in descending, ascending and shuffled order. A last case
 // builds pools of mixed sizes in one BuildGraphs call, dense and top-k,
-// against each pool's reference.
+// against each pool's reference: a top-k pool's CSR bit for bit, a dense
+// pool's factored graph pair by pair through Get() and by its solves.
 
 #include <algorithm>
 #include <bit>
@@ -25,6 +26,7 @@
 
 #include "graph/profile.h"
 #include "graph/profile_codec.h"
+#include "learning/pool_graph_testing.h"
 #include "learning/similarity_matrix.h"
 #include "learning/top_k_selection.h"
 #include "similarity/profile_similarity.h"
@@ -188,11 +190,20 @@ size_t CheckPool(const Pool& pool, const std::vector<size_t>& ks) {
         "n=" + std::to_string(n) + " k=" + std::to_string(k);
 
     ExpectSameCsr(dense.SparsifyTopK(k), reference, "SparsifyTopK " + label);
-    std::vector<SimilarityMatrix> streamed =
-        ps_kernels::BuildGraphs({pool.Rows()}, pool.ps, k);
-    EXPECT_EQ(streamed.size(), 1u) << label;
-    ExpectSameCsr(streamed.at(0), reference, "BuildGraphs " + label);
-    compared += 2;
+    ++compared;
+    // top_k 0 asks BuildGraphs for the dense graph, which is factored:
+    // MixedPoolsInOneBuildMatchPerPoolReferences covers it.
+    if (k > 0) {
+      std::vector<PoolGraph> streamed =
+          ps_kernels::BuildGraphs({pool.Rows()}, pool.ps, k);
+      EXPECT_EQ(streamed.size(), 1u) << label;
+      const SimilarityMatrix* csr = streamed.at(0).csr();
+      EXPECT_NE(csr, nullptr) << label;
+      if (csr != nullptr) {
+        ExpectSameCsr(*csr, reference, "BuildGraphs " + label);
+      }
+      ++compared;
+    }
     for (RowOrder order :
          {RowOrder::kDescending, RowOrder::kAscending, RowOrder::kShuffled}) {
       ExpectSameCsr(SelectDirect(dense, k, order), reference,
@@ -234,8 +245,10 @@ TEST(TopKSelectionTest, LargeKMatchesBitwise) {
 }
 
 // Pools of mixed sizes — empty, 1 and 2 members, and larger ones —
-// built in one BuildGraphs call, dense and top-8. Every pool's graph
-// must be bitwise its own per-pool reference.
+// built in one BuildGraphs call, dense and top-8. Every top-8 pool's CSR
+// must be bitwise its own per-pool reference; every dense pool's
+// factored graph must read the reference's bits pair by pair and solve
+// as the reference's CSR does.
 TEST(TopKSelectionTest, MixedPoolsInOneBuildMatchPerPoolReferences) {
   std::vector<std::unique_ptr<Pool>> pools;
   std::vector<ps_kernels::PoolRows> rows;
@@ -245,16 +258,25 @@ TEST(TopKSelectionTest, MixedPoolsInOneBuildMatchPerPoolReferences) {
     rows.push_back(pools.back()->Rows());
   }
   for (size_t k : {size_t{0}, size_t{8}}) {
-    std::vector<SimilarityMatrix> graphs =
+    std::vector<PoolGraph> graphs =
         ps_kernels::BuildGraphs(rows, pools.front()->ps, k);
     ASSERT_EQ(graphs.size(), pools.size());
     for (size_t p = 0; p < pools.size(); ++p) {
+      const size_t n = pools[p]->enc.num_rows();
+      const std::string label = "pool " + std::to_string(p) + " n=" +
+                                std::to_string(n) + " k=" + std::to_string(k);
       SimilarityTriangle dense = pools[p]->ReferenceFill();
-      if (k > 0) ReferenceSparsifyTopK(&dense, k);
-      ExpectSameCsr(graphs[p], std::move(dense).Compact(),
-                    "pool " + std::to_string(p) + " n=" +
-                        std::to_string(pools[p]->enc.num_rows()) +
-                        " k=" + std::to_string(k));
+      if (k > 0) {
+        ReferenceSparsifyTopK(&dense, k);
+        ASSERT_NE(graphs[p].csr(), nullptr) << label;
+        ExpectSameCsr(*graphs[p].csr(), std::move(dense).Compact(), label);
+        continue;
+      }
+      ASSERT_NE(graphs[p].factored(), nullptr) << label;
+      ExpectSamePairs(graphs[p], dense, label);
+      if (n < 2) continue;
+      ExpectSameSolves(graphs[p], std::move(dense).Compact(),
+                       SpreadLabels(n, std::max<size_t>(2, n / 40)), label);
     }
   }
 }

@@ -1,18 +1,18 @@
 // The batched kernels must be bitwise drop-ins for the per-pair scalar
 // PS: the active dispatch's lanes (AVX2 where the build and the CPU have
-// it; the SIMD-off build runs the same tests on the scalar kernel),
-// every tail length, and the graph build on pools from empty up to
-// 1,100 rows have to reproduce ProfileSimilarity::Compute exactly —
-// including kMissingCode and kUnknownValue lanes and codes outside the
-// frequency dictionary.
+// it; the SIMD-off build runs the same tests on the scalar kernel) and
+// every tail length have to reproduce ProfileSimilarity::Compute exactly
+// — including kMissingCode and kUnknownValue lanes and codes outside the
+// frequency dictionary. A dense pool's graph from BuildGraphs, on pools
+// from empty up to 1,100 rows, is its factored PS graph: every pair it
+// reads must be Compute's bits, and its harmonic solves must match the
+// solves on the reference CSR within 1e-9.
 
 #include "similarity/ps_kernels.h"
 
 #include <algorithm>
-#include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -21,6 +21,7 @@
 
 #include "graph/profile.h"
 #include "graph/profile_codec.h"
+#include "learning/pool_graph_testing.h"
 #include "sim/facebook_generator.h"
 #include "similarity/profile_similarity.h"
 
@@ -140,30 +141,24 @@ SimilarityTriangle ReferenceFill(const EncodedProfileTable& enc,
   return out;
 }
 
-// The graph `got` against the reference triangle's compaction, bit for
-// bit: every row's length, neighbor indices and weights.
-void ExpectBitwiseEqual(const SimilarityMatrix& got,
-                        SimilarityTriangle reference) {
-  const SimilarityMatrix want = std::move(reference).Compact();
-  ASSERT_EQ(got.size(), want.size());
-  for (size_t i = 0; i < got.size(); ++i) {
-    std::span<const Neighbor> g = got.Neighbors(i);
-    std::span<const Neighbor> w = want.Neighbors(i);
-    ASSERT_EQ(g.size(), w.size()) << "row " << i;
-    for (size_t t = 0; t < g.size(); ++t) {
-      ASSERT_EQ(g[t].index, w[t].index) << "row " << i;
-      ASSERT_EQ(std::bit_cast<uint64_t>(g[t].weight),
-                std::bit_cast<uint64_t>(w[t].weight))
-          << "pair (" << i << ", " << g[t].index << ")";
-    }
-  }
+// The factored graph `got` against the reference triangle: every pair's
+// weight bit for bit, then the harmonic solves against the solves on
+// the triangle's compaction.
+void ExpectMatchesReference(const PoolGraph& got,
+                            SimilarityTriangle reference) {
+  ASSERT_NE(got.factored(), nullptr);
+  ExpectSamePairs(got, reference, "pairs");
+  const size_t n = got.size();
+  const PoolGraph want = std::move(reference).Compact();
+  ExpectSameSolves(got, want, SpreadLabels(n, std::max<size_t>(2, n / 40)),
+                   "n=" + std::to_string(n));
 }
 
-// One dense pool through BuildGraphs, which scores it against the same
+// One dense pool through BuildGraphs, which builds it against the same
 // whole-pool frequencies the references use.
-SimilarityMatrix BuildOne(const EncodedProfileTable& enc,
-                          const ProfileSimilarity& ps) {
-  std::vector<SimilarityMatrix> graphs = ps_kernels::BuildGraphs(
+PoolGraph BuildOne(const EncodedProfileTable& enc,
+                   const ProfileSimilarity& ps) {
+  std::vector<PoolGraph> graphs = ps_kernels::BuildGraphs(
       {ps_kernels::PoolRows{enc.row(0), enc.num_rows()}}, ps, /*top_k=*/0);
   EXPECT_EQ(graphs.size(), 1u);
   return std::move(graphs.front());
@@ -186,18 +181,17 @@ TEST(PsKernelsTest, BuildGraphsMatchesScalarReference) {
       EncodedProfileTable::Build(ds.profiles, ds.strangers);
   auto ps = ProfileSimilarity::Create(ds.profiles.schema()).value();
 
-  ExpectBitwiseEqual(BuildOne(enc, ps), ReferenceFill(enc, ps));
+  ExpectMatchesReference(BuildOne(enc, ps), ReferenceFill(enc, ps));
 }
 
-// Generated pools of a few hundred up to 1,100 rows: every pair must be
-// scored exactly once, into its own slot.
+// Generated pools of a few hundred up to 1,100 rows.
 TEST(PsKernelsTest, BuildGraphsMatchesOnLargePools) {
   OwnerDataset ds = MakeDataset(313, 1100);
   auto ps = ProfileSimilarity::Create(ds.profiles.schema()).value();
   for (size_t n : {size_t{300}, size_t{513}, size_t{1100}}) {
     SCOPED_TRACE("n " + std::to_string(n));
     EncodedProfileTable enc = FirstStrangers(ds, n);
-    ExpectBitwiseEqual(BuildOne(enc, ps), ReferenceFill(enc, ps));
+    ExpectMatchesReference(BuildOne(enc, ps), ReferenceFill(enc, ps));
   }
 }
 
@@ -207,9 +201,12 @@ TEST(PsKernelsTest, EmptyAndSingletonPools) {
   for (std::vector<UserId> users :
        {std::vector<UserId>{}, std::vector<UserId>{2}}) {
     EncodedProfileTable enc = EncodedProfileTable::Build(table, users);
-    SimilarityMatrix graph = BuildOne(enc, ps);
+    PoolGraph graph = BuildOne(enc, ps);
+    ASSERT_NE(graph.factored(), nullptr);
     EXPECT_EQ(graph.size(), users.size());
-    EXPECT_EQ(graph.NumEdges(), 0u) << users.size() << " users";
+    for (double degree : graph.factored()->Degrees()) {
+      EXPECT_EQ(degree, 0.0) << users.size() << " users";
+    }
   }
 }
 

@@ -18,6 +18,7 @@
 #include "core/risk_engine.h"
 #include "graph/profile.h"
 #include "learning/multiclass_harmonic.h"
+#include "learning/pool_graph_testing.h"
 #include "sim/facebook_generator.h"
 #include "sim/owner_model.h"
 #include "similarity/network_similarity.h"
@@ -124,7 +125,6 @@ TEST(ThreadingDeterminismTest, MulticlassClassScoresMatchSerial) {
       if (next_unit() < 0.3) t.Set(i, j, 0.1 + next_unit());
     }
   }
-  SimilarityMatrix w = std::move(t).Compact();
   LabeledSet labeled;
   labeled.Add(0, 1.0);
   labeled.Add(10, 2.0);
@@ -133,19 +133,24 @@ TEST(ThreadingDeterminismTest, MulticlassClassScoresMatchSerial) {
 
   MulticlassHarmonicConfig serial_config;
   auto serial = MulticlassHarmonicClassifier::Create(serial_config).value();
-  auto serial_scores = serial.ClassScores(w, labeled).value();
-
   ThreadPool pool(3);
   MulticlassHarmonicConfig threaded_config;
   threaded_config.thread_pool = &pool;
   auto threaded =
       MulticlassHarmonicClassifier::Create(threaded_config).value();
-  auto threaded_scores = threaded.ClassScores(w, labeled).value();
 
-  ASSERT_EQ(serial_scores.size(), threaded_scores.size());
-  for (size_t u = 0; u < serial_scores.size(); ++u) {
-    for (size_t c = 0; c < serial_scores[u].size(); ++c) {
-      EXPECT_EQ(serial_scores[u][c], threaded_scores[u][c]);
+  // A CSR graph, and a factored PS graph the per-class solves share
+  // across the pool's threads (200 members: conjugate gradient).
+  const PoolGraph graphs[] = {std::move(t).Compact(),
+                              RandomFactoredGraph(200, 12345)};
+  for (const PoolGraph& w : graphs) {
+    auto serial_scores = serial.ClassScores(w, labeled).value();
+    auto threaded_scores = threaded.ClassScores(w, labeled).value();
+    ASSERT_EQ(serial_scores.size(), threaded_scores.size());
+    for (size_t u = 0; u < serial_scores.size(); ++u) {
+      for (size_t c = 0; c < serial_scores[u].size(); ++c) {
+        EXPECT_EQ(serial_scores[u][c], threaded_scores[u][c]);
+      }
     }
   }
 }

@@ -15,10 +15,11 @@
 #   --asan / --ubsan / --tsan
 #                sanitizer builds; tsan runs the threading-,
 #                incremental-, and serving-labeled tests (the warm-start
-#                solve state, CSR staging buffers, and the RiskService
-#                shard queues / snapshot swaps are exactly the kind of
-#                retained mutable state sanitizers catch), asan/ubsan
-#                run the full suite (incremental tests included)
+#                solve state, the factored PS graph the per-class CMN
+#                solves share across threads, and the RiskService shard
+#                queues / snapshot swaps are exactly the kind of retained
+#                or shared state sanitizers catch), asan/ubsan run the
+#                full suite (incremental tests included)
 #   --nosimd     build with -DSIGHT_SIMD=OFF and run the full ctest
 #                suite (incremental tests included), so the portable
 #                scalar PS kernels stay a first-class target

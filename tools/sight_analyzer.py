@@ -98,14 +98,16 @@ HOT_PATH_ENTRIES = {
 
 # Rebuild primitives the walk looks for.
 HOT_REBUILD_QUALIFIED = {("EncodedProfileTable", "Build")}
-HOT_REBUILD_METHODS = {"Compact"}  # resolves to SimilarityTriangle::Compact
+# Compact resolves to SimilarityTriangle::Compact, the O(n^2) dense CSR
+# build. No src/ function calls it (a dense pool's graph is factored), so
+# any call that reaches the serving path is a finding.
+HOT_REBUILD_METHODS = {"Compact"}
 HOT_REBUILD_CTORS = {"ProfileCodec"}
 
 # Functions sanctioned to call rebuild primitives: the fingerprint-guarded
-# cold fallbacks and the codec/matrix machinery itself (DESIGN.md §14/§15).
+# cold fallback and the codec machinery itself (DESIGN.md §14/§15).
 HOT_REBUILD_SANCTIONED = {
     "StrangerEncodeCache::Refresh",   # encode cold rebuild on epoch mismatch
-    "BuildGraphs",                    # ps_kernels: compacts new pool graphs
 }
 # ... and everything defined in the codec's own translation unit.
 HOT_REBUILD_SANCTIONED_FILES = {"graph/profile_codec.cc",
