@@ -51,7 +51,7 @@ void BM_NetworkSimilarityBatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(ds.strangers.size()));
 }
-BENCHMARK(BM_NetworkSimilarityBatch)->Arg(400)->Arg(2000);
+BENCHMARK(BM_NetworkSimilarityBatch)->Arg(400)->Arg(2000)->Arg(10000);
 
 void BM_NetworkSimilarityBatchThreaded(benchmark::State& state) {
   sim::OwnerDataset ds = MakeDataset(static_cast<size_t>(state.range(0)));
@@ -301,7 +301,7 @@ void BM_PoolBuild(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(ds.strangers.size()));
 }
-BENCHMARK(BM_PoolBuild)->Arg(400)->Arg(2000);
+BENCHMARK(BM_PoolBuild)->Arg(400)->Arg(2000)->Arg(10000);
 
 void BM_BenefitBatch(benchmark::State& state) {
   sim::OwnerDataset ds = MakeDataset(static_cast<size_t>(state.range(0)));

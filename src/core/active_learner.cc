@@ -45,16 +45,14 @@ bool PoolLearner::CanResume(const StrangerPool& pool,
   // this learner's labels, bit-identical — a label this learner has not
   // incorporated (e.g. imported from another process) forces a rebuild
   // so the seeding path picks it up.
-  std::unordered_map<size_t, double> by_index;
-  by_index.reserve(labeled_.size());
+  std::vector<double> label_of(members_.size());
   for (size_t k = 0; k < labeled_.size(); ++k) {
-    by_index[labeled_.indices[k]] = labeled_.values[k];
+    label_of[labeled_.indices[k]] = labeled_.values[k];
   }
   for (size_t i = 0; i < members_.size(); ++i) {
     auto it = known_labels->find(members_[i]);
     if (it == known_labels->end()) continue;
-    auto have = by_index.find(i);
-    if (have == by_index.end() || have->second != it->second) return false;
+    if (!is_labeled_[i] || label_of[i] != it->second) return false;
   }
   return true;
 }
@@ -112,22 +110,25 @@ Result<PoolLearner> PoolLearner::Create(
     // Previous-tick predicted scores seed the first solve's starting
     // vector: found members keep their old score, the rest start at the
     // mean of the found scores (the same role the label mean plays on a
-    // cold start). Only built when at least one member carries over.
+    // cold start). Only kept when at least one member carries over. Each
+    // member is looked up once; the sum runs in member order.
+    std::vector<double> seed(learner.members_.size());
+    std::vector<size_t> missing;
     double sum = 0.0;
-    size_t found = 0;
-    for (UserId member : learner.members_) {
-      auto it = prior_scores->find(member);
-      if (it == prior_scores->end()) continue;
+    for (size_t i = 0; i < learner.members_.size(); ++i) {
+      auto it = prior_scores->find(learner.members_[i]);
+      if (it == prior_scores->end()) {
+        missing.push_back(i);
+        continue;
+      }
+      seed[i] = it->second;
       sum += it->second;
-      ++found;
     }
+    size_t found = seed.size() - missing.size();
     if (found > 0) {
       double mean = sum / static_cast<double>(found);
-      learner.seed_f_.assign(learner.members_.size(), mean);
-      for (size_t i = 0; i < learner.members_.size(); ++i) {
-        auto it = prior_scores->find(learner.members_[i]);
-        if (it != prior_scores->end()) learner.seed_f_[i] = it->second;
-      }
+      for (size_t i : missing) seed[i] = mean;
+      learner.seed_f_ = std::move(seed);
     }
   }
   return learner;

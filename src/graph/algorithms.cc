@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <functional>
 #include <limits>
 
 #include "util/logging.h"
@@ -44,13 +45,20 @@ size_t MutualFriendCount(const SocialGraph& graph, UserId a, UserId b) {
 
 size_t InducedEdgeCount(const SocialGraph& graph,
                         const std::vector<UserId>& users) {
-  SIGHT_DCHECK(std::is_sorted(users.begin(), users.end()));
+  SIGHT_DCHECK(std::adjacent_find(users.begin(), users.end(),
+                                  std::greater_equal<UserId>()) ==
+               users.end());
+  // Each pair u < v is one search in u's neighbor list. NS passes a
+  // stranger's few mutual friends, who have hundreds of friends each, so
+  // checking pairs beats scanning every neighbor list.
   size_t edges = 0;
-  for (UserId u : users) {
-    if (!graph.HasUser(u)) continue;
-    for (UserId v : graph.Neighbors(u)) {
-      if (v <= u) continue;  // count each unordered pair once
-      if (std::binary_search(users.begin(), users.end(), v)) ++edges;
+  for (size_t i = 0; i < users.size(); ++i) {
+    if (!graph.HasUser(users[i])) continue;
+    const std::vector<UserId>& neighbors = graph.Neighbors(users[i]);
+    for (size_t j = i + 1; j < users.size(); ++j) {
+      if (std::binary_search(neighbors.begin(), neighbors.end(), users[j])) {
+        ++edges;
+      }
     }
   }
   return edges;

@@ -24,8 +24,11 @@ std::vector<UserId> MutualFriends(const SocialGraph& graph, UserId a,
 /// Number of mutual friends without materializing the set.
 size_t MutualFriendCount(const SocialGraph& graph, UserId a, UserId b);
 
-/// Number of edges of `graph` whose endpoints are both in `users`
-/// (`users` must be sorted and duplicate-free).
+/// Number of edges of `graph` whose endpoints are both in `users`.
+/// `users` must be strictly increasing (sorted, no duplicates); debug
+/// builds check it. Ids the graph does not have add no edges. Each pair
+/// is one binary search in the lower id's neighbor list, so m users of
+/// degree d cost O(m^2 log d).
 size_t InducedEdgeCount(const SocialGraph& graph,
                         const std::vector<UserId>& users);
 

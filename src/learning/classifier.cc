@@ -1,7 +1,6 @@
 #include "learning/classifier.h"
 
 #include <cmath>
-#include <unordered_set>
 
 #include "util/string_util.h"
 
@@ -34,17 +33,18 @@ Status ValidateLabeledSet(size_t n, const LabeledSet& labeled) {
   if (labeled.size() == 0) {
     return Status::InvalidArgument("labeled set is empty");
   }
-  std::unordered_set<size_t> seen;
+  std::vector<char> seen(n, 0);
   for (size_t idx : labeled.indices) {
     if (idx >= n) {
       return Status::OutOfRange(
           StrFormat("labeled index %zu out of range (pool size %zu)", idx,
                     n));
     }
-    if (!seen.insert(idx).second) {
+    if (seen[idx] != 0) {
       return Status::InvalidArgument(
           StrFormat("labeled index %zu appears twice", idx));
     }
+    seen[idx] = 1;
   }
   return Status::OK();
 }

@@ -302,11 +302,14 @@ Result<RiskReport> RiskService::AssessLocked(OwnerState* state,
     telemetry.encode_rows_appended = 0;
   }
   // Remember this tick's converged scores so the next tick seeds its
-  // solves from them instead of the label mean.
-  state->last_scores.clear();
+  // solves from them instead of the label mean. They are overwritten in
+  // place: the stranger list only grows and every stranger is in the
+  // report, so the keys stay exactly the report's strangers.
   for (const StrangerAssessment& sa : report.value().assessment.strangers) {
     state->last_scores[sa.stranger] = sa.predicted_score;
   }
+  SIGHT_DCHECK(state->last_scores.size() ==
+               report.value().assessment.strangers.size());
   {
     std::lock_guard<std::mutex> stats_lock(stats_mutex_);
     ++stats_.assessments_run;

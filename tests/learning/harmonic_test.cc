@@ -42,6 +42,14 @@ TEST_P(HarmonicSolverTest, OutOfRangeIndexRejected) {
   labeled.Add(7, 2.0);
   EXPECT_EQ(classifier().Predict(w, labeled).status().code(),
             StatusCode::kOutOfRange);
+  // Indices are checked in order: an out-of-range index ahead of a
+  // duplicate decides the code.
+  LabeledSet first;
+  first.Add(9, 3.0);
+  first.Add(1, 1.0);
+  first.Add(1, 2.0);
+  EXPECT_EQ(classifier().Predict(w, first).status().code(),
+            StatusCode::kOutOfRange);
 }
 
 TEST_P(HarmonicSolverTest, DuplicateIndexRejected) {
@@ -49,7 +57,15 @@ TEST_P(HarmonicSolverTest, DuplicateIndexRejected) {
   LabeledSet labeled;
   labeled.Add(0, 1.0);
   labeled.Add(0, 2.0);
-  EXPECT_FALSE(classifier().Predict(w, labeled).ok());
+  EXPECT_EQ(classifier().Predict(w, labeled).status().code(),
+            StatusCode::kInvalidArgument);
+  // ... and a duplicate ahead of an out-of-range index decides it.
+  LabeledSet first;
+  first.Add(1, 1.0);
+  first.Add(1, 2.0);
+  first.Add(9, 3.0);
+  EXPECT_EQ(classifier().Predict(w, first).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST_P(HarmonicSolverTest, LabeledNodesKeepTheirValues) {

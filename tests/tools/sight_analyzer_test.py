@@ -141,6 +141,28 @@ def main():
                        "SuppressedOk"],
         min_findings=4)
 
+    with tempfile.TemporaryDirectory() as tmp:
+        root = make_tree(tmp, ["src/core/round_fixture.cc",
+                               "src/service/round_collision_fixture.cc"])
+        proc = run_analyzer(root, "--rule", "round-path-hash")
+        findings = [ln for ln in proc.stdout.splitlines()
+                    if "[round-path-hash]" in ln]
+        expect("round-path: exits 1 with findings", proc.returncode == 1,
+               f"rc={proc.returncode}\n{proc.stdout}{proc.stderr}")
+        expect("round-path: exactly 2 findings", len(findings) == 2,
+               proc.stdout)
+        expect("round-path: flags the hash set of a transitive callee",
+               any("CheckIndices declares a std::unordered_set"
+                   in ln and "PoolLearner::RunRound -> "
+                   "PoolLearner::Repredict -> CheckIndices" in ln
+                   for ln in findings), proc.stdout)
+        expect("round-path: flags the map of a direct callee",
+               any("PoolLearner::Repredict declares a std::unordered_map"
+                   in ln for ln in findings), proc.stdout)
+        for fn in ["CheckIndicesDense", "CreateLearners", "Service::Submit"]:
+            expect(f"round-path: does not flag {fn}",
+                   not any(fn in ln for ln in findings), proc.stdout)
+
     # --- suppressed findings are visible under --verbose -----------------
     with tempfile.TemporaryDirectory() as tmp:
         root = make_tree(tmp, ["src/core/status_fixture.cc"])
@@ -238,11 +260,11 @@ def main():
     proc = subprocess.run(
         [sys.executable, str(ANALYZER), "--list-rules"],
         capture_output=True, text=True)
-    expect("--list-rules names all four rules",
+    expect("--list-rules names all five rules",
            proc.returncode == 0 and all(
                r in proc.stdout for r in
                ["epoch-discipline", "lock-discipline", "hot-path-rebuild",
-                "status-discipline"]), proc.stdout)
+                "status-discipline", "round-path-hash"]), proc.stdout)
 
     # --- acceptance criterion: stripping a real bump fails the build -----
     with tempfile.TemporaryDirectory() as tmp:

@@ -31,6 +31,12 @@ serving path actually relies on (DESIGN.md §15):
                      result: a bare `Foo(...);` statement is flagged
                      even when macros or [[nodiscard]] gaps would let
                      the compiler miss it.
+  round-path-hash    Call-graph walk from PoolLearner::RunRound: no
+                     function an active-learning round reaches may
+                     declare a std::unordered_set or std::unordered_map.
+                     A round runs dozens of times per assessment, and a
+                     per-call hash container there is allocation churn
+                     a dense per-index array avoids.
 
 Frontends: with the libclang python bindings installed (python3-clang +
 libclang), translation units are parsed by libclang and function bodies
@@ -113,8 +119,20 @@ HOT_REBUILD_SANCTIONED = {
 HOT_REBUILD_SANCTIONED_FILES = {"graph/profile_codec.cc",
                                 "graph/profile_codec.h"}
 
+# Entry point of the round-path walk: one active-learning round (sample,
+# query, re-solve, stabilization check).
+ROUND_PATH_ENTRIES = {"PoolLearner::RunRound"}
+# src/ modules a round can call into: core/ and the layers below it
+# (sight-lint's layering rule keeps core/ from including sim/, service/
+# or io/), so a call the name-only resolution matches to a function
+# there (ThreadPool::Submit vs RiskService::Submit) is a name collision.
+ROUND_PATH_MODULES = {"util", "graph", "learning", "clustering",
+                      "similarity", "core"}
+# Hash containers a round-path function may not declare.
+ROUND_PATH_HASH_TYPES = {"unordered_set", "unordered_map"}
+
 RULE_NAMES = ["epoch-discipline", "lock-discipline", "hot-path-rebuild",
-              "status-discipline"]
+              "status-discipline", "round-path-hash"]
 
 SUPPRESS_RE = re.compile(
     r"SIGHT_ANALYZER_OK\(\s*([a-z-]+(?:\s*,\s*[a-z-]+)*)\s*\)")
@@ -1301,11 +1319,18 @@ def rebuild_primitive_events(fn):
     return events
 
 
-def rule_hot_path(model, findings):
-    # BFS over the call graph from the serving entry points.
+def call_graph_walk(model, entries, modules=None):
+    """BFS over the call graph from `entries`: {qualname: caller} for
+    every reachable function (None for an entry). With `modules`, the
+    walk enters only functions defined in those src/ modules."""
+    def in_modules(qual):
+        return modules is None or any(
+            fn.file.removeprefix("src/").split("/")[0] in modules
+            for fn in model.by_qual.get(qual, ()))
+
     parent = {}
     queue = deque()
-    for entry in sorted(HOT_PATH_ENTRIES):
+    for entry in sorted(entries):
         if entry in model.by_qual:
             parent[entry] = None
             queue.append(entry)
@@ -1319,18 +1344,24 @@ def rule_hot_path(model, findings):
                     continue
                 visited_calls.add(key)
                 for target in model.resolve(fn, call):
-                    if target not in parent:
+                    if target not in parent and in_modules(target):
                         parent[target] = q
                         queue.append(target)
+    return parent
 
-    def chain_of(qual):
-        chain = []
-        cur = qual
-        while cur is not None and len(chain) < 12:
-            chain.append(cur)
-            cur = parent.get(cur)
-        return " -> ".join(reversed(chain))
 
+def chain_of(parent, qual):
+    """The witness call chain from an entry point down to `qual`."""
+    chain = []
+    cur = qual
+    while cur is not None and len(chain) < 12:
+        chain.append(cur)
+        cur = parent.get(cur)
+    return " -> ".join(reversed(chain))
+
+
+def rule_hot_path(model, findings):
+    parent = call_graph_walk(model, HOT_PATH_ENTRIES)
     for qual in sorted(parent):
         if qual in HOT_REBUILD_SANCTIONED:
             continue
@@ -1342,7 +1373,7 @@ def rule_hot_path(model, findings):
                     "hot-path-rebuild", fn.file, line, fn.qualname,
                     detail,
                     f"{label} is reachable from the serving path "
-                    f"({chain_of(qual)}) outside the sanctioned "
+                    f"({chain_of(parent, qual)}) outside the sanctioned "
                     "cold-rebuild fallbacks — per-tick rebuilds belong "
                     "to the carried caches (DESIGN.md §14/§15)"))
 
@@ -1443,11 +1474,32 @@ def check_statement(model, fn, toks, start, end, findings):
         "(DESIGN.md §10/§15)"))
 
 
+# --------------------------------------------------------------------------
+# Rule: round-path-hash
+
+
+def rule_round_path_hash(model, findings):
+    parent = call_graph_walk(model, ROUND_PATH_ENTRIES, ROUND_PATH_MODULES)
+    for qual in sorted(parent):
+        for fn in model.by_qual.get(qual, ()):
+            for t in fn.body:
+                if t.kind != "id" or t.text not in ROUND_PATH_HASH_TYPES:
+                    continue
+                findings.append(Finding(
+                    "round-path-hash", fn.file, t.line, fn.qualname,
+                    f"hash:{t.text}",
+                    f"{fn.qualname} declares a std::{t.text} and is "
+                    f"reachable from an active-learning round "
+                    f"({chain_of(parent, qual)}) — index a dense per-index "
+                    "array instead (DESIGN.md §15)"))
+
+
 RULES = {
     "epoch-discipline": rule_epoch,
     "lock-discipline": rule_lock,
     "hot-path-rebuild": rule_hot_path,
     "status-discipline": rule_status,
+    "round-path-hash": rule_round_path_hash,
 }
 
 
