@@ -42,7 +42,12 @@
 // the streamed build (ps_kernels::BuildGraphs with top_k = 8) that never
 // allocates the triangle — with the peak heap bytes of each (this binary
 // counts every allocation), and FATALs unless both CSRs agree in every
-// offset, index and weight bit.
+// offset, index and weight bit. The streamed build scores one row per
+// class of identical code rows, so each row reports the pool's classes
+// and the class pairs scored. A "distinct" row at n=2000 gives every
+// member a unique profile: no class has two members, the streamed build
+// scores every member pair, and the row shows what the grouping costs
+// where it cannot help.
 //
 // Usage: perf_pipeline [--max-n=8000] [--out=BENCH_pipeline.json]
 
@@ -78,6 +83,7 @@
 #include "sim/facebook_generator.h"
 #include "similarity/profile_similarity.h"
 #include "similarity/ps_kernels.h"
+#include "util/logging.h"
 #include "util/random.h"
 
 // Heap accounting for the topk_build peak-bytes columns: this binary
@@ -756,7 +762,10 @@ BuildRow RunBuildStudy(const sim::OwnerDataset& ds, size_t n) {
 // fill, then the triangle's SparsifyTopK) and the streamed build that
 // never holds the triangle. Both must give the same CSR bit for bit.
 struct TopKBuildRow {
+  std::string pool;  // "generated", or "distinct": every profile unique
   size_t n = 0;
+  size_t classes = 0;      // distinct code rows
+  size_t class_pairs = 0;  // classes * (classes + 1) / 2, self pairs too
   size_t edges = 0;
   double dense_ms = std::numeric_limits<double>::infinity();
   double streamed_ms = std::numeric_limits<double>::infinity();
@@ -800,13 +809,44 @@ bool CsrBitwiseEqual(const SimilarityMatrix& a, const SimilarityMatrix& b) {
   return true;
 }
 
-TopKBuildRow RunTopKBuildStudy(const sim::OwnerDataset& ds, size_t n) {
+// The number of distinct code rows of `enc`.
+size_t CountClasses(const EncodedProfileTable& enc) {
+  const size_t stride = enc.num_attributes();
+  std::vector<std::vector<uint32_t>> rows;
+  rows.reserve(enc.num_rows());
+  for (size_t i = 0; i < enc.num_rows(); ++i) {
+    rows.emplace_back(enc.row(i), enc.row(i) + stride);
+  }
+  std::sort(rows.begin(), rows.end());
+  return static_cast<size_t>(std::unique(rows.begin(), rows.end()) -
+                             rows.begin());
+}
+
+// The profiles of `ds` with every stranger's last attribute set to a
+// value no other stranger has, so no two strangers' rows are equal.
+ProfileTable DistinctProfiles(const sim::OwnerDataset& ds) {
+  ProfileTable profiles = ds.profiles;
+  const AttributeId last =
+      static_cast<AttributeId>(profiles.schema().num_attributes() - 1);
+  for (UserId u : ds.strangers) {
+    SIGHT_CHECK(
+        profiles.SetValue(u, last, "distinct-" + std::to_string(u)).ok());
+  }
+  return profiles;
+}
+
+TopKBuildRow RunTopKBuildStudy(const ProfileTable& profiles,
+                               const std::vector<UserId>& strangers,
+                               const std::string& pool) {
   TopKBuildRow row;
-  row.n = n;
-  auto ps = ProfileSimilarity::Create(ds.profiles.schema()).value();
-  EncodedProfileTable enc =
-      EncodedProfileTable::Build(ds.profiles, ds.strangers);
+  row.pool = pool;
+  row.n = strangers.size();
+  const size_t n = row.n;
+  auto ps = ProfileSimilarity::Create(profiles.schema()).value();
+  EncodedProfileTable enc = EncodedProfileTable::Build(profiles, strangers);
   ValueFrequencyTable freqs = FrequenciesOf(enc);
+  row.classes = CountClasses(enc);
+  row.class_pairs = row.classes * (row.classes + 1) / 2;
 
   PoolGraph dense;
   PoolGraph streamed;
@@ -823,16 +863,18 @@ TopKBuildRow RunTopKBuildStudy(const sim::OwnerDataset& ds, size_t n) {
   if (!row.bitwise_equal) {
     std::fprintf(stderr,
                  "FATAL: streamed top-k build diverges from fill + "
-                 "SparsifyTopK at n=%zu\n",
-                 n);
+                 "SparsifyTopK at n=%zu (%s pool)\n",
+                 n, pool.c_str());
     std::exit(1);
   }
   std::printf(
-      "topk      n=%-5zu edges=%-7zu dense=%9.2fms (%lld B)  "
-      "streamed=%9.2fms (%lld B)  speedup=%.2fx\n",
-      n, row.edges, row.dense_ms,
-      static_cast<long long>(row.dense_peak_bytes), row.streamed_ms,
-      static_cast<long long>(row.streamed_peak_bytes), row.speedup);
+      "topk      n=%-5zu %-9s classes=%-5zu class_pairs=%-8zu "
+      "edges=%-7zu dense=%9.2fms (%lld B)  streamed=%9.2fms (%lld B)  "
+      "speedup=%.2fx\n",
+      n, pool.c_str(), row.classes, row.class_pairs, row.edges,
+      row.dense_ms, static_cast<long long>(row.dense_peak_bytes),
+      row.streamed_ms, static_cast<long long>(row.streamed_peak_bytes),
+      row.speedup);
   return row;
 }
 
@@ -927,7 +969,9 @@ bool WriteJson(const std::string& path, const std::vector<HarmonicRow>& solve,
   out << "  \"topk_build\": [\n";
   for (size_t i = 0; i < topk.size(); ++i) {
     const TopKBuildRow& r = topk[i];
-    out << "    {\"n\": " << r.n << ", \"k\": " << kTopK
+    out << "    {\"pool\": \"" << r.pool << "\", \"n\": " << r.n
+        << ", \"k\": " << kTopK << ", \"classes\": " << r.classes
+        << ", \"class_pairs\": " << r.class_pairs
         << ", \"edges\": " << r.edges
         << ", \"dense_ms\": " << JsonOpt(r.dense_ms)
         << ", \"dense_peak_bytes\": " << r.dense_peak_bytes
@@ -1004,7 +1048,9 @@ bool WriteJson(const std::string& path, const std::vector<HarmonicRow>& solve,
   std::optional<double> topk_speedup_8000;
   std::optional<double> topk_peak_ratio_8000;
   for (const TopKBuildRow& r : topk) {
-    if (r.n != 8000 || r.streamed_peak_bytes <= 0) continue;
+    if (r.pool != "generated" || r.n != 8000 || r.streamed_peak_bytes <= 0) {
+      continue;
+    }
     topk_speedup_8000 = r.speedup;
     topk_peak_ratio_8000 = static_cast<double>(r.dense_peak_bytes) /
                            static_cast<double>(r.streamed_peak_bytes);
@@ -1055,7 +1101,12 @@ int main(int argc, char** argv) {
       }
     }
     build.push_back(sight::RunBuildStudy(ds, n));
-    topk.push_back(sight::RunTopKBuildStudy(ds, n));
+    topk.push_back(
+        sight::RunTopKBuildStudy(ds.profiles, ds.strangers, "generated"));
+    if (n == 2000) {
+      topk.push_back(sight::RunTopKBuildStudy(sight::DistinctProfiles(ds),
+                                              ds.strangers, "distinct"));
+    }
   }
   if (!sight::WriteJson(out_path, solve, round_solve, build, topk)) {
     std::fprintf(stderr, "error: cannot write %s\n", out_path.c_str());

@@ -22,10 +22,13 @@
 // The headline number is steady-state throughput: once discovery is
 // exhausted and the owner's answers have reached a fixpoint, a serving
 // workload keeps asking "what is my risk now". Each arm's steady loop
-// runs kSteadyPasses times and keeps its fastest pass. The full arm's
-// loop is about 2 ms of work with two thread handoffs a tick, so a
-// single scheduler stall on a shared host can outweigh it. The harness
-// FATALs
+// runs kSteadyPasses times and keeps its fastest pass, and the three
+// arms' passes interleave (one pass of each arm in turn). The full
+// arm's tick is a fraction of a millisecond with two thread handoffs,
+// so a single scheduler stall on a shared host can outweigh a short
+// pass: interleaving keeps one stall, or one busy stretch of the host,
+// from sinking every pass of one arm, and a pass is 32 ticks by default
+// so a stall is a smaller share of it. The harness FATALs
 // unless the full arm sustains >= 6x the rebuild baseline and >= 2x
 // the learner-carry-only arm on the unchanged-stranger-set trace,
 // FATALs if the carried partition/encode paths ever diverge bitwise
@@ -39,7 +42,7 @@
 // a single-core host those points are marked skipped. Every JSON row
 // records hardware_concurrency so the numbers are interpretable.
 //
-// Usage: perf_serving [--strangers=1000] [--batch=200] [--steady=8]
+// Usage: perf_serving [--strangers=1000] [--batch=200] [--steady=32]
 //                     [--out=BENCH_serving.json]
 // Env:   SIGHT_BENCH_THREADS=2,4,8 overrides the multi-owner thread
 //        counts.
@@ -127,8 +130,9 @@ struct CrawlRow {
   unsigned hardware_concurrency = 0;
 };
 
-// Passes of each arm's steady loop; the fastest counts.
-constexpr int kSteadyPasses = 3;
+// Passes of each arm's steady loop, interleaved across the arms; the
+// fastest counts.
+constexpr int kSteadyPasses = 5;
 
 struct SteadyResult {
   size_t ticks = 0;  // per pass
@@ -386,15 +390,7 @@ TraceStudy RunTraceStudy(size_t num_strangers, size_t batch_size,
   SteadyResult& steady = study.steady;
   steady.ticks = steady_ticks;
   steady.hardware_concurrency = hc;
-  auto fastest_pass = [](const std::function<void()>& loop) {
-    double best = std::numeric_limits<double>::infinity();
-    for (int pass = 0; pass < kSteadyPasses; ++pass) {
-      best = std::min(best, TimeMs(loop));
-    }
-    return best;
-  };
-  RiskService::Stats steady_stats_before = service->stats();
-  steady.service_ms_total = fastest_pass([&] {
+  auto service_pass = [&] {
     for (size_t i = 0; i < steady_ticks; ++i) {
       OwnerEvent event;
       event.owner = ds.owner;
@@ -405,13 +401,8 @@ TraceStudy RunTraceStudy(size_t num_strangers, size_t batch_size,
       steady.pools_total = snapshot->report.assessment.pools_total;
       steady.pools_carried = snapshot->report.assessment.pools_carried;
     }
-  });
-  RiskService::Stats steady_stats_now = service->stats();
-  steady.partition_hits =
-      steady_stats_now.partition_hits - steady_stats_before.partition_hits;
-  steady.encode_hits =
-      steady_stats_now.encode_hits - steady_stats_before.encode_hits;
-  steady.carried_ms_total = fastest_pass([&] {
+  };
+  auto carried_pass = [&] {
     for (size_t i = 0; i < steady_ticks; ++i) {
       OwnerEvent event;
       event.owner = ds.owner;
@@ -420,15 +411,33 @@ TraceStudy RunTraceStudy(size_t num_strangers, size_t batch_size,
       ++carried_version;
       SIGHT_CHECK(snapshot->status.ok());
     }
-  });
-  steady.baseline_ms_total = fastest_pass([&] {
+  };
+  auto baseline_pass = [&] {
     for (size_t i = 0; i < steady_ticks; ++i) {
       RiskReport report =
           baseline->AssessSync(ds.owner, &baseline_oracle, &baseline_rng)
               .value();
       SIGHT_CHECK(report.num_strangers == crawler.discovered().size());
     }
-  });
+  };
+  // One pass of each arm in turn; each arm keeps its fastest pass.
+  steady.service_ms_total = std::numeric_limits<double>::infinity();
+  steady.carried_ms_total = std::numeric_limits<double>::infinity();
+  steady.baseline_ms_total = std::numeric_limits<double>::infinity();
+  RiskService::Stats steady_stats_before = service->stats();
+  for (int pass = 0; pass < kSteadyPasses; ++pass) {
+    steady.service_ms_total =
+        std::min(steady.service_ms_total, TimeMs(service_pass));
+    steady.carried_ms_total =
+        std::min(steady.carried_ms_total, TimeMs(carried_pass));
+    steady.baseline_ms_total =
+        std::min(steady.baseline_ms_total, TimeMs(baseline_pass));
+  }
+  RiskService::Stats steady_stats_now = service->stats();
+  steady.partition_hits =
+      steady_stats_now.partition_hits - steady_stats_before.partition_hits;
+  steady.encode_hits =
+      steady_stats_now.encode_hits - steady_stats_before.encode_hits;
   // The steady loops must not have nudged the two resident arms apart.
   if (!ReportsBitwiseEqual(service->Poll(ds.owner)->report,
                            carried->Poll(ds.owner)->report)) {
@@ -644,7 +653,7 @@ bool WriteJson(const std::string& path, const TraceStudy& study,
 int main(int argc, char** argv) {
   size_t num_strangers = 1000;
   size_t batch_size = 200;
-  size_t steady_ticks = 8;
+  size_t steady_ticks = 32;
   std::string out_path = "BENCH_serving.json";
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--strangers=", 12) == 0) {

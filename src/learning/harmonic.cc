@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <numeric>
 
@@ -67,7 +69,12 @@ struct UnlabeledBlock {
 // Conjugate gradient: System() fills the diagonal and right-hand side of
 // the unlabeled block, Product() one matvec of it.
 
-// A CSR graph: per-row neighbor lists, summed in index order.
+// A CSR graph: per-row neighbor lists, summed in index order. CG's
+// System() also records the unlabeled block's own CSR — for each
+// unlabeled row, its unlabeled neighbors' block positions and weights,
+// in neighbor order — so Product() maps no index and skips no labeled
+// neighbor, while each row keeps the order of its subtractions, and so
+// its bits. The block is the solve's scratch and dies with it.
 class CsrOperator {
  public:
   explicit CsrOperator(const SimilarityMatrix& w) : w_(w) {}
@@ -89,24 +96,63 @@ class CsrOperator {
               double label_mean, std::vector<double>* diag,
               std::vector<double>* b) {
     const size_t m = block.nodes.size();
+    SIGHT_CHECK(m <= std::numeric_limits<uint32_t>::max());
     diag->assign(m, kRidge);
     b->assign(m, kRidge * label_mean);
+    size_t edges = 0;  // every edge of an unlabeled row: an upper bound
+    for (size_t u : block.nodes) edges += w_.Neighbors(u).size();
+    block_offsets_.assign(1, 0);
+    block_offsets_.reserve(m + 1);
+    block_index_.clear();
+    block_index_.reserve(edges);
+    block_weight_.clear();
+    block_weight_.reserve(edges);
     for (size_t a = 0; a < m; ++a) {
       for (const Neighbor& nb : w_.Neighbors(block.nodes[a])) {
         (*diag)[a] += nb.weight;
-        if (block.position[nb.index] == kLabeled) {
+        const size_t c = block.position[nb.index];
+        if (c == kLabeled) {
           (*b)[a] += nb.weight * f[nb.index];
+        } else {
+          block_index_.push_back(static_cast<uint32_t>(c));
+          block_weight_.push_back(nb.weight);
         }
       }
+      block_offsets_.push_back(block_index_.size());
     }
   }
-  void Product(const UnlabeledBlock& block, const std::vector<double>& diag,
-               const std::vector<double>& x, std::vector<double>* out) {
-    for (size_t a = 0; a < block.nodes.size(); ++a) {
+  // Rows go two at a time, their subtractions interleaved while both
+  // have entries left: each row still subtracts in its own order, and
+  // the two rows' dependency chains overlap instead of running back to
+  // back.
+  void Product(const UnlabeledBlock& /*block*/,
+               const std::vector<double>& diag, const std::vector<double>& x,
+               std::vector<double>* out) {
+    const size_t m = diag.size();
+    const size_t* offsets = block_offsets_.data();
+    const uint32_t* index = block_index_.data();
+    const double* weight = block_weight_.data();
+    size_t a = 0;
+    for (; a + 1 < m; a += 2) {
+      double acc0 = diag[a] * x[a];
+      double acc1 = diag[a + 1] * x[a + 1];
+      size_t e0 = offsets[a];
+      size_t e1 = offsets[a + 1];
+      const size_t end0 = offsets[a + 1];
+      const size_t end1 = offsets[a + 2];
+      for (; e0 < end0 && e1 < end1; ++e0, ++e1) {
+        acc0 -= weight[e0] * x[index[e0]];
+        acc1 -= weight[e1] * x[index[e1]];
+      }
+      for (; e0 < end0; ++e0) acc0 -= weight[e0] * x[index[e0]];
+      for (; e1 < end1; ++e1) acc1 -= weight[e1] * x[index[e1]];
+      (*out)[a] = acc0;
+      (*out)[a + 1] = acc1;
+    }
+    if (a < m) {
       double acc = diag[a] * x[a];
-      for (const Neighbor& nb : w_.Neighbors(block.nodes[a])) {
-        size_t c = block.position[nb.index];
-        if (c != kLabeled) acc -= nb.weight * x[c];
+      for (size_t e = offsets[a]; e < offsets[a + 1]; ++e) {
+        acc -= weight[e] * x[index[e]];
       }
       (*out)[a] = acc;
     }
@@ -114,6 +160,11 @@ class CsrOperator {
 
  private:
   const SimilarityMatrix& w_;
+  // The unlabeled block's CSR: row a is [block_offsets_[a],
+  // block_offsets_[a + 1]) of the two parallel arrays.
+  std::vector<size_t> block_offsets_;
+  std::vector<uint32_t> block_index_;
+  std::vector<double> block_weight_;
 };
 
 // A factored PS graph: degrees from the graph, products through it. The

@@ -18,7 +18,10 @@
 // representation (learning/pool_graph.h):
 //
 //  * on a CSR SimilarityMatrix (a top-k pool) they iterate per-row
-//    neighbor lists, so a sweep or product costs O(edges);
+//    neighbor lists, so a sweep or product costs O(edges); CG first
+//    copies the unlabeled block's own edges into a compact CSR of block
+//    positions, scratch of that one solve, so each product reads only
+//    the edges between unlabeled nodes, in the graph's order;
 //  * on a FactoredPsGraph (a dense pool) the degrees come from the graph,
 //    CG's right-hand side is one product of the labeled values and each
 //    iteration one product W x, O(n * A + V); a Gauss-Seidel node update

@@ -105,10 +105,11 @@ SimilarityMatrix SimilarityTriangle::Compact() && {
 }
 
 SimilarityMatrix SimilarityTriangle::SparsifyTopK(size_t k) const {
-  // Row i's packed run [0, i) is its row of pairs; rows go in descending
-  // order (see TopKSelection::AddRow).
-  TopKSelection selection(n_, k);
-  for (size_t i = n_; i-- > 1;) selection.AddRow(i, &data_[Index(i, 0)]);
+  // One class per node. Row i's packed run [0, i] is its row of pairs and
+  // then the unused diagonal slot, which reads 0: a node is not its own
+  // neighbor. Rows go in descending order (see TopKSelection::AddRow).
+  TopKSelection selection(MemberClasses::Singletons(n_), k);
+  for (size_t i = n_; i-- > 0;) selection.AddRow(i, &data_[Index(i, 0)]);
   return selection.Finish();
 }
 

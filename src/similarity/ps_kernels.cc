@@ -1,6 +1,7 @@
 #include "similarity/ps_kernels.h"
 
 #include <algorithm>
+#include <numeric>
 #include <span>
 #include <utility>
 
@@ -149,6 +150,42 @@ BatchFn ActiveBatchFn() {
   return fn;
 }
 
+// A pool's members grouped into classes of identical code rows, found by
+// sorting member indices by row, then by index, and cutting wherever the
+// row changes. Each class lists its members ascending. Classes are
+// ordered by their largest member, so class rows added in descending
+// order offer most heaps their candidates in descending index order, as
+// one row per member would (see TopKSelection::AddRow).
+MemberClasses ClassesOf(const uint32_t* rows, size_t n, size_t stride) {
+  auto row = [&](size_t i) { return rows + i * stride; };
+  std::vector<size_t> sorted(n);
+  std::iota(sorted.begin(), sorted.end(), size_t{0});
+  std::sort(sorted.begin(), sorted.end(), [&](size_t a, size_t b) {
+    const auto [pa, pb] = std::mismatch(row(a), row(a) + stride, row(b));
+    return pa != row(a) + stride ? *pa < *pb : a < b;
+  });
+  // Each run of equal rows as (its largest member, its start in sorted).
+  std::vector<std::pair<size_t, size_t>> runs;
+  for (size_t t = 0; t < n; ++t) {
+    const uint32_t* prev = t > 0 ? row(sorted[t - 1]) : nullptr;
+    if (t == 0 || !std::equal(prev, prev + stride, row(sorted[t]))) {
+      runs.emplace_back(0, t);
+    }
+    runs.back().first = sorted[t];
+  }
+  std::sort(runs.begin(), runs.end());
+  MemberClasses classes;
+  classes.members.reserve(n);
+  for (const auto& [last, start] : runs) {
+    for (size_t t = start;; ++t) {
+      classes.members.push_back(sorted[t]);
+      if (sorted[t] == last) break;
+    }
+    classes.offsets.push_back(classes.members.size());
+  }
+  return classes;
+}
+
 }  // namespace
 
 Dispatch ActiveDispatch() {
@@ -187,6 +224,7 @@ std::vector<PoolGraph> BuildGraphs(const std::vector<PoolRows>& pools,
   const size_t stride = weights.size();
   const BatchFn batch = ActiveBatchFn();
   RowContext ctx;
+  std::vector<uint32_t> class_rows;
   std::vector<double> row;
   std::vector<std::span<const double>> frequencies(stride);
   std::vector<PoolGraph> graphs;
@@ -204,15 +242,26 @@ std::vector<PoolGraph> BuildGraphs(const std::vector<PoolRows>& pools,
           FactoredPsGraph(pool.rows, n, weights, frequencies));
       continue;
     }
-    row.resize(n);
-    TopKSelection selection(n, top_k);
-    // Row i against rows [0, i), rows descending: the order in which
-    // TopKSelection turns ties away fastest. The values do not depend on
-    // the order.
-    for (size_t i = n; i-- > 1;) {
-      ctx.Pack(pool.rows + i * stride, weights, freqs);
-      batch(ctx, pool.rows, stride, i, row.data());
-      selection.AddRow(i, row.data());
+    // Members with identical code rows are one class: PS reads only the
+    // two rows and the pool's frequencies, so a class's members have the
+    // same weight to anyone. Each class pair is scored once, on a compact
+    // array of one row per class.
+    MemberClasses classes = ClassesOf(pool.rows, n, stride);
+    const size_t num_classes = classes.size();
+    class_rows.resize(num_classes * stride);
+    for (size_t c = 0; c < num_classes; ++c) {
+      const uint32_t* first =
+          pool.rows + classes.members[classes.offsets[c]] * stride;
+      std::copy(first, first + stride, class_rows.data() + c * stride);
+    }
+    row.resize(num_classes);
+    TopKSelection selection(std::move(classes), top_k);
+    // Class row c against classes [0, c], itself included, rows
+    // descending. The values do not depend on the order.
+    for (size_t c = num_classes; c-- > 0;) {
+      ctx.Pack(class_rows.data() + c * stride, weights, freqs);
+      batch(ctx, class_rows.data(), stride, c + 1, row.data());
+      selection.AddRow(c, row.data());
     }
     graphs.emplace_back(selection.Finish());
   }

@@ -4,10 +4,14 @@
 //    For each pool it builds the value frequencies. A dense pool's graph
 //    is then its FactoredPsGraph (learning/factored_ps_graph.h): the
 //    pool's code rows, weights and frequencies, with no pair scored. A
-//    top-k pool scores each row, from the last down, against every row
-//    before it with the batch kernel, and feeds the rows to a
+//    top-k pool groups its members into classes of identical code rows
+//    (PS reads only the two rows and the frequencies, so a class's
+//    members have the same weight to anyone), scores each class row,
+//    from the last down, against every class row up to and including
+//    itself with the batch kernel, and feeds the rows to a
 //    TopKSelection (learning/top_k_selection.h), so a sparsified pool is
-//    built straight into its CSR. The graphs are the classifier graphs
+//    built straight into its CSR and each pair of distinct profiles is
+//    scored once. The graphs are the classifier graphs
 //    ActiveLearner::Create gives each PoolLearner.
 //  * ComputeBatch is a one-vs-many kernel: the a-row's per-attribute
 //    state (code, weight, frequency-array pointer/size, and the a-side
@@ -76,7 +80,8 @@ struct PoolRows {
 /// With top_k > 0 it is each node's top_k strongest edges
 /// (learning/top_k_selection.h), streamed straight into the CSR without
 /// ever holding the triangle — bitwise what the full triangle's
-/// SparsifyTopK(top_k) gives. Runs on the calling thread.
+/// SparsifyTopK(top_k) gives — with one score per pair of classes of
+/// identical rows, not per pair of members. Runs on the calling thread.
 std::vector<PoolGraph> BuildGraphs(const std::vector<PoolRows>& pools,
                                    const ProfileSimilarity& ps, size_t top_k);
 

@@ -2,9 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <numeric>
+#include <string>
 #include <utility>
+#include <vector>
 
+#include "graph/profile.h"
+#include "learning/pool_graph_testing.h"
 #include "learning/similarity_matrix.h"
+#include "similarity/profile_similarity.h"
+#include "similarity/ps_kernels.h"
 
 namespace sight {
 namespace {
@@ -300,6 +311,157 @@ TEST(HarmonicEdgeTest, ZeroWeightedGraphFallsBackToMeanEverywhere) {
   auto f = classifier.Predict(w, labeled).value();
   EXPECT_NEAR(f[2], 2.0, 1e-9);
   EXPECT_NEAR(f[3], 2.0, 1e-9);
+}
+
+// Conjugate gradient on a CSR graph as the solver ran it before its
+// product read the unlabeled block's own CSR: every product walks each
+// unlabeled row's whole neighbor list, maps each neighbor through a
+// position table and skips the labeled ones. The rest is the solver's
+// arithmetic, step for step, so the two must agree bit for bit.
+std::vector<double> PositionMappedCg(const SimilarityMatrix& w,
+                                     const LabeledSet& labeled,
+                                     const HarmonicConfig& config,
+                                     size_t* iterations) {
+  constexpr double kRidge = 1e-8;
+  constexpr size_t kLabeled = static_cast<size_t>(-1);
+  const size_t n = w.size();
+  const double label_mean =
+      std::accumulate(labeled.values.begin(), labeled.values.end(), 0.0) /
+      static_cast<double>(labeled.size());
+  std::vector<double> f(n, label_mean);
+  std::vector<bool> is_labeled(n, false);
+  for (size_t i = 0; i < labeled.size(); ++i) {
+    is_labeled[labeled.indices[i]] = true;
+    f[labeled.indices[i]] = labeled.values[i];
+  }
+  std::vector<size_t> nodes;
+  std::vector<size_t> position(n, kLabeled);
+  for (size_t i = 0; i < n; ++i) {
+    if (is_labeled[i]) continue;
+    position[i] = nodes.size();
+    nodes.push_back(i);
+  }
+  const size_t m = nodes.size();
+  *iterations = 0;
+  if (m == 0) return f;
+  std::vector<double> diag(m, kRidge);
+  std::vector<double> b(m, kRidge * label_mean);
+  for (size_t a = 0; a < m; ++a) {
+    for (const Neighbor& nb : w.Neighbors(nodes[a])) {
+      diag[a] += nb.weight;
+      if (position[nb.index] == kLabeled) b[a] += nb.weight * f[nb.index];
+    }
+  }
+  auto product = [&](const std::vector<double>& x, std::vector<double>* out) {
+    for (size_t a = 0; a < m; ++a) {
+      double acc = diag[a] * x[a];
+      for (const Neighbor& nb : w.Neighbors(nodes[a])) {
+        const size_t c = position[nb.index];
+        if (c != kLabeled) acc -= nb.weight * x[c];
+      }
+      (*out)[a] = acc;
+    }
+  };
+  std::vector<double> x(m);
+  for (size_t a = 0; a < m; ++a) x[a] = f[nodes[a]];
+  std::vector<double> ax(m);
+  product(x, &ax);
+  std::vector<double> r(m);
+  for (size_t a = 0; a < m; ++a) r[a] = b[a] - ax[a];
+  std::vector<double> p = r;
+  std::vector<double> ap(m);
+  const double b_norm =
+      std::sqrt(std::inner_product(b.begin(), b.end(), b.begin(), 0.0));
+  const double stop_threshold = config.tolerance * std::max(1.0, b_norm);
+  double rs_old = std::inner_product(r.begin(), r.end(), r.begin(), 0.0);
+  for (size_t iter = 0; iter < config.max_iterations && iter < m + 8;
+       ++iter) {
+    if (std::sqrt(rs_old) < stop_threshold) break;
+    product(p, &ap);
+    const double p_ap = std::inner_product(p.begin(), p.end(), ap.begin(), 0.0);
+    if (p_ap <= 0.0) break;
+    const double alpha = rs_old / p_ap;
+    for (size_t a = 0; a < m; ++a) {
+      x[a] += alpha * p[a];
+      r[a] -= alpha * ap[a];
+    }
+    const double rs_new =
+        std::inner_product(r.begin(), r.end(), r.begin(), 0.0);
+    const double beta = rs_new / rs_old;
+    for (size_t a = 0; a < m; ++a) p[a] = r[a] + beta * p[a];
+    rs_old = rs_new;
+    ++*iterations;
+  }
+  for (size_t a = 0; a < m; ++a) f[nodes[a]] = x[a];
+  return f;
+}
+
+// The top-8 PS graph of RandomCodeRows(n, seed) with the first two rows
+// all missing: PS 0 with everyone, so isolated.
+SimilarityMatrix RandomTopKPsGraph(size_t n, uint64_t seed) {
+  std::vector<uint32_t> rows = RandomCodeRows(n, seed);
+  std::fill(rows.begin(), rows.begin() + 2 * kRandomAttributes, 0u);
+  const ProfileSimilarity ps =
+      ProfileSimilarity::Create(
+          ProfileSchema::Create({"a", "b", "c", "d"}).value())
+          .value();
+  std::vector<PoolGraph> graphs =
+      ps_kernels::BuildGraphs({{rows.data(), n}}, ps, /*top_k=*/8);
+  return *graphs.at(0).csr();
+}
+
+// The solver's CG on a top-8 PS graph against the position-mapped CG,
+// bit for bit, with the labeled share from one label to all but one
+// node. Node 0 is isolated; one labeled set labels every neighbor of an
+// unlabeled node.
+TEST(HarmonicCsrBlockTest, CgMatchesPositionMappedProductBitwise) {
+  const size_t n = 400;
+  const SimilarityMatrix w = RandomTopKPsGraph(n, 17);
+  ASSERT_TRUE(w.Neighbors(0).empty());
+  HarmonicConfig config;
+  config.solver = HarmonicSolver::kConjugateGradient;
+  const HarmonicFunctionClassifier classifier =
+      HarmonicFunctionClassifier::Create(config).value();
+
+  std::vector<LabeledSet> sets;
+  for (size_t count : {size_t{1}, size_t{2}, size_t{13}, n / 4, n / 2,
+                       n - 2, n - 1}) {
+    LabeledSet labeled;
+    for (size_t t = 0; t < count; ++t) {
+      const size_t i = 1 + (t * 7919) % (n - 1);  // never node 0
+      labeled.Add(i, 1.0 + static_cast<double>((i * 5 + t) % 3));
+    }
+    sets.push_back(std::move(labeled));
+  }
+  // Every neighbor of node u labeled, u itself not.
+  const size_t u = 200;
+  ASSERT_FALSE(w.Neighbors(u).empty());
+  LabeledSet around;
+  for (const Neighbor& nb : w.Neighbors(u)) {
+    around.Add(nb.index, 1.0 + static_cast<double>(nb.index % 3));
+  }
+  sets.push_back(std::move(around));
+
+  for (const LabeledSet& labeled : sets) {
+    const std::string label = std::to_string(labeled.size()) + " labeled";
+    ASSERT_EQ(std::count(labeled.indices.begin(), labeled.indices.end(), 0),
+              0)
+        << label;
+    SolveStats stats;
+    const std::vector<double> got =
+        classifier.PredictWithState(w, labeled, nullptr, &stats).value();
+    size_t iterations = 0;
+    const std::vector<double> want =
+        PositionMappedCg(w, labeled, config, &iterations);
+    EXPECT_EQ(stats.solver, "conjugate-gradient") << label;
+    EXPECT_EQ(stats.iterations, iterations) << label;
+    ASSERT_EQ(got.size(), want.size()) << label;
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(std::bit_cast<uint64_t>(got[i]),
+                std::bit_cast<uint64_t>(want[i]))
+          << label << " node " << i << ": " << got[i] << " vs " << want[i];
+    }
+  }
 }
 
 TEST(RoundToLabelTest, RoundsAndClamps) {

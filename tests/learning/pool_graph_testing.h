@@ -26,36 +26,43 @@ namespace sight {
 /// Both solves of a pair of graphs may differ by rounding only.
 constexpr double kSolveTolerance = 1e-9;
 
-/// The factored PS graph of `n` pseudo-random code rows over four
-/// attributes with 2-5 values each (one value in eight missing), under
-/// uniform weights and the rows' own value frequencies.
-inline FactoredPsGraph RandomFactoredGraph(size_t n, uint64_t seed) {
-  constexpr size_t kAttributes = 4;
+/// `n` pseudo-random code rows over kRandomAttributes attributes with
+/// 2-5 values each (codes 1..5; one value in eight missing, code 0), so
+/// profiles repeat and PS values tie.
+constexpr size_t kRandomAttributes = 4;
+inline std::vector<uint32_t> RandomCodeRows(size_t n, uint64_t seed) {
   uint64_t state = seed;
   auto next = [&state](uint64_t bound) {
     state = state * 6364136223846793005ULL + 1442695040888963407ULL;
     return (state >> 33) % bound;
   };
-  std::vector<uint32_t> rows(n * kAttributes);
+  std::vector<uint32_t> rows(n * kRandomAttributes);
   for (size_t i = 0; i < n; ++i) {
-    for (size_t a = 0; a < kAttributes; ++a) {
-      rows[i * kAttributes + a] =
+    for (size_t a = 0; a < kRandomAttributes; ++a) {
+      rows[i * kRandomAttributes + a] =
           next(8) == 0 ? 0 : static_cast<uint32_t>(1 + next(2 + a));
     }
   }
-  std::vector<std::vector<double>> freq(kAttributes,
-                                        std::vector<double>(2 + kAttributes));
-  for (size_t a = 0; a < kAttributes; ++a) {
+  return rows;
+}
+
+/// The factored PS graph of RandomCodeRows(n, seed), under uniform
+/// weights and the rows' own value frequencies.
+inline FactoredPsGraph RandomFactoredGraph(size_t n, uint64_t seed) {
+  const std::vector<uint32_t> rows = RandomCodeRows(n, seed);
+  std::vector<std::vector<double>> freq(
+      kRandomAttributes, std::vector<double>(2 + kRandomAttributes));
+  for (size_t a = 0; a < kRandomAttributes; ++a) {
     double present = 0.0;
     for (size_t i = 0; i < n; ++i) {
-      const uint32_t code = rows[i * kAttributes + a];
+      const uint32_t code = rows[i * kRandomAttributes + a];
       if (code == 0) continue;
       freq[a][code] += 1.0;
       present += 1.0;
     }
     for (double& f : freq[a]) f = present > 0.0 ? f / present : 0.0;
   }
-  const std::vector<double> weights(kAttributes, 1.0 / kAttributes);
+  const std::vector<double> weights(kRandomAttributes, 1.0 / kRandomAttributes);
   const std::vector<std::span<const double>> spans(freq.begin(), freq.end());
   return FactoredPsGraph(rows.data(), n, weights, spans);
 }

@@ -6,10 +6,14 @@
 // reference sparsified triangle's Compact() in row offsets, neighbor
 // indices and weight bits. So must SimilarityTriangle::SparsifyTopK, the
 // other feeder of the same rule, and a TopKSelection fed the reference's
-// rows directly in descending, ascending and shuffled order. A last case
-// builds pools of mixed sizes in one BuildGraphs call, dense and top-k,
-// against each pool's reference: a top-k pool's CSR bit for bit, a dense
-// pool's factored graph pair by pair through Get() and by its solves.
+// rows directly, one class per node, in descending, ascending and
+// shuffled order. The streamed build scores one row per class of
+// identical rows, so hand-made pools stress the classes: every row the
+// same, classes of k - 1, k and k + 1 members side by side, a non-twin
+// that ties a twin, an all-missing class, and k >= n. A last case builds
+// pools of mixed sizes in one BuildGraphs call, dense and top-k, against
+// each pool's reference: a top-k pool's CSR bit for bit, a dense pool's
+// factored graph pair by pair through Get() and by its solves.
 
 #include <algorithm>
 #include <bit>
@@ -105,9 +109,26 @@ ProfileTable RandomTable(size_t n, uint64_t seed) {
   return table;
 }
 
+// Users 0..rows.size()-1 over the same four attributes, user u holding
+// rows[u]; an empty row is a user with no profile, and an empty value
+// (kMissingValue) is missing.
+ProfileTable TableOf(const std::vector<std::vector<std::string>>& rows) {
+  ProfileTable table(ProfileSchema::Create({"a", "b", "c", "d"}).value());
+  for (UserId u = 0; u < rows.size(); ++u) {
+    if (rows[u].empty()) continue;
+    Profile p;
+    p.values = rows[u];
+    EXPECT_TRUE(table.Set(u, p).ok());
+  }
+  return table;
+}
+
 struct Pool {
-  explicit Pool(size_t n, uint64_t seed)
-      : table(RandomTable(n, seed)),
+  explicit Pool(size_t n, uint64_t seed) : Pool(RandomTable(n, seed), n) {}
+  explicit Pool(const std::vector<std::vector<std::string>>& rows)
+      : Pool(TableOf(rows), rows.size()) {}
+  Pool(ProfileTable profiles, size_t n)
+      : table(std::move(profiles)),
         enc(EncodedProfileTable::Build(table, Users(n))),
         freqs(ValueFrequencyTable::BuildFromCodes(enc.row(0), enc.num_rows(),
                                                  enc.num_attributes())),
@@ -154,22 +175,23 @@ std::string OrderLabel(RowOrder order) {
   return "?";
 }
 
-// Feeds the reference triangle's rows straight into a selection, in
-// `order`.
+// Feeds the reference triangle's rows straight into a selection, one
+// class per node, in `order`. Get(i, i) reads 0: no node is its own
+// neighbor.
 SimilarityMatrix SelectDirect(const SimilarityTriangle& dense, size_t k,
                               RowOrder order) {
   const size_t n = dense.size();
-  std::vector<size_t> rows(n > 1 ? n - 1 : 0);
-  std::iota(rows.begin(), rows.end(), size_t{1});
+  std::vector<size_t> rows(n);
+  std::iota(rows.begin(), rows.end(), size_t{0});
   if (order == RowOrder::kDescending) std::reverse(rows.begin(), rows.end());
   if (order == RowOrder::kShuffled) {
     Rng rng(31 * n + k);
     rng.Shuffle(&rows);
   }
-  TopKSelection selection(n, k);
+  TopKSelection selection(MemberClasses::Singletons(n), k);
   std::vector<double> row(n);
   for (size_t i : rows) {
-    for (size_t j = 0; j < i; ++j) row[j] = dense.Get(i, j);
+    for (size_t j = 0; j <= i; ++j) row[j] = dense.Get(i, j);
     selection.AddRow(i, row.data());
   }
   return selection.Finish();
@@ -242,6 +264,105 @@ TEST(TopKSelectionTest, LargePoolsMatchBitwise) {
 TEST(TopKSelectionTest, LargeKMatchesBitwise) {
   Pool pool(300, 4242);
   CheckPool(pool, {1, 3, 8, 299, 300, 1000});
+}
+
+// Every k in `ks` and every k from n - 1 to n + 2, so k >= n is always
+// covered.
+std::vector<size_t> WithLargeK(std::vector<size_t> ks, size_t n) {
+  for (size_t k = n > 0 ? n - 1 : 0; k <= n + 2; ++k) {
+    if (k > 0) ks.push_back(k);
+  }
+  return ks;
+}
+
+// `count` copies of each row of `rows`, in an order shuffled by `seed`,
+// so that each class's members interleave with the other classes'.
+std::vector<std::vector<std::string>> Interleaved(
+    const std::vector<std::pair<std::vector<std::string>, size_t>>& rows,
+    uint64_t seed) {
+  std::vector<std::vector<std::string>> out;
+  for (const auto& [row, count] : rows) out.insert(out.end(), count, row);
+  Rng rng(seed);
+  rng.Shuffle(&out);
+  return out;
+}
+
+const std::vector<std::string> kRowA = {"v0", "v1", "v0", "v1"};
+const std::vector<std::string> kRowB = {"v1", "v1", "v0", "v0"};
+const std::vector<std::string> kRowC = {"v1", "v0", "v1", "v0"};
+
+// One class: every row the same, so every pair ties and a member's top k
+// are the k largest other indices. n = k, k + 1, k + 2 and 40.
+TEST(TopKSelectionTest, AllRowsIdenticalMatchBitwise) {
+  for (size_t k : {size_t{1}, size_t{2}, size_t{3}, size_t{8}}) {
+    for (size_t n : {k, k + 1, k + 2, size_t{40}}) {
+      CheckPool(Pool(std::vector<std::vector<std::string>>(n, kRowA)),
+                WithLargeK({k}, n));
+    }
+  }
+}
+
+// Classes of k - 1, k and k + 1 members side by side, interleaved by
+// index, alone and among random rows.
+TEST(TopKSelectionTest, ClassesAroundKMatchBitwise) {
+  for (size_t k : {size_t{2}, size_t{3}, size_t{8}}) {
+    for (uint64_t seed : {uint64_t{1}, uint64_t{2}}) {
+      std::vector<std::vector<std::string>> rows =
+          Interleaved({{kRowA, k - 1}, {kRowB, k}, {kRowC, k + 1}}, seed);
+      CheckPool(Pool(rows), WithLargeK({1, k - 1, k, k + 1}, rows.size()));
+      // The same classes among random rows, which repeat too.
+      const Pool noise(30, 500 + seed);
+      for (UserId u = 0; u < 30; ++u) {
+        rows.push_back(noise.table.Has(u) ? noise.table.Get(u).values
+                                          : std::vector<std::string>());
+      }
+      Rng rng(seed);
+      rng.Shuffle(&rows);
+      CheckPool(Pool(rows), WithLargeK({1, k - 1, k, k + 1}, rows.size()));
+    }
+  }
+}
+
+// A member whose row is missing where its twin's is not ties its twin:
+// PS sums over the first row's present attributes, so a row with "b"
+// missing scores the same with a twin as with a member that differs
+// from it only at "b". Twins and non-twins must then rank by index
+// alone, across classes.
+TEST(TopKSelectionTest, NonTwinTyingATwinMatchesBitwise) {
+  const std::vector<std::string> gap = {"v0", "", "v1", "v0"};
+  const std::vector<std::string> full = {"v0", "v1", "v1", "v0"};
+  const std::vector<std::string> other = {"v0", "v0", "v1", "v0"};
+  for (uint64_t seed : {uint64_t{1}, uint64_t{2}, uint64_t{3}}) {
+    for (size_t twins : {size_t{1}, size_t{3}, size_t{9}}) {
+      std::vector<std::vector<std::string>> rows = Interleaved(
+          {{gap, twins}, {full, 4}, {other, 5}, {kRowB, 2}}, seed);
+      const Pool pool(rows);
+      // The tie the case is about.
+      const size_t g = static_cast<size_t>(
+          std::find(rows.begin(), rows.end(), gap) - rows.begin());
+      const size_t f = static_cast<size_t>(
+          std::find(rows.begin(), rows.end(), full) - rows.begin());
+      ASSERT_EQ(pool.ps.Compute(pool.enc.row(g), pool.enc.row(f), pool.freqs),
+                pool.ps.Compute(pool.enc.row(g), pool.enc.row(g), pool.freqs));
+      CheckPool(pool, WithLargeK({1, 2, 3, 8}, rows.size()));
+    }
+  }
+}
+
+// Members with no profile form one class with PS 0 to everyone, itself
+// included: they get no edge, and no other member gets one to them.
+// Alone, as most of a pool, and beside one other member.
+TEST(TopKSelectionTest, AllMissingClassMatchesBitwise) {
+  const std::vector<std::string> none;
+  for (uint64_t seed : {uint64_t{1}, uint64_t{2}}) {
+    for (const auto& rows :
+         {Interleaved({{none, 6}}, seed),
+          Interleaved({{none, 12}, {kRowA, 3}, {kRowB, 1}}, seed),
+          Interleaved({{none, 2}, {kRowC, 1}}, seed),
+          Interleaved({{none, 5}, {kRowA, 9}, {kRowC, 9}}, seed)}) {
+      CheckPool(Pool(rows), WithLargeK({1, 2, 8}, rows.size()));
+    }
+  }
 }
 
 // Pools of mixed sizes — empty, 1 and 2 members, and larger ones —
