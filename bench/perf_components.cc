@@ -81,8 +81,10 @@ void BM_SqueezerCluster(benchmark::State& state) {
 }
 BENCHMARK(BM_SqueezerCluster)->Arg(400)->Arg(2000);
 
-// One-vs-many PS batch kernel (the inner loop of the graph build): one
-// a-row scored against a block of b-rows per iteration.
+// One-vs-many PS kernel through ComputeBatch: one a-row scored against
+// a block of b-rows per iteration. ComputeBatch lays its b-rows out as
+// columns on every call, so the time includes that transpose; the graph
+// build lays a pool's columns out once (BM_PsKernelBuildGraphs).
 // The reported dispatch label shows which SIMD variant ran.
 void BM_PsKernelComputeBatch(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
@@ -105,9 +107,9 @@ void BM_PsKernelComputeBatch(benchmark::State& state) {
 BENCHMARK(BM_PsKernelComputeBatch)->Arg(400)->Arg(2000);
 
 // One top-8 pool's classifier graph as ActiveLearner::Create asks for
-// it (BuildGraphs): the pool's value frequencies, the row-by-row
-// pairwise scoring on the dispatched batch kernel, and the streamed
-// top-k selection. A dense pool scores no pair (its graph is factored),
+// it (BuildGraphs): the pool's value frequencies, its classes of
+// identical rows and their columns, the class-by-class scoring on the
+// dispatched kernel, and the streamed top-k selection. A dense pool scores no pair (its graph is factored),
 // so the top-k build is what drives the kernel end to end.
 void BM_PsKernelBuildGraphs(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));

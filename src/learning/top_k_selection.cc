@@ -67,8 +67,8 @@ void TopKSelection::AddRow(size_t c, const double* values) {
   if (cap_ == 0) return;
   // Class c's heap and the heaps of classes d < c, behind the floor check
   // that turns most offers away without touching a heap. The diagonal
-  // goes first, then the columns in descending order (see the header on
-  // row order).
+  // goes first, then the columns from c - 1 down (see the header on row
+  // order).
   const double* floor = floor_.data();
   if (!(values[c] < floor[c])) OfferClass(c, values[c], c);
   double row_floor = floor[c];  // only row-side offers move it

@@ -65,11 +65,14 @@ class TopKSelection {
   /// values[d], to the members of both classes; values[c] is the weight
   /// between two members of c. Each class row is added at most once.
   ///
-  /// Any row order gives the same result. Adding rows in descending
-  /// order (as ps_kernels::BuildGraphs and SparsifyTopK do) is fastest
-  /// on singleton classes: every heap then sees its candidates in
-  /// descending neighbor order, so a weight equal to a heap's floor never
-  /// displaces a kept edge and is turned away without a heap update.
+  /// Any row order gives the same result; the order only decides how
+  /// soon each heap's floor rises, and so how many offers are turned
+  /// away without a heap update. SparsifyTopK adds its singleton classes
+  /// descending: every heap then sees its candidates in descending
+  /// neighbor order, so a weight equal to a heap's floor never displaces
+  /// a kept edge. ps_kernels::BuildGraphs numbers classes by their rows
+  /// and adds them ascending, so every heap is offered the classes
+  /// nearest its own row, on the row side and the column side, first.
   void AddRow(size_t c, const double* values);
 
   /// Returns the graph of the surviving edges. Releases the selection

@@ -65,10 +65,9 @@ class ValueFrequencyTable {
 
   /// The raw code-indexed frequency array for `attr` (entry [0], the
   /// missing-value slot, is always 0.0; codes past the end read as 0).
-  /// The batched kernels in similarity/ps_kernels.h hoist `data()` and
-  /// `size()` out of their inner loops through this accessor; everything
-  /// else should prefer FrequencyByCode. `attr` must be <
-  /// num_attributes().
+  /// similarity/ps_kernels.h reads it when it lays rows out as columns
+  /// and hands it to a dense pool's FactoredPsGraph; everything else
+  /// should prefer FrequencyByCode. `attr` must be < num_attributes().
   const std::vector<double>& FrequencyArray(AttributeId attr) const {
     return freq_[attr];
   }

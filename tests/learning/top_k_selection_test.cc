@@ -10,7 +10,10 @@
 // shuffled order. The streamed build scores one row per class of
 // identical rows, so hand-made pools stress the classes: every row the
 // same, classes of k - 1, k and k + 1 members side by side, a non-twin
-// that ties a twin, an all-missing class, and k >= n. A last case builds
+// that ties a twin, an all-missing class, and k >= n. Classes fed in
+// any numbering and row order must give the same graph, and pools of 1
+// to 9 classes with missing codes on either side of a pair drive every
+// tail of the column kernel. A last case builds
 // pools of mixed sizes in one BuildGraphs call, dense and top-k, against
 // each pool's reference: a top-k pool's CSR bit for bit, a dense pool's
 // factored graph pair by pair through Get() and by its solves.
@@ -361,6 +364,128 @@ TEST(TopKSelectionTest, AllMissingClassMatchesBitwise) {
           Interleaved({{none, 2}, {kRowC, 1}}, seed),
           Interleaved({{none, 5}, {kRowA, 9}, {kRowC, 9}}, seed)}) {
       CheckPool(Pool(rows), WithLargeK({1, 2, 8}, rows.size()));
+    }
+  }
+}
+
+// The classes of identical code rows of `pool`, each listing its members
+// ascending, in the lexicographic order of their rows: the numbering
+// BuildGraphs gives them.
+std::vector<std::vector<size_t>> LexicographicClasses(const Pool& pool) {
+  const size_t stride = pool.enc.num_attributes();
+  auto row = [&](size_t i) {
+    return std::vector<uint32_t>(pool.enc.row(i), pool.enc.row(i) + stride);
+  };
+  std::vector<size_t> order(pool.enc.num_rows());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](size_t a, size_t b) { return row(a) < row(b); });
+  std::vector<std::vector<size_t>> classes;
+  for (size_t i : order) {
+    if (classes.empty() || row(classes.back().front()) != row(i)) {
+      classes.emplace_back();
+    }
+    classes.back().push_back(i);
+  }
+  return classes;
+}
+
+// Feeds `classes`, class c being classes[c], to a selection, adding the
+// class rows in `rows` order. Class c's row holds the PS of its first
+// member with the first member of each class d <= c.
+SimilarityMatrix SelectClasses(const Pool& pool,
+                               const std::vector<std::vector<size_t>>& classes,
+                               const std::vector<size_t>& rows, size_t k) {
+  MemberClasses numbered;
+  for (const std::vector<size_t>& members : classes) {
+    numbered.members.insert(numbered.members.end(), members.begin(),
+                            members.end());
+    numbered.offsets.push_back(numbered.members.size());
+  }
+  TopKSelection selection(std::move(numbered), k);
+  std::vector<double> row(classes.size());
+  for (size_t c : rows) {
+    const uint32_t* a = pool.enc.row(classes[c].front());
+    for (size_t d = 0; d <= c; ++d) {
+      row[d] = pool.ps.Compute(a, pool.enc.row(classes[d].front()),
+                               pool.freqs);
+    }
+    selection.AddRow(c, row.data());
+  }
+  return selection.Finish();
+}
+
+// How classes are numbered and in which order their rows arrive decides
+// only how soon each heap's floor rises, never the graph. A
+// duplicate-heavy pool is fed three ways: numbered by row with rows
+// ascending (BuildGraphs' order), numbered by largest member with rows
+// descending, and numbered at random with rows shuffled.
+TEST(TopKSelectionTest, ClassNumberingDoesNotChangeTheGraph) {
+  for (uint64_t seed : {uint64_t{1}, uint64_t{2}}) {
+    const Pool pool(400, 6100 + seed);
+    const size_t n = pool.enc.num_rows();
+    const std::vector<std::vector<size_t>> by_row =
+        LexicographicClasses(pool);
+    ASSERT_LT(by_row.size(), n / 2) << "the pool should repeat rows";
+    std::vector<std::vector<size_t>> by_last = by_row;
+    std::sort(by_last.begin(), by_last.end(),
+              [](const std::vector<size_t>& a, const std::vector<size_t>& b) {
+                return a.back() < b.back();
+              });
+    std::vector<std::vector<size_t>> shuffled = by_row;
+    Rng rng(seed);
+    rng.Shuffle(&shuffled);
+
+    std::vector<size_t> ascending(by_row.size());
+    std::iota(ascending.begin(), ascending.end(), size_t{0});
+    const std::vector<size_t> descending(ascending.rbegin(),
+                                         ascending.rend());
+    std::vector<size_t> random_rows = ascending;
+    rng.Shuffle(&random_rows);
+
+    const SimilarityTriangle dense = pool.ReferenceFill();
+    for (size_t k : WithLargeK({1, 2, 3, 8}, n)) {
+      SimilarityTriangle kept = dense;
+      ReferenceSparsifyTopK(&kept, k);
+      const SimilarityMatrix reference = std::move(kept).Compact();
+      const std::string label = "seed=" + std::to_string(seed) +
+                                " k=" + std::to_string(k);
+      ExpectSameCsr(SelectClasses(pool, by_row, ascending, k), reference,
+                    label + " by row, ascending");
+      ExpectSameCsr(SelectClasses(pool, by_last, descending, k), reference,
+                    label + " by largest member, descending");
+      ExpectSameCsr(SelectClasses(pool, shuffled, random_rows, k), reference,
+                    label + " at random, shuffled");
+    }
+  }
+}
+
+// The column kernel through BuildGraphs' top-k branch, on pools of 1 to
+// 9 classes, so that class row c, scored against c + 1 classes, runs
+// every lane group and every tail of zero to three pairs. The rows
+// miss attributes in every way a pair can: on the a-side only, on the
+// b-side only (which side a class is depends on the row order), on
+// both, and everywhere (an all-missing class, whose own row packs no
+// attribute at all).
+TEST(TopKSelectionTest, ColumnKernelEdgeCasesMatchBitwise) {
+  const std::vector<std::vector<std::string>> rows = {
+      {"v0", "v1", "v0", "v1"}, {"v0", "", "v0", "v1"},
+      {"v0", "v1", "", "v1"},   {"v1", "", "v1", "v0"},
+      {},                       {"v1", "v1", "v0", "v0"},
+      {"", "v0", "v0", ""},     {"v1", "v0", "v1", "v0"},
+      {"v0", "v0", "v1", "v1"},
+  };
+  for (size_t classes = 1; classes <= rows.size(); ++classes) {
+    for (uint64_t seed : {uint64_t{1}, uint64_t{2}}) {
+      std::vector<std::pair<std::vector<std::string>, size_t>> counts;
+      for (size_t c = 0; c < classes; ++c) {
+        counts.emplace_back(rows[c], 1 + (c + seed) % 3);
+      }
+      const std::vector<std::vector<std::string>> members =
+          Interleaved(counts, seed);
+      SCOPED_TRACE(std::to_string(classes) + " classes, seed " +
+                   std::to_string(seed));
+      CheckPool(Pool(members), WithLargeK({1, 2, 3, 8}, members.size()));
     }
   }
 }

@@ -79,6 +79,20 @@ def run_analyzer(root, *extra):
         capture_output=True, text=True)
 
 
+def serving_walk(root):
+    """The hot-path-rebuild walk over a fixture tree: {function: caller}
+    for every function the serving entry points reach."""
+    sys.path.insert(0, str(ANALYZER.parent))
+    import sight_analyzer
+    root = pathlib.Path(root).resolve()
+    entries, cc_path = sight_analyzer.load_compile_commands(root / "build")
+    tus = sight_analyzer.gather_tus(entries, cc_path, root, root / "src")
+    model, _ = sight_analyzer.build_model(tus, root, root / "src",
+                                          "internal")
+    return sight_analyzer.call_graph_walk(
+        model, sight_analyzer.HOT_PATH_ENTRIES)
+
+
 def check_rule_case(name, fixture_rel, rule, must_flag, must_not_flag,
                     min_findings):
     """Runs one fixture tree; asserts each `must_flag` function appears
@@ -162,6 +176,23 @@ def main():
         for fn in ["CheckIndicesDense", "CreateLearners", "Service::Submit"]:
             expect(f"round-path: does not flag {fn}",
                    not any(fn in ln for ln in findings), proc.stdout)
+
+    # A util-layer pool->Submit() resolves within util/ and below, never to
+    # the service method of the same name, whose Compact() the drain path
+    # therefore does not reach; the walk still enters the util pool.
+    with tempfile.TemporaryDirectory() as tmp:
+        root = make_tree(tmp, ["src/util/pool_fixture.cc",
+                               "src/service/submit_collision_fixture.cc"])
+        proc = run_analyzer(root, "--rule", "hot-path-rebuild")
+        expect("submit-collision: exits 0 with no findings",
+               proc.returncode == 0 and
+               "[hot-path-rebuild]" not in proc.stdout,
+               f"rc={proc.returncode}\n{proc.stdout}{proc.stderr}")
+        walk = serving_walk(root)
+        expect("submit-collision: the drain path reaches ThreadPool::Submit",
+               walk.get("ThreadPool::Submit") == "ParallelFor", str(walk))
+        expect("submit-collision: ... and not RiskService::Submit",
+               "RiskService::Submit" not in walk, str(walk))
 
     # --- suppressed findings are visible under --verbose -----------------
     with tempfile.TemporaryDirectory() as tmp:

@@ -45,6 +45,12 @@ C++ tokenizer plus a scope-tracking function extractor tuned to this
 repo's subset of C++20 — produces the same model. `--frontend` forces a
 choice; the default autoselects.
 
+Call resolution is a conservative name-union bounded by the layers: a
+method matched by name only (a receiver call, or a plain name that is
+neither a method of the caller's class nor a free function) resolves
+within the caller's src/ module and the layers below it, in the order
+of tools/sight_lint.py's LAYERS.
+
 Suppressions: a finding is waived by a comment on the same line or the
 line above:
 
@@ -69,6 +75,8 @@ import pathlib
 import re
 import sys
 from collections import deque
+
+import sight_lint  # LAYER_OF: the src/ layer order of the layering rule
 
 # --------------------------------------------------------------------------
 # Configuration: the semantic contract being enforced. Extend here (and
@@ -122,12 +130,6 @@ HOT_REBUILD_SANCTIONED_FILES = {"graph/profile_codec.cc",
 # Entry point of the round-path walk: one active-learning round (sample,
 # query, re-solve, stabilization check).
 ROUND_PATH_ENTRIES = {"PoolLearner::RunRound"}
-# src/ modules a round can call into: core/ and the layers below it
-# (sight-lint's layering rule keeps core/ from including sim/, service/
-# or io/), so a call the name-only resolution matches to a function
-# there (ThreadPool::Submit vs RiskService::Submit) is a name collision.
-ROUND_PATH_MODULES = {"util", "graph", "learning", "clustering",
-                      "similarity", "core"}
 # Hash containers a round-path function may not declare.
 ROUND_PATH_HASH_TYPES = {"unordered_set", "unordered_map"}
 
@@ -695,7 +697,7 @@ class Model:
                 out.add(call.name)
             return out
         if call.receiver is not None:
-            return set(self.methods_by_name.get(call.name, ()))
+            return self.methods_in_reach(fn, call.name)
         # Plain name: same-class method first, then a free function,
         # then any method with that name.
         if fn.cls and f"{fn.cls}::{call.name}" in self.by_qual:
@@ -704,7 +706,27 @@ class Model:
         if call.name in self.by_qual:
             out.add(call.name)
             return out
-        return set(self.methods_by_name.get(call.name, ()))
+        return self.methods_in_reach(fn, call.name)
+
+    def methods_in_reach(self, fn, name):
+        """Methods named `name` that `fn` can call: those defined in its
+        own src/ module or in a lower layer (sight-lint's LAYER_OF), since
+        the layering rule keeps a module from including anything above
+        it. A name-only match into a higher layer is a name collision
+        (ThreadPool::Submit vs RiskService::Submit) or a virtual call to
+        an override above the caller, which the walks do not follow. A
+        module with no layer bounds nothing."""
+        def module(f):
+            return f.file.removeprefix("src/").split("/")[0]
+
+        rank = sight_lint.LAYER_OF.get(module(fn))
+
+        def in_reach(target):
+            return rank is None or module(target) == module(fn) or \
+                sight_lint.LAYER_OF.get(module(target), -1) < rank
+
+        return {q for q in self.methods_by_name.get(name, ())
+                if any(in_reach(t) for t in self.by_qual[q])}
 
     def is_suppressed(self, rel_path, line, rule):
         per_file = self.suppressions.get(rel_path)
@@ -1319,15 +1341,9 @@ def rebuild_primitive_events(fn):
     return events
 
 
-def call_graph_walk(model, entries, modules=None):
+def call_graph_walk(model, entries):
     """BFS over the call graph from `entries`: {qualname: caller} for
-    every reachable function (None for an entry). With `modules`, the
-    walk enters only functions defined in those src/ modules."""
-    def in_modules(qual):
-        return modules is None or any(
-            fn.file.removeprefix("src/").split("/")[0] in modules
-            for fn in model.by_qual.get(qual, ()))
-
+    every reachable function (None for an entry)."""
     parent = {}
     queue = deque()
     for entry in sorted(entries):
@@ -1344,7 +1360,7 @@ def call_graph_walk(model, entries, modules=None):
                     continue
                 visited_calls.add(key)
                 for target in model.resolve(fn, call):
-                    if target not in parent and in_modules(target):
+                    if target not in parent:
                         parent[target] = q
                         queue.append(target)
     return parent
@@ -1479,7 +1495,7 @@ def check_statement(model, fn, toks, start, end, findings):
 
 
 def rule_round_path_hash(model, findings):
-    parent = call_graph_walk(model, ROUND_PATH_ENTRIES, ROUND_PATH_MODULES)
+    parent = call_graph_walk(model, ROUND_PATH_ENTRIES)
     for qual in sorted(parent):
         for fn in model.by_qual.get(qual, ()):
             for t in fn.body:
